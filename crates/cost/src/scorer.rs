@@ -81,6 +81,17 @@ pub struct JoinCandidate<'a> {
 /// A per-query scoring session. `Sync` so one session can score
 /// candidate batches across worker threads (the beam's intra-query
 /// parallel expansion); implementations guard their per-query caches.
+///
+/// **Purity contract.** Within one session, the [`ScoredTree`] of a
+/// plan is a function of the plan alone: [`QueryScorer::score_scan`]
+/// of equal scans, and [`QueryScorer::score_join`] /
+/// [`QueryScorer::score_join_batch`] of equal joins over children that
+/// were themselves scored by this session, return bit-identical
+/// `score` and `sc` and an interchangeable `ext` — whenever, in
+/// whatever batch and on whichever thread the call happens. Per-query
+/// caches may make a repeat cheaper, never different. The beam relies
+/// on it: it scores each distinct join once and hands that one
+/// [`ScoredTree`] to every state that contains the join.
 pub trait QueryScorer: Sync {
     /// Scores a scan leaf (a [`Plan::Scan`]).
     fn score_scan(&self, scan: &Plan) -> ScoredTree;

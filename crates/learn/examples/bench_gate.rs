@@ -23,6 +23,13 @@
 //!   (≤ [`BEAM20_VS_DP_PLAN_RATIO`]) — the learned agent's serving
 //!   path may not regress back to pre-batching/pre-dedup-overhaul
 //!   costs;
+//! * **score sharing**: beam-20's `cost_calls_total / candidates_total`
+//!   must stay ≤ [`BEAM20_COST_CALLS_PER_CANDIDATE_MAX`] — the beam
+//!   scores each distinct join subtree once per level and reuses the
+//!   score at the next, so under a third of its candidates reach the
+//!   scorer. Both are counts of a deterministic search, identical on
+//!   every runner and for every thread count; a change that scores per
+//!   state again drives the ratio back to ~0.99;
 //! * **parallel planning**: when the benchmark ran with
 //!   `planning_threads` > 1, the intra-query-parallel DP row
 //!   (`dp-par-bushy/expert`) must exist, must report a non-null
@@ -87,6 +94,11 @@ const DP_VS_SUBMASK_PLAN_RATIO: f64 = 0.35;
 /// per-candidate-allocation or per-probe-fingerprint regression drives
 /// this back toward the pre-overhaul ~2.0.
 const BEAM20_VS_DP_PLAN_RATIO: f64 = 1.0;
+/// Max allowed beam-20 `cost_calls_total / candidates_total` on the
+/// 113-query JOB-like workload: measured 185291 / 603266 = 0.307 with
+/// cross-state score sharing (0.990 without it), plus 10 %. A ratio of
+/// two counts, so it holds on any runner.
+const BEAM20_COST_CALLS_PER_CANDIDATE_MAX: f64 = 0.34;
 /// Max allowed parallel-DP / serial-DP `plan_secs_total` ratio when the
 /// benchmark ran with more than one planning thread. Parallel DPccp is
 /// bit-identical to serial by construction, so its only reason to exist
@@ -226,6 +238,26 @@ fn main() {
                 }
                 _ => failures.push(
                     "BENCH_planner.json: missing beam20-bushy/dp-bushy plan_secs_total".into(),
+                ),
+            }
+            let beam_anchor = "\"name\": \"beam20-bushy/expert\"";
+            let calls = number_after(&planner, beam_anchor, "cost_calls_total");
+            let candidates = number_after(&planner, beam_anchor, "candidates_total");
+            match (calls, candidates) {
+                (Some(calls), Some(candidates)) if candidates > 0.0 => {
+                    let ratio = calls / candidates;
+                    println!(
+                        "planner: beam20 cost_calls/candidates {ratio:.4} ({calls:.0} of {candidates:.0}, max {BEAM20_COST_CALLS_PER_CANDIDATE_MAX})"
+                    );
+                    if ratio > BEAM20_COST_CALLS_PER_CANDIDATE_MAX {
+                        failures.push(format!(
+                            "score-sharing regression: beam20 cost_calls/candidates {ratio:.4} > {BEAM20_COST_CALLS_PER_CANDIDATE_MAX}"
+                        ));
+                    }
+                }
+                _ => failures.push(
+                    "BENCH_planner.json: missing beam20-bushy cost_calls_total/candidates_total"
+                        .into(),
                 ),
             }
             // Parallel-DP gate: only meaningful when the run itself was

@@ -279,3 +279,59 @@ fn session_batch_equals_per_candidate_scores() {
         }
     }
 }
+
+/// FNV-style order-dependent fold.
+fn fold(acc: u64, v: u64) -> u64 {
+    (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Checksums recorded at commit 566d5ae — the parent of the change that
+/// made the beam share one score among every state holding the same
+/// join subtree. One per model kind, each over `(Plan::canonical_hash,
+/// cost bits, states, candidates)` of every 4th of the 137 queries
+/// (the full set costs minutes under debug assertions; the search
+/// crate's `beam_sharing` suite pins all 137 under `CostScorer`) ×
+/// {bushy, left-deep} × width {1, 8, 20} × ε {0, 0.5}. Sharing is sound
+/// only because a learned join score is a pure function of the join
+/// plan; a mismatch here means it moved a plan, a score bit or an
+/// enumeration counter — a regression, not a re-pin.
+const PRE_SHARING_PIN: [(ModelKind, u64); 2] = [
+    (ModelKind::Linear, 0x1424_d319_ead1_de3c),
+    (ModelKind::TreeConv, 0xb777_1a82_9970_aa9e),
+];
+
+#[test]
+fn learned_beam_matches_the_pre_sharing_pin_on_pools_1_and_4() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+    for (kind, pinned) in PRE_SHARING_PIN {
+        let model = fitted_model(kind, &db, &queries, &featurizer);
+        let scorer = LearnedScorer::new(&featurizer, &*model, &est);
+        for threads in [1usize, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut sum = 0xcbf2_9ce4_8422_2325u64;
+            for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                for width in [1usize, 8, 20] {
+                    for eps in [0.0, 0.5] {
+                        for q in queries.iter().step_by(4) {
+                            let out = BeamPlanner::new(&db, &scorer, mode, width)
+                                .with_exploration(eps, 11)
+                                .with_pool(pool.clone())
+                                .plan(q);
+                            for v in [
+                                out.plan.canonical_hash(),
+                                out.cost.to_bits(),
+                                out.stats.states as u64,
+                                out.stats.candidates as u64,
+                            ] {
+                                sum = fold(sum, v);
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(sum, pinned, "{kind:?} pool={threads}: actual {sum:#x}");
+        }
+    }
+}

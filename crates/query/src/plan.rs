@@ -120,7 +120,7 @@ impl Plan {
             left.mask().disjoint(right.mask()),
             "joining overlapping subplans"
         );
-        let fp = join_fingerprint(op, left.fingerprint(), right.fingerprint());
+        let fp = Plan::join_fingerprint(op, left.fingerprint(), right.fingerprint());
         Arc::new(Plan::Join {
             op,
             left,
@@ -341,6 +341,27 @@ impl Plan {
         }
     }
 
+    /// The [`Plan::fingerprint`] that [`Plan::join`]`(op, left, right)`
+    /// would carry, from the children's fingerprints alone: operator
+    /// tag plus both child fingerprints, folded FNV-1a style. Child
+    /// order matters (left/right are physical roles). Lets a caller
+    /// look a join up by identity *before* paying for the node — the
+    /// beam probes its join-score table with it.
+    pub fn join_fingerprint(op: JoinOp, left_fp: u64, right_fp: u64) -> u64 {
+        let mut h = fnv_mix(FNV_OFFSET, 0x02);
+        h = fnv_mix(
+            h,
+            match op {
+                JoinOp::Hash => 0,
+                JoinOp::Merge => 1,
+                JoinOp::NestLoop => 2,
+            },
+        );
+        h = fnv_mix_u64(h, left_fp);
+        h = fnv_mix(h, 0x03);
+        fnv_mix_u64(h, right_fp)
+    }
+
     /// A **frozen** structural hash: FNV-1a streamed over the canonical
     /// pre-order encoding, O(n) in the subtree size. Unlike
     /// [`Plan::fingerprint`] — whose algorithm may evolve with the
@@ -490,24 +511,6 @@ fn fnv_mix_u64(mut h: u64, w: u64) -> u64 {
         h = fnv_mix(h, b);
     }
     h
-}
-
-/// The compositional join fingerprint: operator tag plus both child
-/// fingerprints, folded FNV-1a style. Child order matters (left/right
-/// are physical roles).
-fn join_fingerprint(op: JoinOp, left_fp: u64, right_fp: u64) -> u64 {
-    let mut h = fnv_mix(FNV_OFFSET, 0x02);
-    h = fnv_mix(
-        h,
-        match op {
-            JoinOp::Hash => 0,
-            JoinOp::Merge => 1,
-            JoinOp::NestLoop => 2,
-        },
-    );
-    h = fnv_mix_u64(h, left_fp);
-    h = fnv_mix(h, 0x03);
-    fnv_mix_u64(h, right_fp)
 }
 
 impl fmt::Display for Plan {

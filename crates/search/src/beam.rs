@@ -27,25 +27,36 @@
 //!
 //! **The inference hot path.** Each level runs in three phases:
 //!
-//! 1. *Generate + dedup* (serial): candidate joins are enumerated in a
-//!    fixed order; each candidate state's identity is an order-
-//!    independent 64-bit signature — the commutative (wrapping) sum of
-//!    its trees' mixed plan fingerprints, updated incrementally from
-//!    the parent state's signature in O(1) — probed against a
+//! 1. *Generate + dedup + share* (serial): candidate joins are
+//!    enumerated in a fixed order; each candidate state's identity is an
+//!    order-independent 64-bit signature — the commutative (wrapping)
+//!    sum of its trees' mixed plan fingerprints, updated incrementally
+//!    from the parent state's signature in O(1) — probed against a
 //!    seen-table reused across levels and queries. No sorted
-//!    fingerprint vectors, no per-candidate allocation, and duplicate
-//!    states are dropped *before* they are scored.
-//! 2. *Score* (batched, optionally parallel): all surviving candidates
-//!    are scored through [`balsa_cost::QueryScorer::score_join_batch`],
+//!    fingerprint vectors, and duplicate states are dropped *before*
+//!    they are scored. Each surviving candidate is then mapped to a
+//!    *slot* of the per-query join-score table, keyed by the join's
+//!    fingerprint (computed from the children's, before any node is
+//!    built): the first candidate of a level to name a join allocates
+//!    the plan node and queues the slot for scoring; every later one —
+//!    the beam's states differ in a tree or two, so most of them
+//!    re-derive the same `(A ⋈ B, op)` — and every one whose join was
+//!    scored at the level before shares that slot. The table is
+//!    generational: a join no candidate named for one level is dropped.
+//! 2. *Score* (batched, optionally parallel): the queued slots — the
+//!    distinct joins nobody has scored yet, in generation order — are
+//!    scored through [`balsa_cost::QueryScorer::score_join_batch`],
 //!    spread across a [`WorkerPool`] by deterministic work-stealing
 //!    spans ([`WorkerPool::steal_map_spans`]; [`BeamPlanner::with_pool`],
 //!    `BALSA_PLAN_THREADS`). Batch scoring is bit-identical to
 //!    per-candidate scoring by contract (span layout is never a math
-//!    change), and every span's results land at their input index, so
-//!    any thread count — and any steal schedule — produces bit-identical
-//!    plans.
-//! 3. *Assemble + select* (serial): surviving states are materialized,
-//!    sorted, epsilon-filled, and truncated to the beam width.
+//!    change), a join's score is a pure function of the join plan by
+//!    the same contract (so sharing it is never a math change either),
+//!    and every span's results land at their input index, so any thread
+//!    count — and any steal schedule — produces bit-identical plans.
+//! 3. *Assemble + select* (serial): survivors are ranked on totals read
+//!    through their slots, epsilon-filled, and truncated to the beam
+//!    width; only the kept states are materialized.
 
 use crate::budget::verify_emitted;
 use crate::candidates::CandidateSpace;
@@ -54,11 +65,12 @@ use crate::pool::WorkerPool;
 use crate::scratch::SharedScratch;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
-use balsa_query::{Plan, Query};
+use balsa_query::{JoinOp, Plan, Query};
 use balsa_storage::Database;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,25 +141,171 @@ impl Hasher for SigHasher {
 /// The dedup seen-table: pre-mixed `u64` signatures, identity-hashed.
 type SeenSet = HashSet<u64, BuildHasherDefault<SigHasher>>;
 
-/// Reusable per-planner scratch: the dedup seen-table, cleared — with
-/// capacity retained — between levels and queries.
+/// One distinct join of a level: its plan node and — once the level's
+/// scoring phase has run — its score. Every candidate of the level that
+/// names this join reads both through the slot.
+struct Slot {
+    plan: Arc<Plan>,
+    st: ScoredTree,
+}
+
+/// Where a join's slot lives: the level that last touched it and its
+/// index in that level's slot vector.
+#[derive(Clone, Copy)]
+struct SlotRef {
+    level: u32,
+    slot: u32,
+}
+
+/// The per-query join-score table: join fingerprint → the slot holding
+/// that join's plan and score, so a join is scored once however many
+/// beam states contain its two inputs.
+///
+/// **Generational.** The table holds the slots touched at the current
+/// level and at the level before, nothing older: a state's roots only
+/// ever merge, so a pair of roots some state holds at level `L + 1` was
+/// held by its parent at level `L`, and a join that no candidate named
+/// for a whole level is (but for a state dropped as a duplicate before
+/// it reached the table) never named again. That bounds the table by
+/// two levels' distinct joins instead of the whole search's.
+///
+/// **Collisions cost a miss, never a wrong score.** A hit is confirmed
+/// on `(operator, left fingerprint, right fingerprint)` against the
+/// stored plan; a different join that lands on the same 64-bit key
+/// takes a fresh slot and is scored on its own.
+#[derive(Default)]
+struct JoinScoreTable {
+    index: HashMap<u64, SlotRef, BuildHasherDefault<SigHasher>>,
+    /// Slots touched at the current level.
+    cur: Vec<Slot>,
+    /// Slots touched at the level before (those touched again since
+    /// have had their score moved into `cur`).
+    prev: Vec<Slot>,
+    level: u32,
+}
+
+impl JoinScoreTable {
+    /// Empties the table for a new query, keeping capacity.
+    fn reset(&mut self) {
+        self.index.clear();
+        self.cur.clear();
+        self.prev.clear();
+        self.level = 0;
+    }
+
+    /// The current-level slot of the join `(op, left, right)`, whose
+    /// fingerprint is `fp`, and whether the slot is *fresh* — allocated
+    /// by this call, its score still to be set ([`Self::set_score`])
+    /// before the level ends. A join touched at this level or at the
+    /// level before is never fresh.
+    fn slot_for(
+        &mut self,
+        fp: u64,
+        op: JoinOp,
+        left: &Arc<Plan>,
+        right: &Arc<Plan>,
+    ) -> (u32, bool) {
+        let is_this_join = |plan: &Plan| match plan {
+            Plan::Join {
+                op: o,
+                left: l,
+                right: r,
+                ..
+            } => {
+                *o == op
+                    && l.fingerprint() == left.fingerprint()
+                    && r.fingerprint() == right.fingerprint()
+            }
+            Plan::Scan { .. } => false,
+        };
+        let here = SlotRef {
+            level: self.level,
+            slot: self.cur.len() as u32,
+        };
+        // `end_level` keeps only the previous level's entries, so an
+        // entry not of this level points into `prev`. On a key held by
+        // a different join the newcomer takes the key; candidates
+        // already mapped to the old slot keep their slot index.
+        match self.index.entry(fp) {
+            Entry::Occupied(mut e) => {
+                let at = *e.get();
+                if at.level == self.level {
+                    if is_this_join(&self.cur[at.slot as usize].plan) {
+                        return (at.slot, false);
+                    }
+                } else {
+                    let old = &mut self.prev[at.slot as usize];
+                    if is_this_join(&old.plan) {
+                        self.cur.push(Slot {
+                            plan: old.plan.clone(),
+                            st: std::mem::take(&mut old.st),
+                        });
+                        e.insert(here);
+                        return (here.slot, false);
+                    }
+                }
+                e.insert(here);
+            }
+            Entry::Vacant(e) => {
+                e.insert(here);
+            }
+        }
+        self.cur.push(Slot {
+            plan: Plan::join(op, left.clone(), right.clone()),
+            st: ScoredTree::default(),
+        });
+        (here.slot, true)
+    }
+
+    fn slot(&self, slot: u32) -> &Slot {
+        &self.cur[slot as usize]
+    }
+
+    fn set_score(&mut self, slot: u32, st: ScoredTree) {
+        self.cur[slot as usize].st = st;
+    }
+
+    /// Closes the level: what it touched becomes the previous level,
+    /// everything older is dropped.
+    fn end_level(&mut self) {
+        let level = self.level;
+        self.index.retain(|_, at| at.level == level);
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.cur.clear();
+        self.level += 1;
+    }
+}
+
+/// Reusable per-planner scratch: the dedup seen-table, the join-score
+/// table and the per-level candidate vectors, cleared — with capacity
+/// retained — between levels and queries.
 #[derive(Default)]
 struct BeamScratch {
     seen: SeenSet,
+    joins: JoinScoreTable,
+    pending: Vec<Pending>,
+    queue: Vec<Queued>,
 }
 
-/// One dedup-surviving candidate awaiting its batched score: where it
-/// came from (state index, joined tree slots), the join plan, its
-/// precomputed signature pieces, and the children's scored subtrees.
-struct Pending<'a> {
+/// One dedup-surviving candidate: where it came from (state index,
+/// joined tree positions), its precomputed signature pieces, and the
+/// slot its join's plan and score are read through.
+struct Pending {
     si: usize,
     i: usize,
     j: usize,
     sig: u64,
     mix: u64,
-    plan: Arc<Plan>,
-    lst: &'a ScoredTree,
-    rst: &'a ScoredTree,
+    slot: u32,
+}
+
+/// A fresh slot awaiting its batched score: the [`Pending`] candidate
+/// that allocated it, and which scan variant of each joined tree
+/// ([`BeamPlanner::variants`]) its children's scored subtrees are.
+struct Queued {
+    cand: usize,
+    lv: usize,
+    rv: usize,
 }
 
 /// Epsilon-greedy beam exploration parameters.
@@ -291,11 +449,17 @@ impl BeamPlanner<'_> {
             .filter(|e| e.epsilon > 0.0)
             .map(|e| SmallRng::seed_from_u64(e.seed ^ ((query.id as u64) << 20) ^ 0xBEA7));
 
-        // Reuse the planner's seen-table when it is free; under
-        // concurrent `plan` calls fall back to a fresh local table so
+        // Reuse the planner's scratch tables when they are free; under
+        // concurrent `plan` calls fall back to fresh local ones so
         // parallel planning never serializes (as in `DpPlanner`).
         let mut guard = self.scratch.acquire();
-        let scratch: &mut BeamScratch = &mut guard;
+        let BeamScratch {
+            seen,
+            joins,
+            pending,
+            queue,
+        } = &mut *guard;
+        joins.reset();
 
         // Scan candidates are state-independent: score them once per table.
         let scan_variants: Vec<Vec<Tree>> = (0..n)
@@ -326,13 +490,16 @@ impl BeamPlanner<'_> {
         let mut beam = vec![State { trees: leaves, sig }];
         stats.states += 1;
 
-        let mut plan_buf: Vec<Arc<Plan>> = Vec::new();
         for _level in 0..n.saturating_sub(1) {
-            // Phase 1: generate candidates in a fixed serial order and
-            // drop duplicate states before they cost a scoring call.
+            // Phase 1: generate candidates in a fixed serial order, drop
+            // duplicate states, and map each survivor to the slot of
+            // its join — fresh slots are queued for scoring, the rest
+            // share a score another state (or the level before) paid
+            // for.
             let t_gen = Instant::now();
-            scratch.seen.clear();
-            let mut pending: Vec<Pending<'_>> = Vec::new();
+            seen.clear();
+            pending.clear();
+            queue.clear();
             for (si, state) in beam.iter().enumerate() {
                 let m = state.trees.len();
                 // In left-deep mode two composite trees can never merge
@@ -346,10 +513,11 @@ impl BeamPlanner<'_> {
                     && state.trees.iter().any(|t| !t.plan.is_scan());
                 for i in 0..m {
                     for j in 0..m {
+                        // Scan variants share their tree's mask and
+                        // shape, so one orientation check covers them.
                         if i == j
                             || (has_chain && state.trees[i].plan.is_scan())
-                            || !query
-                                .connected(state.trees[i].plan.mask(), state.trees[j].plan.mask())
+                            || !space.allows_join(&state.trees[i].plan, &state.trees[j].plan)
                         {
                             continue;
                         }
@@ -359,15 +527,26 @@ impl BeamPlanner<'_> {
                             .wrapping_sub(state.trees[j].mix);
                         let lvs = self.variants(&scan_variants, &state.trees[i]);
                         let rvs = self.variants(&scan_variants, &state.trees[j]);
-                        for lv in lvs {
-                            for rv in rvs {
-                                space.join_plans_into(&lv.plan, &rv.plan, &mut plan_buf);
-                                for plan in plan_buf.drain(..) {
+                        for (lv, left) in lvs.iter().enumerate() {
+                            let lfp = left.plan.fingerprint();
+                            for (rv, right) in rvs.iter().enumerate() {
+                                let rfp = right.plan.fingerprint();
+                                for &op in space.join_ops() {
                                     stats.candidates += 1;
-                                    let mix = mix_fingerprint(plan.fingerprint());
+                                    let fp = Plan::join_fingerprint(op, lfp, rfp);
+                                    let mix = mix_fingerprint(fp);
                                     let sig = base_sig.wrapping_add(mix);
-                                    if !scratch.seen.insert(sig) {
+                                    if !seen.insert(sig) {
                                         continue;
+                                    }
+                                    let (slot, fresh) =
+                                        joins.slot_for(fp, op, &left.plan, &right.plan);
+                                    if fresh {
+                                        queue.push(Queued {
+                                            cand: pending.len(),
+                                            lv,
+                                            rv,
+                                        });
                                     }
                                     pending.push(Pending {
                                         si,
@@ -375,9 +554,7 @@ impl BeamPlanner<'_> {
                                         j,
                                         sig,
                                         mix,
-                                        plan,
-                                        lst: &lv.st,
-                                        rst: &rv.st,
+                                        slot,
                                     });
                                 }
                             }
@@ -398,31 +575,37 @@ impl BeamPlanner<'_> {
                     .check("beam", query, stats.candidates as u64, pending.len())?;
             }
 
-            // Phase 2: score all survivors — one batched call per
+            // Phase 2: score the fresh slots — one batched call per
             // work-stolen span, every result published at its input
             // index (bit-identical for any thread count and steal
             // schedule, since batch layout is never a math change).
             // Spans are sized so a level fans out finely enough to
             // re-balance skew without claim-lock churn on cheap items.
             let t_score = Instant::now();
-            let span = (pending.len() / (self.pool.threads().max(1) * 8)).max(32);
-            if self.pool.span_workers(pending.len(), span) > 1 {
-                stats.parallel_items += pending.len();
+            let span = (queue.len() / (self.pool.threads().max(1) * 8)).max(32);
+            if self.pool.span_workers(queue.len(), span) > 1 {
+                stats.parallel_items += queue.len();
             }
             let scored: Vec<ScoredTree> =
-                self.pool
-                    .steal_map_spans(pending.len(), span, |lo, hi, out| {
-                        let cands: Vec<JoinCandidate<'_>> = pending[lo..hi]
-                            .iter()
-                            .map(|p| JoinCandidate {
-                                join: &p.plan,
-                                lc: p.lst,
-                                rc: p.rst,
-                            })
-                            .collect();
-                        session.score_join_batch(&cands, out);
-                    });
-            stats.cost_calls += pending.len();
+                self.pool.steal_map_spans(queue.len(), span, |lo, hi, out| {
+                    let cands: Vec<JoinCandidate<'_>> = queue[lo..hi]
+                        .iter()
+                        .map(|q| {
+                            let p = &pending[q.cand];
+                            let trees = &beam[p.si].trees;
+                            JoinCandidate {
+                                join: &joins.slot(p.slot).plan,
+                                lc: &self.variants(&scan_variants, &trees[p.i])[q.lv].st,
+                                rc: &self.variants(&scan_variants, &trees[p.j])[q.rv].st,
+                            }
+                        })
+                        .collect();
+                    session.score_join_batch(&cands, out);
+                });
+            for (q, st) in queue.iter().zip(scored) {
+                joins.set_score(pending[q.cand].slot, st);
+            }
+            stats.cost_calls += queue.len();
             stats.score_secs += t_score.elapsed().as_secs_f64();
 
             // Phase 3: rank survivors and materialize only the kept
@@ -443,8 +626,7 @@ impl BeamPlanner<'_> {
             }
             let totals: Vec<f64> = pending
                 .iter()
-                .zip(&scored)
-                .map(|(p, st)| {
+                .map(|p| {
                     let state = &beam[p.si];
                     let mut total = 0.0;
                     for (k, t) in state.trees.iter().enumerate() {
@@ -452,7 +634,7 @@ impl BeamPlanner<'_> {
                             total += t.st.score;
                         }
                     }
-                    total + st.score
+                    total + joins.slot(p.slot).st.score
                 })
                 .collect();
             let mut order: Vec<u32> = (0..pending.len() as u32).collect();
@@ -476,7 +658,8 @@ impl BeamPlanner<'_> {
             order.truncate(self.width);
             let mut next: Vec<State> = Vec::with_capacity(order.len());
             for &ci in &order {
-                let (p, st) = (&pending[ci as usize], &scored[ci as usize]);
+                let p = &pending[ci as usize];
+                let joined = joins.slot(p.slot);
                 let state = &beam[p.si];
                 let mut trees: Vec<Tree> = Vec::with_capacity(state.trees.len() - 1);
                 trees.extend(
@@ -488,12 +671,13 @@ impl BeamPlanner<'_> {
                         .map(|(_, t)| t.clone()),
                 );
                 trees.push(Tree {
-                    plan: p.plan.clone(),
-                    st: st.clone(),
+                    plan: joined.plan.clone(),
+                    st: joined.st.clone(),
                     mix: p.mix,
                 });
                 next.push(State { trees, sig: p.sig });
             }
+            joins.end_level();
             stats.dedup_secs += t_asm.elapsed().as_secs_f64();
             beam = next;
         }
@@ -530,6 +714,95 @@ mod tests {
         }));
         let w = job_workload(db.catalog(), 7);
         (db, w)
+    }
+
+    fn scored(score: f64) -> ScoredTree {
+        ScoredTree {
+            score,
+            ..ScoredTree::default()
+        }
+    }
+
+    /// The hit confirmation: different joins forced onto one key never
+    /// share a slot — within a level or across levels — so a 64-bit
+    /// fingerprint collision costs a second scoring call, not a wrong
+    /// score.
+    #[test]
+    fn colliding_joins_are_misses_and_scored_separately() {
+        use balsa_query::ScanOp;
+        let [a, b, c] = [0, 1, 2].map(|qt| Plan::scan(qt, ScanOp::Seq));
+        let mut table = JoinScoreTable::default();
+        let key = 42;
+        let (ab, fresh_ab) = table.slot_for(key, JoinOp::Hash, &a, &b);
+        let (ac, fresh_ac) = table.slot_for(key, JoinOp::Hash, &a, &c);
+        let (ac_merge, fresh_ac_merge) = table.slot_for(key, JoinOp::Merge, &a, &c);
+        assert!(fresh_ab && fresh_ac && fresh_ac_merge);
+        assert!(ab != ac && ac != ac_merge && ab != ac_merge);
+        // Every slot holds the join it was allocated for.
+        assert_eq!(
+            table.slot(ab).plan,
+            Plan::join(JoinOp::Hash, a.clone(), b.clone())
+        );
+        assert_eq!(
+            table.slot(ac).plan,
+            Plan::join(JoinOp::Hash, a.clone(), c.clone())
+        );
+        // The key's last taker hits; the join it displaced misses.
+        assert_eq!(
+            table.slot_for(key, JoinOp::Merge, &a, &c),
+            (ac_merge, false)
+        );
+        let (ab_again, fresh) = table.slot_for(key, JoinOp::Hash, &a, &b);
+        assert!(fresh && ab_again != ab);
+        // Across the level boundary the key's holder carries its score;
+        // a different join on the key does not inherit it.
+        table.set_score(ab_again, scored(7.0));
+        table.end_level();
+        let (ac_next, fresh) = table.slot_for(key, JoinOp::Hash, &a, &c);
+        assert!(fresh);
+        assert_eq!(table.slot(ac_next).st.score, 0.0);
+    }
+
+    /// The generational bound: a join touched at a level is a hit at
+    /// the next, with its score; one not touched for a level is gone —
+    /// the table never holds more than two levels' joins.
+    #[test]
+    fn a_join_untouched_for_one_level_is_dropped() {
+        use balsa_query::ScanOp;
+        let [a, b, c] = [0, 1, 2].map(|qt| Plan::scan(qt, ScanOp::Seq));
+        let fp = |l: &Plan, r: &Plan| {
+            Plan::join_fingerprint(JoinOp::Hash, l.fingerprint(), r.fingerprint())
+        };
+        let mut table = JoinScoreTable::default();
+        // Level 0 scores a⋈b and a⋈c; a second mention shares the slot.
+        let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
+        assert!(fresh);
+        let (ac, fresh) = table.slot_for(fp(&a, &c), JoinOp::Hash, &a, &c);
+        assert!(fresh);
+        assert_eq!(
+            table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b),
+            (ab, false)
+        );
+        table.set_score(ab, scored(1.0));
+        table.set_score(ac, scored(2.0));
+        table.end_level();
+        // Level 1 touches only a⋈b: a hit carrying level 0's score.
+        let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
+        assert!(!fresh);
+        assert_eq!(table.slot(ab).st.score, 1.0);
+        table.end_level();
+        assert_eq!(table.index.len(), 1, "only level 1's join is indexed");
+        assert_eq!((table.prev.len(), table.cur.len()), (1, 0));
+        // Level 2: a⋈b is still there, a⋈c has to be scored again.
+        let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
+        assert!(!fresh);
+        assert_eq!(table.slot(ab).st.score, 1.0);
+        let (_, fresh) = table.slot_for(fp(&a, &c), JoinOp::Hash, &a, &c);
+        assert!(fresh);
+        // A new query starts from nothing.
+        table.reset();
+        let (_, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
+        assert!(fresh);
     }
 
     #[test]

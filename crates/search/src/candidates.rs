@@ -98,23 +98,6 @@ impl<'a> CandidateSpace<'a> {
             .collect()
     }
 
-    /// Appends all join plans combining `left` and `right` in this
-    /// orientation — one per physical operator — to `out`; appends
-    /// nothing when the orientation is not allowed. This is the
-    /// **unscored** half of the batched candidate path: the beam
-    /// generates and deduplicates plans first, then scores the
-    /// survivors in one [`QueryScorer::score_join_batch`] call, so the
-    /// buffer-reusing form avoids the per-call `Vec` of
-    /// [`CandidateSpace::join_plans`].
-    pub fn join_plans_into(&self, left: &Arc<Plan>, right: &Arc<Plan>, out: &mut Vec<Arc<Plan>>) {
-        if !self.allows_join(left, right) {
-            return;
-        }
-        for &op in self.join_ops() {
-            out.push(Plan::join(op, left.clone(), right.clone()));
-        }
-    }
-
     /// Scan candidates for query-table `qt`, each paired with its score
     /// under `scorer` — the shared scoring path of the search layer.
     pub fn scored_scan_plans(
@@ -224,28 +207,6 @@ mod tests {
             assert!(!ld.allows_join(&c, &ab));
             assert!(ld.allows_join(&ab, &c));
         }
-    }
-
-    #[test]
-    fn join_plans_into_matches_join_plans() {
-        let (db, w) = fixture();
-        let q = w.queries.iter().find(|q| q.num_tables() >= 3).unwrap();
-        let space = CandidateSpace::new(&db, q, SearchMode::Bushy);
-        let e = q.joins[0];
-        let a = Plan::scan(e.left_qt, ScanOp::Seq);
-        let b = Plan::scan(e.right_qt, ScanOp::Seq);
-        let mut buf = Vec::new();
-        space.join_plans_into(&a, &b, &mut buf);
-        let direct = space.join_plans(&a, &b);
-        assert_eq!(buf.len(), direct.len());
-        for (x, y) in buf.iter().zip(&direct) {
-            assert_eq!(x.fingerprint(), y.fingerprint());
-        }
-        // Disallowed orientation appends nothing (and keeps the buffer).
-        let c = Plan::scan(e.left_qt, ScanOp::Index);
-        let before = buf.len();
-        space.join_plans_into(&a, &c, &mut buf); // overlapping masks
-        assert_eq!(buf.len(), before);
     }
 
     #[test]

@@ -93,16 +93,21 @@ pub struct SearchStats {
     /// Ordered csg–cmp pairs combined by a DP enumerator (0 for beam /
     /// random search).
     pub pairs: usize,
-    /// Actual cost-model invocations: scan summaries plus every
-    /// `work_out` / `join_summary` call that really ran. Unlike
-    /// `candidates` this **excludes** candidates the child-monotone
-    /// early reject pruned before costing, so `candidates -
-    /// cost_calls` measures how much costing the pruning saved. For
+    /// Actual cost-model / scorer invocations: scan summaries plus
+    /// every `work_out` / `join_summary` / `score_join` call that really
+    /// ran. Unlike `candidates` this **excludes** work that was never
+    /// done: in the DP, candidates the child-monotone early reject
+    /// pruned before costing; in the beam, candidates dropped as
+    /// duplicate states and candidates that shared the score of a join
+    /// another state — or the level before — had already paid for. So
+    /// `candidates - cost_calls` is the costing saved (and, for the
+    /// beam, joins scored vs. `states - 1` is the sharing alone). For
     /// the intra-parallel DP the count depends on how the level was
     /// partitioned (workers prune against pair-local frontiers, so
     /// they cost somewhat more than one serial sweep) — it is
     /// deterministic for a fixed thread count but, by design, not part
-    /// of the parallel-vs-serial bit-identity contract.
+    /// of the parallel-vs-serial bit-identity contract; the beam's is
+    /// the same for every thread count.
     pub cost_calls: usize,
     /// Seconds spent enumerating pairs (adjacency build + DPccp walk);
     /// 0 where enumeration and costing interleave unmeasurably.
@@ -115,17 +120,20 @@ pub struct SearchStats {
     /// whose analogous figure is `cost_secs`.
     pub score_secs: f64,
     /// Seconds the beam spent generating candidates, computing state
-    /// signatures, deduplicating against the seen-table, and
-    /// assembling/sorting states. 0 for DP.
+    /// signatures, deduplicating against the seen-table, mapping
+    /// survivors to join-score slots, and assembling/sorting states.
+    /// 0 for DP.
     pub dedup_secs: f64,
     /// Work items that actually fanned out across a parallel pool —
     /// DP pairs (bushy) / masks (left-deep) in levels that crossed the
-    /// fan-out cutoff, beam candidates in levels scored on more than
-    /// one participant. 0 on a serial pool and whenever every level
-    /// stayed under the cutoff, which is what lets benchmarks suppress
-    /// a meaningless ~1.0x "speedup" (see [`parallel_speedup`]). Like
-    /// `cost_calls` it is deterministic for a fixed thread count but
-    /// excluded from the parallel-vs-serial bit-identity contract.
+    /// fan-out cutoff, the beam's scored joins (what `cost_calls`
+    /// counts — not the candidates that shared a score) in levels
+    /// scored on more than one participant. 0 on a serial pool and
+    /// whenever every level stayed under the cutoff, which is what lets
+    /// benchmarks suppress a meaningless ~1.0x "speedup" (see
+    /// [`parallel_speedup`]). Like `cost_calls` it is deterministic for
+    /// a fixed thread count but excluded from the parallel-vs-serial
+    /// bit-identity contract.
     pub parallel_items: usize,
     /// How many fallback steps the budget chain took to produce this
     /// plan: 0 = the primary planner answered, 1 = degraded one level

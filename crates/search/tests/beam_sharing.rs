@@ -1,0 +1,227 @@
+//! Cross-state score sharing in [`BeamPlanner`]: each distinct join
+//! subtree is scored once per beam level, and a score made at one level
+//! is reused at the next.
+//!
+//! * **No repeated scoring** — a counting [`PlanScorer`] decorator
+//!   records the fingerprint of every join it is handed, batch by
+//!   batch. Under the serial pool one batch is one beam level, so the
+//!   record shows directly that no join is scored twice within a level
+//!   or in two consecutive levels, and `SearchStats::cost_calls` counts
+//!   exactly the calls the decorator saw.
+//! * **Identity pin** — a checksum over `(Plan::canonical_hash, cost
+//!   bits, states, candidates)` of every query × mode × width × ε cell,
+//!   recorded at the commit *before* sharing landed. Sharing must not
+//!   move plans, costs or enumeration counters by one bit.
+
+use balsa_card::HistogramEstimator;
+use balsa_cost::{
+    CostScorer, ExpertCostModel, JoinCandidate, OpWeights, PlanScorer, QueryScorer, ScoredTree,
+};
+use balsa_query::workloads::{ext_job_workload, job_workload};
+use balsa_query::{Plan, Query};
+use balsa_search::{BeamPlanner, PlannedQuery, Planner, SearchMode, WorkerPool};
+use balsa_storage::{mini_imdb, DataGenConfig, Database};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+
+fn fixture() -> (Arc<Database>, Vec<Query>) {
+    let db = Arc::new(mini_imdb(DataGenConfig {
+        scale: 0.02,
+        ..Default::default()
+    }));
+    let mut queries = job_workload(db.catalog(), 7).queries;
+    queries.extend(ext_job_workload(db.catalog(), 7).queries);
+    assert_eq!(queries.len(), 137, "JOB + Ext-JOB must be 137 queries");
+    (db, queries)
+}
+
+const MODES: [SearchMode; 2] = [SearchMode::Bushy, SearchMode::LeftDeep];
+const WIDTHS: [usize; 3] = [1, 8, 20];
+const EPSILONS: [f64; 2] = [0.0, 0.5];
+const EXPLORATION_SEED: u64 = 11;
+
+/// Runs `visit` on the beam's answer for every cell of the query × mode
+/// × width × ε grid, in a fixed order.
+fn for_each_cell(
+    db: &Database,
+    scorer: &dyn PlanScorer,
+    queries: &[Query],
+    mut visit: impl FnMut(&Query, SearchMode, usize, f64, PlannedQuery),
+) {
+    for mode in MODES {
+        for width in WIDTHS {
+            for eps in EPSILONS {
+                for q in queries {
+                    let out = BeamPlanner::new(db, scorer, mode, width)
+                        .with_exploration(eps, EXPLORATION_SEED)
+                        .with_pool(WorkerPool::new(1))
+                        .plan(q);
+                    visit(q, mode, width, eps, out);
+                }
+            }
+        }
+    }
+}
+
+/// Records, per query session, one fingerprint list per
+/// `score_join_batch` call.
+struct Counting<'a> {
+    inner: &'a dyn PlanScorer,
+    batches: Mutex<Vec<Vec<u64>>>,
+}
+
+struct CountingSession<'q> {
+    inner: Box<dyn QueryScorer + 'q>,
+    batches: &'q Mutex<Vec<Vec<u64>>>,
+}
+
+impl PlanScorer for Counting<'_> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
+        Box::new(CountingSession {
+            inner: self.inner.for_query(query),
+            batches: &self.batches,
+        })
+    }
+}
+
+impl QueryScorer for CountingSession<'_> {
+    fn score_scan(&self, scan: &Plan) -> ScoredTree {
+        self.inner.score_scan(scan)
+    }
+
+    fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {
+        self.batches
+            .lock()
+            .expect("no panics under the lock")
+            .push(vec![join.fingerprint()]);
+        self.inner.score_join(join, lc, rc)
+    }
+
+    fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+        self.batches
+            .lock()
+            .expect("no panics under the lock")
+            .push(cands.iter().map(|c| c.join.fingerprint()).collect());
+        self.inner.score_join_batch(cands, out);
+    }
+}
+
+/// On all 137 queries × {bushy, left-deep} × width {1, 8, 20} × ε
+/// {0, 0.5}: no join fingerprint reaches the scorer twice within one
+/// level or in two consecutive levels, the beam reports exactly the
+/// scorer calls that ran, and on every ≥ 6-table query a beam of width
+/// ≥ 8 shares some.
+#[test]
+fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let expert = CostScorer::new(&model, &est);
+    let counting = Counting {
+        inner: &expert,
+        batches: Mutex::new(Vec::new()),
+    };
+    let mut placed = 0;
+    for_each_cell(&db, &counting, &queries, |q, mode, width, eps, out| {
+        let cell = format!("{} {mode:?} width={width} eps={eps}", q.name);
+        let batches = std::mem::take(&mut *counting.batches.lock().unwrap());
+        // Serial pool: one batch per level that scored anything. A
+        // level whose joins were all scored before sends none, so only
+        // a full count of `n - 1` batches places each batch at a level;
+        // the few cells short of it are checked within batches only.
+        let levels_known = batches.len() == q.num_tables() - 1;
+        placed += levels_known as usize;
+        let mut prev: HashSet<u64> = HashSet::new();
+        let mut scored = 0;
+        for (level, batch) in batches.iter().enumerate() {
+            let mut this: HashSet<u64> = HashSet::with_capacity(batch.len());
+            for &fp in batch {
+                assert!(
+                    this.insert(fp),
+                    "{cell}: batch {level} scored {fp:#x} twice"
+                );
+                assert!(
+                    !(levels_known && prev.contains(&fp)),
+                    "{cell}: level {level} re-scored {fp:#x} from the level before"
+                );
+            }
+            scored += batch.len();
+            prev = this;
+        }
+        // `cost_calls` = the scan scores + the join scores that ran;
+        // `states` = the initial state + every dedup survivor, each of
+        // which was scored on its own before scores were shared.
+        let scans = out.stats.cost_calls - scored;
+        assert!(
+            (q.num_tables()..=2 * q.num_tables()).contains(&scans),
+            "{cell}: cost_calls {} vs {scored} scored joins",
+            out.stats.cost_calls
+        );
+        let survivors = out.stats.states - 1;
+        assert!(scored <= survivors, "{cell}: {scored} > {survivors}");
+        // Bushy states of a wide beam overlap in all but a tree or two.
+        // (Left-deep states share nothing — each is its one chain, and
+        // every candidate extends it — and neither does a width-1 beam
+        // on a star-shaped join graph.)
+        if q.num_tables() >= 6 && width >= 8 && mode == SearchMode::Bushy {
+            assert!(scored < survivors, "{cell}: no score was shared");
+            assert!(out.stats.cost_calls < out.stats.candidates, "{cell}");
+        }
+    });
+    let cells = queries.len() * MODES.len() * WIDTHS.len() * EPSILONS.len();
+    assert!(
+        placed * 100 >= cells * 99,
+        "levels known in {placed}/{cells}"
+    );
+}
+
+/// FNV-style order-dependent fold.
+fn fold(acc: u64, v: u64) -> u64 {
+    (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Checksums recorded at commit 566d5ae (the parent of the sharing
+/// change) — one per (mode, width, ε) cell in `for_each_cell` order,
+/// each over all 137 queries. A mismatch means sharing changed a plan,
+/// a cost bit or an enumeration counter: a regression, not a re-pin.
+const PINNED: [u64; 12] = [
+    0xa6e0_beea_8586_bff3,
+    0x8a4c_be04_ed66_0370,
+    0x36e5_21b3_0cf3_69b2,
+    0xc81a_c93b_b176_a758,
+    0x4a56_b3d7_9c7c_aca4,
+    0x344b_cc16_37d3_f5b7,
+    0xed3a_93fc_1fc9_63a6,
+    0xac3d_45ca_37e3_9ae4,
+    0x5625_6562_149a_71e2,
+    0x8db6_c0f3_1382_7909,
+    0x9913_5dd6_e360_a8b7,
+    0x0ede_71b3_713a_7151,
+];
+
+#[test]
+fn plans_costs_and_counters_match_the_pre_sharing_pin() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let scorer = CostScorer::new(&model, &est);
+    let mut sums = [0xcbf2_9ce4_8422_2325u64; 12];
+    let mut k = 0;
+    for_each_cell(&db, &scorer, &queries, |_q, _mode, _width, _eps, out| {
+        let cell = &mut sums[k / queries.len()];
+        for v in [
+            out.plan.canonical_hash(),
+            out.cost.to_bits(),
+            out.stats.states as u64,
+            out.stats.candidates as u64,
+        ] {
+            *cell = fold(*cell, v);
+        }
+        k += 1;
+    });
+    assert_eq!(sums, PINNED, "actual: {sums:#x?}");
+}
