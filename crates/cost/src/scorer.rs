@@ -4,7 +4,10 @@
 //! `C_out` simulator, and `balsa-learn`'s learned value model — does so
 //! through one interface: a [`PlanScorer`] opens a per-query
 //! [`QueryScorer`] session, and the session assigns every scan leaf and
-//! every candidate join a [`ScoredTree`]. Beam search (and any other
+//! every candidate join a [`ScoredTree`]. Joins are scored a batch at a
+//! time — [`QueryScorer::score_join_batch`] is the method a scorer
+//! writes and the one the planners call; scoring a single join is a
+//! provided batch of one. Beam search (and any other
 //! consumer of the shared candidate space) is written against this
 //! interface only, so the same inference procedure runs on classical
 //! costs, on simulated `C_out`, or on a learned value function — the
@@ -39,8 +42,8 @@ pub struct ScoredTree {
     /// child-aware scorers use when composing joins.
     pub sc: SubtreeCost,
     /// Scorer-private incremental state, handed back as the `lc`/`rc`
-    /// children of [`QueryScorer::score_join`]. `None` for scorers that
-    /// score from scratch.
+    /// children of [`QueryScorer::score_join_batch`]. `None` for scorers
+    /// that score from scratch.
     pub ext: Option<SubtreeExt>,
 }
 
@@ -82,36 +85,40 @@ pub struct JoinCandidate<'a> {
 /// candidate batches across worker threads (the beam's intra-query
 /// parallel expansion); implementations guard their per-query caches.
 ///
+/// Implementors write [`QueryScorer::score_scan`] and
+/// [`QueryScorer::score_join_batch`]; [`QueryScorer::score_join`] is a
+/// provided batch of one, so "batch ≡ per-candidate" holds by
+/// construction.
+///
 /// **Purity contract.** Within one session, the [`ScoredTree`] of a
 /// plan is a function of the plan alone: [`QueryScorer::score_scan`]
-/// of equal scans, and [`QueryScorer::score_join`] /
-/// [`QueryScorer::score_join_batch`] of equal joins over children that
-/// were themselves scored by this session, return bit-identical
-/// `score` and `sc` and an interchangeable `ext` — whenever, in
-/// whatever batch and on whichever thread the call happens. Per-query
-/// caches may make a repeat cheaper, never different. The beam relies
-/// on it: it scores each distinct join once and hands that one
-/// [`ScoredTree`] to every state that contains the join.
+/// of equal scans, and [`QueryScorer::score_join_batch`] of equal joins
+/// over children that were themselves scored by this session, return
+/// bit-identical `score` and `sc` and an interchangeable `ext` —
+/// whenever, in whatever batch and on whichever thread the call
+/// happens. Per-query caches may make a repeat cheaper, never
+/// different. The beam relies on it: it scores each distinct join once
+/// and hands that one [`ScoredTree`] to every state that contains the
+/// join.
 pub trait QueryScorer: Sync {
     /// Scores a scan leaf (a [`Plan::Scan`]).
     fn score_scan(&self, scan: &Plan) -> ScoredTree;
 
-    /// Scores `join` (a [`Plan::Join`]) given its children's scored
-    /// subtrees. Must agree with what scoring the same tree from its
-    /// leaves upward produces.
-    fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree;
+    /// Scores a batch of candidate joins (each a [`Plan::Join`] with its
+    /// children's scored subtrees) in one pass, appending one
+    /// [`ScoredTree`] per candidate to `out` in input order. Each must
+    /// agree with what scoring the same tree from its leaves upward
+    /// produces, and — the purity contract — must not depend on which
+    /// other candidates share the batch: amortizing work across
+    /// candidates (one pair session per run, filters × batch matrix
+    /// products) is a layout change, never a math change.
+    fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>);
 
-    /// Scores a whole batch of candidate joins in one pass, appending
-    /// one [`ScoredTree`] per candidate to `out` in input order.
-    ///
-    /// This is the beam's per-level hot path: scorers that can amortize
-    /// work across candidates (the learned value models batch their
-    /// forward passes into filters × batch matrix products) override
-    /// it. The contract is **bit-identity**: the appended trees must
-    /// equal calling [`QueryScorer::score_join`] per candidate, in
-    /// order — batching is a layout change, never a math change.
-    fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
-        out.extend(cands.iter().map(|c| self.score_join(c.join, c.lc, c.rc)));
+    /// Scores one join: a batch of one.
+    fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {
+        let mut out = Vec::with_capacity(1);
+        self.score_join_batch(&[JoinCandidate { join, lc, rc }], &mut out);
+        out.pop().expect("one tree per candidate")
     }
 }
 
@@ -160,17 +167,6 @@ impl QueryScorer for CostQueryScorer<'_> {
         }
     }
 
-    fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {
-        let sc = self
-            .cost
-            .join_summary(self.query, join, &lc.sc, &rc.sc, &self.memo);
-        ScoredTree {
-            score: sc.work,
-            sc,
-            ext: None,
-        }
-    }
-
     /// Batched expert costing: the beam's candidate stream arrives in
     /// long runs sharing one `(left mask, right mask)` pair (every
     /// operator and scan variant of one join move is contiguous), so
@@ -178,40 +174,24 @@ impl QueryScorer for CostQueryScorer<'_> {
     /// the pair's cardinality, join keys, and order semantics are
     /// resolved once per run instead of once per candidate, exactly the
     /// amortization the DP enumerator already enjoys. Sessions agree
-    /// bit-for-bit with [`CostModel::join_summary`] by contract, so
-    /// this stays a layout change, never a math change (tested).
+    /// bit-for-bit with [`CostModel::join_summary`] by contract (tested),
+    /// which is also what models without a pair session are costed by.
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+        // A scan has no pair: it goes to `join_summary` for the model's
+        // own error.
+        let pair_of = |c: &JoinCandidate<'_>| match c.join {
+            Plan::Join { left, right, .. } => Some((left.mask(), right.mask())),
+            Plan::Scan { .. } => None,
+        };
         let mut i = 0;
         while i < cands.len() {
-            let Plan::Join { left, right, .. } = cands[i].join else {
-                // Scorers only see joins here; defer the panic to the
-                // per-candidate path for a uniform error.
-                out.push(self.score_join(cands[i].join, cands[i].lc, cands[i].rc));
-                i += 1;
-                continue;
-            };
-            let (lm, rm) = (left.mask(), right.mask());
-            let mut j = i + 1;
-            while j < cands.len() {
-                let Plan::Join {
-                    left: l2,
-                    right: r2,
-                    ..
-                } = cands[j].join
-                else {
-                    break;
-                };
-                if l2.mask() != lm || r2.mask() != rm {
-                    break;
-                }
-                j += 1;
-            }
-            match self.cost.pair_coster(self.query, lm, rm, &self.memo) {
-                Some(coster) => {
-                    for c in &cands[i..j] {
-                        let Plan::Join { op, right, .. } = c.join else {
-                            unreachable!("run members are joins");
-                        };
+            let pair = pair_of(&cands[i]);
+            let run = cands[i..].iter().take_while(|c| pair_of(c) == pair).count();
+            let coster =
+                pair.and_then(|(lm, rm)| self.cost.pair_coster(self.query, lm, rm, &self.memo));
+            for c in &cands[i..i + run] {
+                let sc = match (&coster, c.join) {
+                    (Some(coster), Plan::Join { op, right, .. }) => {
                         let right_index_scan = matches!(
                             &**right,
                             Plan::Scan {
@@ -226,26 +206,23 @@ impl QueryScorer for CostQueryScorer<'_> {
                             OrderSource::LeftInput => c.lc.sc.sorted_on.clone(),
                             OrderSource::Pair => coster.pair_sorted_on().to_vec(),
                         };
-                        out.push(ScoredTree {
-                            score: work,
-                            sc: SubtreeCost {
-                                work,
-                                out_rows,
-                                sorted_on,
-                            },
-                            ext: None,
-                        });
+                        SubtreeCost {
+                            work,
+                            out_rows,
+                            sorted_on,
+                        }
                     }
-                }
-                // Models without a pair session keep the per-candidate
-                // path — same results, no amortization.
-                None => out.extend(
-                    cands[i..j]
-                        .iter()
-                        .map(|c| self.score_join(c.join, c.lc, c.rc)),
-                ),
+                    _ => self
+                        .cost
+                        .join_summary(self.query, c.join, &c.lc.sc, &c.rc.sc, &self.memo),
+                };
+                out.push(ScoredTree {
+                    score: sc.work,
+                    sc,
+                    ext: None,
+                });
             }
-            i = j;
+            i += run;
         }
     }
 }
@@ -309,9 +286,38 @@ mod tests {
         assert_eq!(sj.sc.out_rows, 5.0);
     }
 
+    /// The provided `score_join` is a batch of one: a session that
+    /// writes only `score_scan` + `score_join_batch` answers it.
+    #[test]
+    fn score_join_is_a_batch_of_one() {
+        struct BatchOnly;
+        impl QueryScorer for BatchOnly {
+            fn score_scan(&self, _: &Plan) -> ScoredTree {
+                ScoredTree {
+                    score: 1.0,
+                    ..ScoredTree::default()
+                }
+            }
+            fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+                out.extend(cands.iter().map(|c| ScoredTree {
+                    score: 10.0 * c.lc.score + c.rc.score,
+                    ..ScoredTree::default()
+                }));
+            }
+        }
+        let (a, b) = (Plan::scan(0, ScanOp::Seq), Plan::scan(1, ScanOp::Seq));
+        let (sa, sb) = (BatchOnly.score_scan(&a), BatchOnly.score_scan(&b));
+        let ab = Plan::join(JoinOp::Hash, a, b);
+        let sab = BatchOnly.score_join(&ab, &sa, &sb);
+        assert_eq!(sab.score, 11.0);
+        let abc = Plan::join(JoinOp::Hash, ab, Plan::scan(2, ScanOp::Seq));
+        assert_eq!(BatchOnly.score_join(&abc, &sab, &sb).score, 111.0);
+    }
+
     /// The batched expert path (per-run [`crate::PairCoster`] sessions)
-    /// must be bit-identical to per-candidate `score_join` — the beam
-    /// relies on this to stay bit-identical under re-chunking.
+    /// must be bit-identical to [`CostModel::join_summary`] per
+    /// candidate — the beam relies on this to stay bit-identical under
+    /// re-chunking.
     #[test]
     fn batched_expert_scoring_is_bit_identical() {
         use crate::{ExpertCostModel, OpWeights};
@@ -364,11 +370,11 @@ mod tests {
             session.score_join_batch(&cands, &mut batched);
             assert_eq!(batched.len(), cands.len());
             for (c, b) in cands.iter().zip(&batched) {
-                let single = session.score_join(c.join, c.lc, c.rc);
-                assert_eq!(b.score.to_bits(), single.score.to_bits(), "{}", c.join);
-                assert_eq!(b.sc.work.to_bits(), single.sc.work.to_bits());
-                assert_eq!(b.sc.out_rows.to_bits(), single.sc.out_rows.to_bits());
-                assert_eq!(b.sc.sorted_on, single.sc.sorted_on, "{}", c.join);
+                let single = model.join_summary(q, c.join, &c.lc.sc, &c.rc.sc, &est);
+                assert_eq!(b.score.to_bits(), single.work.to_bits(), "{}", c.join);
+                assert_eq!(b.sc.work.to_bits(), single.work.to_bits());
+                assert_eq!(b.sc.out_rows.to_bits(), single.out_rows.to_bits());
+                assert_eq!(b.sc.sorted_on, single.sorted_on, "{}", c.join);
             }
         }
     }

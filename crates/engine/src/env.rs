@@ -412,23 +412,22 @@ impl ExecutionEnv {
         plan: &Plan,
         timeout_secs: Option<f64>,
     ) -> Result<ExecOutcome, ExecError> {
-        match self.execute_uncharged(query, plan, timeout_secs) {
-            Ok(outcome) => {
-                // Early termination: only the budget's worth of time elapses.
-                if !outcome.from_cache {
-                    self.clock.lock().charge_executions(&[outcome.latency_secs]);
-                }
-                Ok(outcome)
-            }
-            Err(e) => {
-                // A faulted attempt still wasted real wall — charge it.
-                let wasted = e.wasted_secs();
-                if wasted > 0.0 {
-                    self.clock.lock().charge_executions(&[wasted]);
-                }
-                Err(e)
-            }
+        self.charged(self.execute_uncharged(query, plan, timeout_secs))
+    }
+
+    /// Charges what one attempt cost to the clock: early termination
+    /// means only the budget's worth of time elapses, a cache hit costs
+    /// nothing, and a faulted attempt still wasted real wall.
+    fn charged(&self, result: Result<ExecOutcome, ExecError>) -> Result<ExecOutcome, ExecError> {
+        let secs = match &result {
+            Ok(outcome) if outcome.from_cache => 0.0,
+            Ok(outcome) => outcome.latency_secs,
+            Err(e) => e.wasted_secs(),
+        };
+        if secs > 0.0 {
+            self.clock.lock().charge_executions(&[secs]);
         }
+        result
     }
 
     /// [`ExecutionEnv::execute`] without the clock charge — the building
@@ -445,22 +444,26 @@ impl ExecutionEnv {
         plan: &Plan,
         timeout_secs: Option<f64>,
     ) -> Result<ExecOutcome, ExecError> {
-        self.execute_attempt_uncharged(query, plan, timeout_secs, 0)
+        self.validate(query, plan)?;
+        self.attempt(query, plan, None, timeout_secs, 0)
     }
 
-    /// [`ExecutionEnv::execute_uncharged`] with an explicit attempt
-    /// number — the fault-injection key's third component. Attempt 0 is
-    /// the first try; retries pass 1, 2, … so each attempt draws an
-    /// independent (but pinned) fault. With no injector armed the
-    /// attempt number is inert.
-    pub fn execute_attempt_uncharged(
+    /// One execution attempt of an already-validated plan — the one way
+    /// a plan runs: plan cache, timing model, fault draw, timeout.
+    /// `work` is the plan's true-cardinality work when the caller has
+    /// already walked the plan (labeled runs); otherwise a cache miss
+    /// costs it here. `attempt` is the fault-injection key's third
+    /// component: 0 is the first try; retries pass 1, 2, … so each
+    /// attempt draws an independent (but pinned) fault. With no
+    /// injector armed it is inert.
+    fn attempt(
         &self,
         query: &Query,
         plan: &Plan,
+        work: Option<f64>,
         timeout_secs: Option<f64>,
         attempt: u32,
     ) -> Result<ExecOutcome, ExecError> {
-        self.validate(query, plan)?;
         let key = (query_key(query), plan.fingerprint());
 
         // Cache hits replay a recorded completed run: no engine work is
@@ -470,14 +473,16 @@ impl ExecutionEnv {
             return Ok(self.outcome_of(run, timeout_secs, true));
         }
 
-        let work = physical_cost(
-            self.truth.db(),
-            query,
-            plan,
-            &*self.truth,
-            &self.profile.weights,
-            None,
-        );
+        let work = work.unwrap_or_else(|| {
+            physical_cost(
+                self.truth.db(),
+                query,
+                plan,
+                &*self.truth,
+                &self.profile.weights,
+                None,
+            )
+        });
         let noise = self.noise_factor((key.0, latency_hash(plan)));
         let latency_secs = self.profile.startup_secs + work * self.profile.time_per_work * noise;
         let run = CachedRun { latency_secs, work };
@@ -588,38 +593,13 @@ impl ExecutionEnv {
         plan: &Arc<Plan>,
         timeout_secs: Option<f64>,
     ) -> Result<(ExecOutcome, Vec<SubtreeObs>), ExecError> {
-        let outcome = self.execute(query, plan, timeout_secs)?;
+        self.validate(query, plan)?;
+        let mut works = Vec::new();
+        let work = self.subtree_works(query, plan, &mut works).work;
+        let outcome = self.charged(self.attempt(query, plan, Some(work), timeout_secs, 0))?;
         Ok((
             outcome,
-            self.labels_for(query, plan, timeout_secs, &outcome),
-        ))
-    }
-
-    /// [`ExecutionEnv::execute_labeled`] without the clock charge — see
-    /// [`ExecutionEnv::execute_uncharged`] for the batch-charging
-    /// contract.
-    pub fn execute_labeled_uncharged(
-        &self,
-        query: &Query,
-        plan: &Arc<Plan>,
-        timeout_secs: Option<f64>,
-    ) -> Result<(ExecOutcome, Vec<SubtreeObs>), ExecError> {
-        self.execute_labeled_attempt_uncharged(query, plan, timeout_secs, 0)
-    }
-
-    /// [`ExecutionEnv::execute_labeled_uncharged`] with an explicit
-    /// attempt number for the fault-injection key.
-    pub fn execute_labeled_attempt_uncharged(
-        &self,
-        query: &Query,
-        plan: &Arc<Plan>,
-        timeout_secs: Option<f64>,
-        attempt: u32,
-    ) -> Result<(ExecOutcome, Vec<SubtreeObs>), ExecError> {
-        let outcome = self.execute_attempt_uncharged(query, plan, timeout_secs, attempt)?;
-        Ok((
-            outcome,
-            self.labels_for(query, plan, timeout_secs, &outcome),
+            self.labels_for(query, plan, works, timeout_secs, &outcome),
         ))
     }
 
@@ -636,18 +616,22 @@ impl ExecutionEnv {
         &self,
         query: &Query,
         plan: &Arc<Plan>,
+        works: Vec<(Arc<Plan>, f64)>,
         timeout_secs: Option<f64>,
         outcome: &ExecOutcome,
     ) -> Vec<SubtreeObs> {
-        match outcome.fault {
-            Some(FaultKind::Hang) => vec![SubtreeObs {
-                plan: plan.clone(),
-                latency_secs: outcome.latency_secs,
-                censored: true,
-            }],
-            Some(FaultKind::LatencySpike(f)) => self.subtree_labels(query, plan, timeout_secs, f),
-            _ => self.subtree_labels(query, plan, timeout_secs, 1.0),
-        }
+        let factor = match outcome.fault {
+            Some(FaultKind::Hang) => {
+                return vec![SubtreeObs {
+                    plan: plan.clone(),
+                    latency_secs: outcome.latency_secs,
+                    censored: true,
+                }]
+            }
+            Some(FaultKind::LatencySpike(f)) => f,
+            _ => 1.0,
+        };
+        self.subtree_labels(query, plan, works, timeout_secs, factor)
     }
 
     /// Executes with bounded retry under `policy`, labeling the final
@@ -679,8 +663,9 @@ impl ExecutionEnv {
     /// [`ExhaustedPolicy::Drop`] returns no outcome and counts the
     /// sample as abandoned.
     ///
-    /// With no injector armed this is bit-identical to one
-    /// [`ExecutionEnv::execute_labeled_uncharged`] call.
+    /// With no injector armed this is [`ExecutionEnv::execute_labeled`]
+    /// minus the clock charge, bit for bit. The plan is walked once
+    /// however many attempts run.
     pub fn execute_labeled_retry_uncharged(
         &self,
         query: &Query,
@@ -693,15 +678,19 @@ impl ExecutionEnv {
         let mut last_ran = 0.0;
         let mut last_kind = FaultKind::Transient;
         let max_attempts = policy.max_attempts.max(1);
+        self.validate(query, plan)?;
+        let mut works = Vec::new();
+        let work = self.subtree_works(query, plan, &mut works).work;
         for attempt in 0..max_attempts {
-            match self.execute_labeled_attempt_uncharged(query, plan, timeout_secs, attempt) {
-                Ok((outcome, labels)) => {
+            match self.attempt(query, plan, Some(work), timeout_secs, attempt) {
+                Ok(outcome) => {
                     if let Some(kind) = outcome.fault {
                         stats.count_fault(kind);
                     }
                     if !outcome.from_cache {
                         exec_secs += outcome.latency_secs;
                     }
+                    let labels = self.labels_for(query, plan, works, timeout_secs, &outcome);
                     return Ok(RetryReport {
                         outcome: Some((outcome, labels)),
                         stats,
@@ -733,14 +722,6 @@ impl ExecutionEnv {
                 stats.exhausted_censored += 1;
                 // The last attempt provably ran `last_ran` seconds
                 // without completing: an honest censoring point.
-                let work = physical_cost(
-                    self.truth.db(),
-                    query,
-                    plan,
-                    &*self.truth,
-                    &self.profile.weights,
-                    None,
-                );
                 let synthetic = ExecOutcome {
                     latency_secs: last_ran,
                     work,
@@ -748,7 +729,7 @@ impl ExecutionEnv {
                     from_cache: false,
                     fault: Some(last_kind),
                 };
-                let labels = self.subtree_labels(query, plan, Some(last_ran), 1.0);
+                let labels = self.subtree_labels(query, plan, works, Some(last_ran), 1.0);
                 Some((synthetic, labels))
             }
             ExhaustedPolicy::Drop => {
@@ -764,20 +745,19 @@ impl ExecutionEnv {
         })
     }
 
-    /// One observation per subtree of `plan` (post-order, root last),
-    /// timed with the run's noise factor (scaled by `factor`, 1.0 for a
-    /// clean run, the spike factor for a spiked one) and censored at
-    /// the budget.
+    /// One observation per entry of `works` (`plan`'s subtrees,
+    /// post-order, root last), timed with the run's noise factor
+    /// (scaled by `factor`, 1.0 for a clean run, the spike factor for a
+    /// spiked one) and censored at the budget.
     fn subtree_labels(
         &self,
         query: &Query,
-        plan: &Arc<Plan>,
+        plan: &Plan,
+        works: Vec<(Arc<Plan>, f64)>,
         timeout_secs: Option<f64>,
         factor: f64,
     ) -> Vec<SubtreeObs> {
         let noise = self.noise_factor((query_key(query), latency_hash(plan)));
-        let mut works: Vec<(Arc<Plan>, f64)> = Vec::new();
-        self.subtree_works(query, plan, &mut works);
         works
             .into_iter()
             .map(|(sub, work)| {
@@ -798,9 +778,10 @@ impl ExecutionEnv {
     }
 
     /// Total true-cardinality work of every subtree of `plan`, appended
-    /// post-order (children first, root last). Built from the same
-    /// `scan_cost`/`join_cost` builders as [`balsa_cost::physical_cost`],
-    /// so the root entry equals the work `execute` charges.
+    /// post-order (children first, root last) — the one costing walk of
+    /// a labeled run. Built from the same `scan_cost`/`join_cost`
+    /// builders as [`balsa_cost::physical_cost`], so the root's work
+    /// (returned, and the last entry) equals the work `execute` charges.
     fn subtree_works(
         &self,
         query: &Query,
@@ -1485,7 +1466,7 @@ mod tests {
         let p = left_deep_hash(q);
         let env_a = ExecutionEnv::postgres_sim(db.clone());
         let env_b = ExecutionEnv::postgres_sim(db);
-        let (plain, plain_labels) = env_a.execute_labeled_uncharged(q, &p, Some(1.0)).unwrap();
+        let (plain, plain_labels) = env_a.execute_labeled(q, &p, Some(1.0)).unwrap();
         let report = env_b
             .execute_labeled_retry_uncharged(q, &p, Some(1.0), &RetryPolicy::default())
             .unwrap();

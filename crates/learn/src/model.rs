@@ -297,8 +297,17 @@ pub trait ValueModel: Send + Sync {
     /// Whether the model has been fit at least once.
     fn is_fitted(&self) -> bool;
 
-    /// Predicts the log-latency for one encoded state.
-    fn predict(&self, x: &[f64]) -> f64;
+    /// Predicts the log-latency of each encoded state, in input order.
+    /// A prediction is a function of its own state alone — models may
+    /// share scratch or stream filters across the batch, never change
+    /// the per-sample arithmetic — so any batch layout gives the same
+    /// bits.
+    fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64>;
+
+    /// Predicts the log-latency for one encoded state: a batch of one.
+    fn predict(&self, x: &[f64]) -> f64 {
+        self.predict_batch(&[x])[0]
+    }
 
     /// Trains on `data` (consumed — extraction from the buffer already
     /// yields an owned set), continuing from the current parameters
@@ -341,55 +350,49 @@ pub trait ValueModel: Send + Sync {
 
     /// Opens an incremental inference state for a scan leaf whose
     /// per-node encoding is `node_x`. `None` when the model scores only
-    /// full encodings; callers then fall back to [`ValueModel::predict`].
+    /// full encodings; callers then fall back to
+    /// [`ValueModel::predict_batch`].
     fn leaf_state(&self, node_x: &[f64]) -> Option<ModelState> {
         let _ = node_x;
         None
     }
 
-    /// Composes the state of a join node from its children's states in
-    /// O(1) — the beam's per-candidate hot path.
+    /// Composes the states of candidate joins from their children's
+    /// states, O(1) each — the beam's per-level hot path; models with
+    /// dense per-state math (the tree convolution) stream each filter
+    /// row across the whole batch. `None` when the model does not
+    /// support incremental states; otherwise one state per item, each a
+    /// function of its own item alone.
+    fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
+        let _ = items;
+        None
+    }
+
+    /// The predicted log-latency of each incremental state, in input
+    /// order.
+    fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
+        let _ = states;
+        None
+    }
+
+    /// [`ValueModel::join_state_batch`] of one item.
     fn join_state(
         &self,
         node_x: &[f64],
         left: &ModelState,
         right: &ModelState,
     ) -> Option<ModelState> {
-        let _ = (node_x, left, right);
-        None
+        let item = JoinStateItem {
+            node_x,
+            left,
+            right,
+        };
+        self.join_state_batch(&[item])?.pop()
     }
 
-    /// The predicted log-latency of an incremental state.
+    /// [`ValueModel::state_value_batch`] of one state.
     fn state_value(&self, state: &ModelState) -> Option<f64> {
-        let _ = state;
-        None
-    }
-
-    /// Batched form of [`ValueModel::predict`]: one prediction per
-    /// encoded state, in input order. Must be **bit-identical** to
-    /// mapping `predict` over `xs` — overrides may only restructure the
-    /// computation (shared scratch, filters × batch loops), never change
-    /// the per-sample arithmetic.
-    fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
-    /// Batched form of [`ValueModel::join_state`]: composes the states
-    /// of all candidate joins of one beam level in a single pass —
-    /// models with dense per-state math (the tree convolution) override
-    /// this to stream each filter row across the whole batch. `None`
-    /// when the model does not support incremental states; otherwise
-    /// one state per item, bit-identical to the per-item calls.
-    fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
-        items
-            .iter()
-            .map(|it| self.join_state(it.node_x, it.left, it.right))
-            .collect()
-    }
-
-    /// Batched form of [`ValueModel::state_value`], in input order.
-    fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
-        states.iter().map(|s| self.state_value(s)).collect()
+        self.state_value_batch(std::slice::from_ref(state))?.pop()
     }
 }
 
@@ -450,25 +453,6 @@ impl LinearValueModel {
                 .map(|(&w, (&m, &s))| w * m * s)
                 .sum::<f64>();
         (w, b)
-    }
-
-    /// Collapses `self + other` into one linear model predicting the sum
-    /// of both predictions. Used by residual fine-tuning: the simulation
-    /// phase's model stays frozen as the base, a correction model is
-    /// trained on real-execution residuals, and their merge is the
-    /// deployable value model. Merging with an unfitted model returns
-    /// `self` exactly.
-    pub fn merged_with(&self, other: &LinearValueModel) -> LinearValueModel {
-        assert_eq!(self.w.len(), other.w.len(), "dimension mismatch");
-        let (wa, ba) = self.raw_form();
-        let (wb, bb) = other.raw_form();
-        LinearValueModel {
-            w: wa.iter().zip(&wb).map(|(a, b)| a + b).collect(),
-            b: ba + bb,
-            mean: vec![0.0; self.w.len()],
-            inv_std: vec![1.0; self.w.len()],
-            fitted: self.fitted || other.fitted,
-        }
     }
 
     fn standardized(&self, x: &[f64], out: &mut Vec<f64>) {
@@ -537,15 +521,7 @@ impl ValueModel for LinearValueModel {
         Box::new(self.clone())
     }
 
-    fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.w.len(), "feature length mismatch");
-        let mut z = Vec::with_capacity(x.len());
-        self.standardized(x, &mut z);
-        self.raw_predict(&z)
-    }
-
-    /// Linear batching is trivial: one reused standardization buffer,
-    /// per-sample math unchanged (bit-identical to `predict`).
+    /// One reused standardization buffer across the batch.
     fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
         let mut z = Vec::with_capacity(self.w.len());
         xs.iter()
@@ -666,9 +642,9 @@ impl ValueModel for LinearValueModel {
 /// A frozen base model plus a trainable correction, predicting the sum
 /// of both — the model-agnostic form of residual fine-tuning (§4.2): the
 /// simulation phase's model stays fixed and real-execution evidence only
-/// trains the correction. For linear models this predicts exactly what
-/// [`LinearValueModel::merged_with`] collapses to; for the tree-conv net
-/// it is the only way to keep the pretrained policy as the anchor.
+/// trains the correction. For the tree-conv net the sum is the only way
+/// to keep the pretrained policy as the anchor; the linear family goes
+/// through the same wrapper.
 pub struct ResidualValueModel {
     base: Box<dyn ValueModel>,
     correction: Box<dyn ValueModel>,
@@ -695,6 +671,15 @@ impl ResidualValueModel {
     pub fn correction(&self) -> &dyn ValueModel {
         &*self.correction
     }
+
+    /// Rewrites `data`'s labels to the residuals `y − base(x)`, the
+    /// base's predictions taken in one batch.
+    fn to_residual_labels(&self, data: &mut TrainSet) {
+        let xs: Vec<&[f64]> = data.xs.iter().map(Vec::as_slice).collect();
+        for (y, b) in data.ys.iter_mut().zip(self.base.predict_batch(&xs)) {
+            *y -= b;
+        }
+    }
 }
 
 impl ValueModel for ResidualValueModel {
@@ -710,17 +695,11 @@ impl ValueModel for ResidualValueModel {
         self.base.is_fitted() || self.correction.is_fitted()
     }
 
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.base.predict(x) + self.correction.predict(x)
-    }
-
     /// Fits the correction on the residual labels `y − base(x)` (labels
     /// are adjusted in place — no copy of the feature vectors). A
     /// censored lower bound on `y` remains a lower bound on the residual.
     fn fit(&mut self, mut data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
-        for (x, y) in data.xs.iter().zip(data.ys.iter_mut()) {
-            *y -= self.base.predict(x);
-        }
+        self.to_residual_labels(&mut data);
         self.correction.fit(data, cfg, rng)
     }
 
@@ -732,9 +711,7 @@ impl ValueModel for ResidualValueModel {
         cfg: &SgdConfig,
         rng: &mut SmallRng,
     ) -> FitReport {
-        for (x, y) in data.xs.iter().zip(data.ys.iter_mut()) {
-            *y -= self.base.predict(x);
-        }
+        self.to_residual_labels(&mut data);
         self.correction.fit_per_sample(data, cfg, rng)
     }
 
@@ -781,26 +758,8 @@ impl ValueModel for ResidualValueModel {
         Some(Arc::new((b, c)))
     }
 
-    fn join_state(
-        &self,
-        node_x: &[f64],
-        left: &ModelState,
-        right: &ModelState,
-    ) -> Option<ModelState> {
-        let (lb, lc) = left.downcast_ref::<(ModelState, ModelState)>()?;
-        let (rb, rc) = right.downcast_ref::<(ModelState, ModelState)>()?;
-        let b = self.base.join_state(node_x, lb, rb)?;
-        let c = self.correction.join_state(node_x, lc, rc)?;
-        Some(Arc::new((b, c)))
-    }
-
-    fn state_value(&self, state: &ModelState) -> Option<f64> {
-        let (b, c) = state.downcast_ref::<(ModelState, ModelState)>()?;
-        Some(self.base.state_value(b)? + self.correction.state_value(c)?)
-    }
-
-    /// Routes both halves through their own batched paths; the sum per
-    /// sample matches [`ResidualValueModel::predict`] bit-for-bit.
+    /// Routes both halves through their own batched paths and sums per
+    /// sample.
     fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
         let base = self.base.predict_batch(xs);
         let corr = self.correction.predict_batch(xs);
@@ -968,24 +927,85 @@ mod tests {
         );
     }
 
+    /// A model that writes only the batch methods: its `ModelState` is
+    /// the sum of the node encodings below it, its value that sum's
+    /// first entry.
+    struct BatchOnly;
+
+    impl ValueModel for BatchOnly {
+        fn name(&self) -> String {
+            "batch-only".into()
+        }
+        fn is_fitted(&self) -> bool {
+            true
+        }
+        fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
+            xs.iter().map(|x| x.iter().sum()).collect()
+        }
+        fn fit(&mut self, _: TrainSet, _: &SgdConfig, _: &mut SmallRng) -> FitReport {
+            FitReport::default()
+        }
+        fn params(&self) -> Vec<f64> {
+            Vec::new()
+        }
+        fn state_vec(&self) -> Vec<f64> {
+            Vec::new()
+        }
+        fn load_state(&mut self, _: &[f64]) -> Result<(), String> {
+            Ok(())
+        }
+        fn clone_box(&self) -> Box<dyn ValueModel> {
+            Box::new(BatchOnly)
+        }
+        fn leaf_state(&self, node_x: &[f64]) -> Option<ModelState> {
+            Some(Arc::new(node_x.to_vec()))
+        }
+        fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
+            items
+                .iter()
+                .map(|it| {
+                    let (l, r) = (
+                        it.left.downcast_ref::<Vec<f64>>()?,
+                        it.right.downcast_ref::<Vec<f64>>()?,
+                    );
+                    let sum: Vec<f64> = it
+                        .node_x
+                        .iter()
+                        .zip(l.iter().zip(r))
+                        .map(|(x, (l, r))| x + l + r)
+                        .collect();
+                    Some(Arc::new(sum) as ModelState)
+                })
+                .collect()
+        }
+        fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
+            states
+                .iter()
+                .map(|s| Some(s.downcast_ref::<Vec<f64>>()?[0]))
+                .collect()
+        }
+    }
+
+    /// The provided single-item methods are one-element batches: a model
+    /// that implements only the batch methods answers them correctly,
+    /// and one that implements no incremental hook answers `None`.
     #[test]
-    fn merged_model_predicts_the_sum() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let a_data = synth(300, &mut rng);
-        let mut a = LinearValueModel::new(2);
-        a.fit(a_data.clone(), &SgdConfig::default(), &mut rng);
-        // Merging with an unfitted correction changes nothing.
-        let same = a.merged_with(&LinearValueModel::new(2));
-        for x in [[0.5, 1.5], [3.0, 0.0], [2.2, 2.2]] {
-            assert!((same.predict(&x) - a.predict(&x)).abs() < 1e-9);
-        }
-        // Merging two fitted models sums their predictions.
-        let mut b = LinearValueModel::new(2);
-        b.fit(a_data, &SgdConfig::default(), &mut rng);
-        let m = a.merged_with(&b);
-        for x in [[0.5, 1.5], [3.0, 0.0]] {
-            assert!((m.predict(&x) - (a.predict(&x) + b.predict(&x))).abs() < 1e-9);
-        }
+    fn single_item_methods_are_batches_of_one() {
+        let m = BatchOnly;
+        assert_eq!(m.predict(&[1.0, 2.5]), 3.5);
+        let (a, b) = (m.leaf_state(&[1.0, 2.0]), m.leaf_state(&[10.0, 20.0]));
+        let (a, b) = (a.unwrap(), b.unwrap());
+        let ab = m.join_state(&[100.0, 200.0], &a, &b).expect("composes");
+        assert_eq!(ab.downcast_ref::<Vec<f64>>().unwrap(), &[111.0, 222.0]);
+        assert_eq!(m.state_value(&ab), Some(111.0));
+        // A foreign state fails the downcast inside the batch: `None`.
+        let foreign: ModelState = Arc::new(7u8);
+        assert!(m.join_state(&[0.0, 0.0], &a, &foreign).is_none());
+        assert!(m.state_value(&foreign).is_none());
+
+        let flat = LinearValueModel::new(2);
+        assert!(flat.join_state(&[0.0, 0.0], &a, &b).is_none());
+        assert!(flat.state_value(&a).is_none());
     }
 
     #[test]

@@ -8,26 +8,33 @@
 //! (`exp` of its log-space prediction), so forest scores add like
 //! latencies and are comparable across trees.
 //!
-//! Scoring is **incremental**: every [`balsa_cost::ScoredTree`] this
-//! scorer returns carries an opaque per-subtree state in its `ext` child
-//! hook, and `score_join` composes the joined state from the children's
-//! states instead of re-walking the subtree —
+//! Scoring is **incremental** and **batched**: every
+//! [`balsa_cost::ScoredTree`] this scorer returns carries an opaque
+//! per-subtree state in its `ext` child hook, and `score_join_batch` —
+//! the one join-scoring path; a single join is the trait's batch of one
+//! — composes each joined state from the children's states instead of
+//! re-walking the subtree, then predicts the whole batch in one model
+//! call —
 //!
 //! * flat encoding (linear models): the feature channels compose through
 //!   [`Featurizer::flat_join_state`] (O(tables + edges) per candidate,
-//!   bit-identical to a from-scratch featurization);
+//!   bit-identical to a from-scratch featurization) and go through
+//!   [`ValueModel::predict_batch`];
 //! * tree encoding (tree convolution): the model's own
-//!   [`ValueModel::join_state`] carries per-layer root activations and
-//!   pooled maxima, so a candidate join costs one convolution window.
+//!   [`ValueModel::join_state_batch`] carries per-layer root activations
+//!   and pooled maxima, so a candidate join costs one convolution
+//!   window, read out by [`ValueModel::state_value_batch`].
 //!
-//! A missing child state (e.g. a model without incremental support)
-//! falls back to a from-scratch encode, so correctness never depends on
-//! the hooks.
+//! A candidate missing a child state (e.g. a model without incremental
+//! support) falls back to the from-scratch encode
+//! ([`Featurizer::featurize_tree`] + a full forward — the reference the
+//! tests compare the incremental path against), so correctness never
+//! depends on the hooks.
 
 use crate::featurize::{Featurizer, FlatState};
 use crate::model::{FeatureEncoding, JoinStateItem, ValueModel};
 use balsa_card::{CardEstimator, MemoEstimator};
-use balsa_cost::{JoinCandidate, PlanScorer, QueryScorer, ScoredTree, SubtreeCost};
+use balsa_cost::{JoinCandidate, PlanScorer, QueryScorer, ScoredTree, SubtreeCost, SubtreeExt};
 use balsa_query::{Plan, Query};
 use std::sync::Arc;
 
@@ -83,7 +90,7 @@ struct LearnedQueryScorer<'q> {
 impl LearnedQueryScorer<'_> {
     /// Wraps a log-space prediction and its incremental state into the
     /// beam's scored-tree currency.
-    fn scored(&self, plan: &Plan, pred: f64, ext: Option<balsa_cost::SubtreeExt>) -> ScoredTree {
+    fn scored(&self, plan: &Plan, pred: f64, ext: Option<SubtreeExt>) -> ScoredTree {
         let secs = pred.min(MAX_LOG_PRED).exp();
         ScoredTree {
             score: secs,
@@ -116,129 +123,63 @@ impl LearnedQueryScorer<'_> {
 
 impl QueryScorer for LearnedQueryScorer<'_> {
     fn score_scan(&self, scan: &Plan) -> ScoredTree {
-        match self.model.encoding() {
-            FeatureEncoding::Flat => {
-                let st = self
-                    .featurizer
-                    .flat_scan_state(self.query, scan, &self.memo);
-                let pred = self.model.predict(&st.x);
-                self.scored(scan, pred, Some(Arc::new(st)))
-            }
-            FeatureEncoding::Tree => {
-                let nx = self.featurizer.node_features(self.query, scan, &self.memo);
-                match self.model.leaf_state(&nx) {
-                    Some(state) => {
-                        let pred = self
-                            .model
-                            .state_value(&state)
-                            .expect("leaf_state implies state_value");
-                        self.scored(scan, pred, Some(state))
-                    }
-                    None => self.score_full(scan),
-                }
+        if self.model.encoding() == FeatureEncoding::Tree {
+            let nx = self.featurizer.node_features(self.query, scan, &self.memo);
+            if let Some(state) = self.model.leaf_state(&nx) {
+                let pred = self
+                    .model
+                    .state_value(&state)
+                    .expect("leaf_state implies state_value");
+                return self.scored(scan, pred, Some(state));
             }
         }
+        // A flat leaf from scratch is its composition chain's start
+        // ([`Featurizer::flat_scan_state`]).
+        self.score_full(scan)
     }
 
-    fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {
-        match self.model.encoding() {
-            FeatureEncoding::Flat => {
-                let (Some(l), Some(r)) = (
-                    lc.ext
-                        .as_deref()
-                        .and_then(|e| e.downcast_ref::<FlatState>()),
-                    rc.ext
-                        .as_deref()
-                        .and_then(|e| e.downcast_ref::<FlatState>()),
-                ) else {
-                    return self.score_full(join);
-                };
-                let st = self
-                    .featurizer
-                    .flat_join_state(self.query, join, l, r, &self.memo);
-                let pred = self.model.predict(&st.x);
-                self.scored(join, pred, Some(Arc::new(st)))
-            }
-            FeatureEncoding::Tree => {
-                let (Some(l), Some(r)) = (lc.ext.as_ref(), rc.ext.as_ref()) else {
-                    return self.score_full(join);
-                };
-                let nx = self.featurizer.node_features(self.query, join, &self.memo);
-                match self.model.join_state(&nx, l, r) {
-                    Some(state) => {
-                        let pred = self
-                            .model
-                            .state_value(&state)
-                            .expect("join_state implies state_value");
-                        self.scored(join, pred, Some(state))
-                    }
-                    None => self.score_full(join),
-                }
-            }
-        }
-    }
-
-    /// The batched inference hot path: one pass composes every
-    /// candidate's incremental state, then a single batched model call
-    /// produces all predictions — the tree-convolution forward becomes
-    /// a filters × batch matrix product over the stacked per-candidate
-    /// root activations, the linear model a streamed dot-product loop.
-    /// Candidates missing a child state fall back to the from-scratch
-    /// encode in place, so the output order always matches the input
-    /// and every tree is bit-identical to [`QueryScorer::score_join`].
+    /// The inference hot path: one pass composes every candidate's
+    /// incremental state, then a single batched model call produces all
+    /// predictions — the tree-convolution forward becomes a filters ×
+    /// batch matrix product over the stacked per-candidate root
+    /// activations, the linear model a streamed dot-product loop.
+    /// Candidates missing a child state are encoded from scratch in
+    /// place, so the output order always matches the input.
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
         match self.model.encoding() {
             FeatureEncoding::Flat => {
+                fn flat(t: &ScoredTree) -> Option<&FlatState> {
+                    t.ext.as_deref()?.downcast_ref::<FlatState>()
+                }
                 let states: Vec<Option<FlatState>> = cands
                     .iter()
                     .map(|c| {
-                        let (Some(l), Some(r)) = (
-                            c.lc.ext
-                                .as_deref()
-                                .and_then(|e| e.downcast_ref::<FlatState>()),
-                            c.rc.ext
-                                .as_deref()
-                                .and_then(|e| e.downcast_ref::<FlatState>()),
-                        ) else {
-                            return None;
-                        };
+                        let (l, r) = (flat(c.lc)?, flat(c.rc)?);
                         Some(
                             self.featurizer
                                 .flat_join_state(self.query, c.join, l, r, &self.memo),
                         )
                     })
                     .collect();
-                let xs: Vec<&[f64]> = states
-                    .iter()
-                    .filter_map(|s| s.as_ref().map(|s| s.x.as_slice()))
-                    .collect();
-                let preds = self.model.predict_batch(&xs);
-                let mut pi = 0;
+                let xs: Vec<&[f64]> = states.iter().flatten().map(|s| s.x.as_slice()).collect();
+                let mut preds = self.model.predict_batch(&xs).into_iter();
                 for (c, st) in cands.iter().zip(states) {
-                    match st {
+                    out.push(match st {
                         Some(st) => {
-                            let pred = preds[pi];
-                            pi += 1;
-                            out.push(self.scored(c.join, pred, Some(Arc::new(st))));
+                            let pred = preds.next().expect("one prediction per state");
+                            self.scored(c.join, pred, Some(Arc::new(st)))
                         }
-                        None => out.push(self.score_full(c.join)),
-                    }
+                        None => self.score_full(c.join),
+                    });
                 }
             }
             FeatureEncoding::Tree => {
-                // Composable only when every candidate carries both
-                // child states; otherwise score per candidate (each
-                // call re-checks its own children, so partial batches
-                // still come out bit-identical).
-                let all_ext = cands
-                    .iter()
-                    .all(|c| c.lc.ext.is_some() && c.rc.ext.is_some());
-                if !all_ext {
-                    out.extend(cands.iter().map(|c| self.score_join(c.join, c.lc, c.rc)));
-                    return;
+                fn kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a SubtreeExt, &'a SubtreeExt)> {
+                    c.lc.ext.as_ref().zip(c.rc.ext.as_ref())
                 }
                 let nxs: Vec<Vec<f64>> = cands
                     .iter()
+                    .filter(|c| kids(c).is_some())
                     .map(|c| {
                         self.featurizer
                             .node_features(self.query, c.join, &self.memo)
@@ -246,26 +187,33 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                     .collect();
                 let items: Vec<JoinStateItem<'_>> = cands
                     .iter()
+                    .filter_map(kids)
                     .zip(&nxs)
-                    .map(|(c, nx)| JoinStateItem {
-                        node_x: nx,
-                        left: c.lc.ext.as_ref().expect("checked above"),
-                        right: c.rc.ext.as_ref().expect("checked above"),
+                    .map(|((left, right), node_x)| JoinStateItem {
+                        node_x,
+                        left,
+                        right,
                     })
                     .collect();
-                match self.model.join_state_batch(&items) {
-                    Some(states) => {
+                // `None` (a model without incremental states) leaves
+                // nothing composed: every candidate goes from scratch.
+                let mut composed = self
+                    .model
+                    .join_state_batch(&items)
+                    .map(|states| {
                         let preds = self
                             .model
                             .state_value_batch(&states)
                             .expect("join_state_batch implies state_value_batch");
-                        for ((c, state), pred) in cands.iter().zip(states).zip(preds) {
-                            out.push(self.scored(c.join, pred, Some(state)));
-                        }
-                    }
-                    None => {
-                        out.extend(cands.iter().map(|c| self.score_join(c.join, c.lc, c.rc)));
-                    }
+                        states.into_iter().zip(preds)
+                    })
+                    .into_iter()
+                    .flatten();
+                for c in cands {
+                    out.push(match kids(c).and_then(|_| composed.next()) {
+                        Some((state, pred)) => self.scored(c.join, pred, Some(state)),
+                        None => self.score_full(c.join),
+                    });
                 }
             }
         }

@@ -460,6 +460,14 @@ pub fn train_loop(
 ) -> TrainOutcome {
     assert!(!split.train.is_empty(), "empty training split");
     let profile = env.profile();
+    // A left-deep-only engine rejects the bushy plans this loop would
+    // go on to make — after minutes of pretraining, inside a worker.
+    assert!(
+        profile.bushy_hints || cfg.mode == SearchMode::LeftDeep,
+        "unrunnable configuration: {} has bushy_hints = false, TrainConfig::mode = {:?}",
+        profile.name,
+        cfg.mode
+    );
     let est = HistogramEstimator::new(db);
     let featurizer = Featurizer::new(db.clone(), profile.weights, profile.bushy_hints);
     let mut buffer = ExperienceBuffer::new();

@@ -20,7 +20,7 @@
 //! Because a convolution layer only looks *downward* (a node and its
 //! children), a node's activations never change when a parent is added
 //! above it. Inference inside the beam exploits this: the incremental
-//! [`crate::model::ValueModel::join_state`] hook carries each subtree's
+//! [`crate::model::ValueModel::join_state_batch`] hook carries each subtree's
 //! root activations per layer plus the pooled channel maxima, so scoring
 //! a candidate join costs one window of convolutions — O(1) in the
 //! subtree size — instead of a full re-encode.
@@ -125,13 +125,14 @@ struct TreeArena {
 }
 
 impl TreeArena {
-    fn build(xs: &[Vec<f64>], node_dim: usize) -> Self {
+    fn build<X: AsRef<[f64]>>(xs: &[X], node_dim: usize) -> Self {
         let mut arena = Self {
             feats: Vec::new(),
             kids: Vec::new(),
             ofs: vec![0],
         };
         for x in xs {
+            let x = x.as_ref();
             assert!(x.len() >= 2, "tree encoding too short");
             let n = x[0] as usize;
             let d = x[1] as usize;
@@ -939,8 +940,20 @@ impl ValueModel for TreeConvValueModel {
         self.fitted
     }
 
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.forward(&decode_tree(x)).out
+    /// Whole trees through the training-side kernels ([`TreeArena`] +
+    /// [`TreeConvValueModel::batch_forward`]), a fixed-size chunk at a
+    /// time so the scratch stays cache-sized however many trees arrive.
+    fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
+        const CHUNK: usize = 64;
+        let arena = TreeArena::build(xs, self.node_dim);
+        let mut scratch = BatchScratch::default();
+        let idxs: Vec<usize> = (0..xs.len()).collect();
+        let mut out = Vec::with_capacity(xs.len());
+        for chunk in idxs.chunks(CHUNK) {
+            self.batch_forward(&arena, chunk, &mut scratch);
+            out.extend_from_slice(&scratch.outs);
+        }
+        out
     }
 
     /// Minibatched censored-hinge SGD: the whole minibatch runs through
@@ -1174,37 +1187,8 @@ impl ValueModel for TreeConvValueModel {
         Some(Arc::new(TcState { acts, pooled }))
     }
 
-    fn join_state(
-        &self,
-        node_x: &[f64],
-        left: &ModelState,
-        right: &ModelState,
-    ) -> Option<ModelState> {
-        let l = left.downcast_ref::<TcState>()?;
-        let r = right.downcast_ref::<TcState>()?;
-        let mut acts = Vec::with_capacity(self.conv.len() + 1);
-        acts.push(node_x.to_vec());
-        for (i, layer) in self.conv.iter().enumerate() {
-            let z = layer.pre(&acts[i], Some(&l.acts[i]), Some(&r.acts[i]));
-            acts.push(z.into_iter().map(lrelu).collect());
-        }
-        let top = acts.last().expect("non-empty");
-        let pooled: Vec<f64> = top
-            .iter()
-            .zip(l.pooled.iter().zip(&r.pooled))
-            .map(|(&h, (&a, &b))| h.max(a.max(b)))
-            .collect();
-        Some(Arc::new(TcState { acts, pooled }))
-    }
-
-    fn state_value(&self, state: &ModelState) -> Option<f64> {
-        let s = state.downcast_ref::<TcState>()?;
-        let h: Vec<f64> = self.head1.pre(&s.pooled).into_iter().map(lrelu).collect();
-        Some(self.head2.pre(&h)[0])
-    }
-
-    /// The batched beam forward: instead of N independent `join_state`
-    /// walks, each convolution **filter row streams across a tile of
+    /// The beam forward: instead of N independent window walks, each
+    /// convolution **filter row streams across a tile of
     /// candidates** (a tiled filters × batch matrix product over the
     /// stacked per-candidate window inputs): within a tile the three
     /// input slices stay resident in L1 while every filter row sweeps
@@ -1213,7 +1197,7 @@ impl ValueModel for TreeConvValueModel {
     /// network's tiny filter banks against beam-level-sized batches.
     /// Per-candidate arithmetic — `b + wn·x + wl·xl + wr·xr`, dots
     /// accumulated left to right — is exactly [`ConvLayer::pre`]'s, so
-    /// the composed states are bit-identical to the per-candidate path.
+    /// a composed state does not depend on which batch composed it.
     // The filters × tile orientation wants plain index loops over
     // several parallel slice arrays; iterator chains over four zipped
     // row views would obscure the GEMM blocking.
@@ -1289,8 +1273,8 @@ impl ValueModel for TreeConvValueModel {
         )
     }
 
-    /// Batched MLP head over the pooled vectors, filters × batch like
-    /// the convolution stack; bit-identical to per-state `state_value`.
+    /// The MLP head over the pooled vectors, filters × batch like the
+    /// convolution stack; per-state arithmetic is `forward`'s head.
     #[allow(clippy::needless_range_loop)]
     fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
         let ss: Option<Vec<&TcState>> =
@@ -1520,6 +1504,35 @@ mod tests {
             assert_eq!(p, per_sample.params(), "{optimizer:?}");
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.mse.to_bits(), b.mse.to_bits());
+        }
+    }
+
+    /// `predict_batch` (arena + batched kernels, fixed-size chunks) is
+    /// bit-equal to the from-scratch per-tree `forward` at batch sizes
+    /// on both sides of the chunk, fitted and unfitted.
+    #[test]
+    fn predict_batch_is_bit_equal_to_per_tree_forward() {
+        let mut rng = SmallRng::seed_from_u64(0xBA7C);
+        let unfitted = TreeConvValueModel::new(
+            5,
+            TreeConvConfig {
+                conv_channels: vec![4, 3],
+                mlp_hidden: 3,
+            },
+        );
+        for model in [unfitted, small_model(&mut rng)] {
+            for n in [1usize, 7, 33, 300] {
+                let xs: Vec<Vec<f64>> = (0..n)
+                    .map(|i| random_tree(1 + i % 6, 5, &mut rng))
+                    .collect();
+                let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+                let batch = model.predict_batch(&refs);
+                assert_eq!(batch.len(), n);
+                for (x, b) in xs.iter().zip(&batch) {
+                    let single = model.forward(&decode_tree(x)).out;
+                    assert_eq!(single.to_bits(), b.to_bits(), "batch of {n}");
+                }
+            }
         }
     }
 

@@ -4,17 +4,18 @@
 //! [`QueryScorer::score_join_batch`] call — the tree-convolution
 //! forward becomes a filters × batch matrix product, the linear model
 //! a streamed dot-product loop. The batching contract is that this is
-//! a **layout** change, never a math change: these tests run the beam
-//! once through the batched path and once through a wrapper that
-//! forces the default per-candidate path, over **all 137 JOB +
-//! Ext-JOB queries**, for **both model kinds** (`linear`, `tree_conv`)
-//! in **both fitted and unfitted** states, and assert the chosen plans
-//! and their scores are bit-identical.
+//! a **layout** change, never a math change — any batch layout ≡ N
+//! batches of one: these tests run the beam once through whole-level
+//! batches and once through a wrapper that resubmits every candidate
+//! as a batch of its own, over **all 137 JOB + Ext-JOB queries**, for
+//! **both model kinds** (`linear`, `tree_conv`) in **both fitted and
+//! unfitted** states, and assert the chosen plans and their scores are
+//! bit-identical.
 //!
 //! Also covered here: the intra-query parallel expansion
 //! (`BALSA_PLAN_THREADS`, [`BeamPlanner::with_pool`]) must be
 //! bit-identical across thread counts, and the raw model batch hooks
-//! must equal their per-item forms on random plans.
+//! must equal their batch-of-one forms on random plans.
 
 use balsa_card::HistogramEstimator;
 use balsa_cost::{JoinCandidate, OpWeights, PlanScorer, QueryScorer, ScoredTree};
@@ -41,9 +42,8 @@ fn fixture() -> (Arc<Database>, Vec<Query>) {
     (db, queries)
 }
 
-/// Forwards scans and joins but hides the batched override, so the
-/// default per-candidate `score_join_batch` loop runs — the reference
-/// the batched path must match bit-for-bit.
+/// Forwards scans, and resubmits every join of a batch as a batch of
+/// one — the layout the whole-level batches must match bit-for-bit.
 struct PerCandidate<'a>(&'a dyn PlanScorer);
 
 struct PerCandidateSession<'q>(Box<dyn QueryScorer + 'q>);
@@ -63,8 +63,10 @@ impl QueryScorer for PerCandidateSession<'_> {
         self.0.score_scan(scan)
     }
 
-    fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {
-        self.0.score_join(join, lc, rc)
+    fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+        for c in cands {
+            self.0.score_join_batch(std::slice::from_ref(c), out);
+        }
     }
 }
 
@@ -117,7 +119,7 @@ fn unfitted_model(kind: ModelKind, featurizer: &Featurizer) -> Box<dyn ValueMode
 
 /// The acceptance property: over all 137 queries, for both model kinds,
 /// fitted and unfitted, the batched beam chooses bit-identical plans
-/// with bit-identical scores to the forced per-candidate beam.
+/// with bit-identical scores to the beam fed batches of one.
 #[test]
 fn batched_scoring_is_bit_identical_to_per_candidate() {
     let (db, queries) = fixture();
@@ -201,8 +203,9 @@ fn beam_plans_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// The raw batch hooks equal their per-item forms on random candidate
-/// sets (direct unit-level check, independent of the beam).
+/// The raw batch hooks equal their batch-of-one forms (the provided
+/// `predict`) on random candidate sets (direct unit-level check,
+/// independent of the beam).
 #[test]
 fn model_batch_hooks_match_per_item_calls() {
     let (db, queries) = fixture();
@@ -227,8 +230,8 @@ fn model_batch_hooks_match_per_item_calls() {
 }
 
 /// The batched session path itself (outside the beam): scoring a
-/// candidate list through `score_join_batch` equals per-candidate
-/// `score_join`, in order.
+/// candidate list through one `score_join_batch` call equals a batch of
+/// one (the provided `score_join`) per candidate, in order.
 #[test]
 fn session_batch_equals_per_candidate_scores() {
     let (db, queries) = fixture();

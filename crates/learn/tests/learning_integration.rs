@@ -130,6 +130,19 @@ fn experience_buffer_with_real_labeled_executions() {
     );
 }
 
+/// A left-deep-only engine with the default bushy search mode is
+/// refused at entry, naming both settings — not minutes later inside a
+/// pool worker with "plan must be executable".
+#[test]
+#[should_panic(expected = "CommDbSim has bushy_hints = false, TrainConfig::mode = Bushy")]
+fn train_loop_refuses_bushy_search_on_a_left_deep_engine() {
+    let db = small_db();
+    let w = job_workload(db.catalog(), 7);
+    let split = Split::random(w.queries.len(), 19, 42);
+    let env = ExecutionEnv::commdb_sim(db.clone());
+    train_loop(&db, &env, &w, &split, &TrainConfig::default());
+}
+
 /// Smoke run of the two-phase driver on a reduced split: the trajectory
 /// has the right shape, the clock advances monotonically, experiences
 /// accumulate, and the selected learned planner lands within a sane

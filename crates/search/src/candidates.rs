@@ -9,11 +9,12 @@
 //! paper relies on when comparing the expert enumerator with the
 //! learned agent's beam search.
 //!
-//! The **scored** candidate path ([`CandidateSpace::scored_scan_plans`],
-//! [`CandidateSpace::scored_join_plans`]) pairs every generated move
-//! with its [`ScoredTree`] under an arbitrary [`QueryScorer`] session,
-//! so search procedures never touch a cost model directly — the expert
-//! model, `C_out`, and the learned value model are interchangeable.
+//! The **scored** candidate path ([`CandidateSpace::scored_scan_plans`];
+//! joins go to [`QueryScorer::score_join_batch`] a level or a step at a
+//! time) pairs every generated move with its [`ScoredTree`] under an
+//! arbitrary [`QueryScorer`] session, so search procedures never touch a
+//! cost model directly — the expert model, `C_out`, and the learned
+//! value model are interchangeable.
 
 use crate::SearchMode;
 use balsa_cost::{QueryScorer, ScoredTree};
@@ -86,18 +87,6 @@ impl<'a> CandidateSpace<'a> {
             }
     }
 
-    /// All join plans combining `left` and `right` in this orientation
-    /// (empty when the orientation is not allowed).
-    pub fn join_plans(&self, left: &Arc<Plan>, right: &Arc<Plan>) -> Vec<Arc<Plan>> {
-        if !self.allows_join(left, right) {
-            return Vec::new();
-        }
-        self.join_ops()
-            .iter()
-            .map(|&op| Plan::join(op, left.clone(), right.clone()))
-            .collect()
-    }
-
     /// Scan candidates for query-table `qt`, each paired with its score
     /// under `scorer` — the shared scoring path of the search layer.
     pub fn scored_scan_plans(
@@ -110,30 +99,6 @@ impl<'a> CandidateSpace<'a> {
             .map(|p| {
                 let st = scorer.score_scan(&p);
                 (p, st)
-            })
-            .collect()
-    }
-
-    /// All scored join candidates combining `left` and `right` (whose
-    /// scored subtrees are `lst`/`rst`) in this orientation; empty when
-    /// the orientation is not allowed.
-    pub fn scored_join_plans(
-        &self,
-        left: &Arc<Plan>,
-        lst: &ScoredTree,
-        right: &Arc<Plan>,
-        rst: &ScoredTree,
-        scorer: &dyn QueryScorer,
-    ) -> Vec<(Arc<Plan>, ScoredTree)> {
-        if !self.allows_join(left, right) {
-            return Vec::new();
-        }
-        self.join_ops()
-            .iter()
-            .map(|&op| {
-                let plan = Plan::join(op, left.clone(), right.clone());
-                let st = scorer.score_join(&plan, lst, rst);
-                (plan, st)
             })
             .collect()
     }

@@ -3,11 +3,12 @@
 //! [`GreedyLeftDeepPlanner`] builds one left-deep join tree by repeated
 //! locally-best extension: start from the cheapest base-table scan,
 //! then at each of the `n-1` steps try every (adjacent table × scan
-//! variant × join operator) extension and keep the best-scored one.
-//! Work is O(n²) score calls with no memo, no Pareto sets, and no
-//! search frontier — it cannot exceed any [`crate::PlanBudget`] worth
-//! arming, which is what makes it the guaranteed-terminating last
-//! stage after DPccp and beam search have both exhausted their
+//! variant × join operator) extension and keep the best-scored one —
+//! one `score_join_batch` call per step, the scoring path the beam
+//! takes. Work is O(n²) scored candidates with no memo, no Pareto sets,
+//! and no search frontier — it cannot exceed any [`crate::PlanBudget`]
+//! worth arming, which is what makes it the guaranteed-terminating
+//! last stage after DPccp and beam search have both exhausted their
 //! budgets. Like the beam it is generic over [`PlanScorer`], so the
 //! expert cost model and the learned value model degrade through the
 //! identical code path.
@@ -19,7 +20,7 @@
 
 use crate::budget::verify_emitted;
 use crate::{CandidateSpace, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
-use balsa_cost::{PlanScorer, ScoredTree};
+use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
 use balsa_query::{Plan, Query};
 use balsa_storage::Database;
 use std::sync::Arc;
@@ -83,25 +84,39 @@ impl<'a> GreedyLeftDeepPlanner<'a> {
         let (mut cur_plan, mut cur_tree) = best_scans[start].clone();
         stats.states = 1;
 
-        // n-1 locally-best extensions.
+        // n-1 locally-best extensions, each step's (adjacent table ×
+        // operator) candidates scored as one batch in enumeration order.
         while cur_plan.mask() != query.all_mask() {
-            let mut best: Option<(Arc<Plan>, ScoredTree)> = None;
+            let mut joins: Vec<(Arc<Plan>, &ScoredTree)> = Vec::new();
             for (t, (scan, scan_tree)) in best_scans.iter().enumerate() {
                 if cur_plan.mask().contains(t) || !space.allows_join(&cur_plan, scan) {
                     continue;
                 }
                 for &op in space.join_ops() {
-                    let cand = Plan::join(op, cur_plan.clone(), scan.clone());
-                    let scored = session.score_join(&cand, &cur_tree, scan_tree);
-                    stats.candidates += 1;
-                    stats.cost_calls += 1;
-                    if best.as_ref().is_none_or(|(_, b)| scored.score < b.score) {
-                        best = Some((cand, scored));
-                    }
+                    joins.push((Plan::join(op, cur_plan.clone(), scan.clone()), scan_tree));
                 }
             }
+            let cands: Vec<JoinCandidate<'_>> = joins
+                .iter()
+                .map(|(join, rc)| JoinCandidate {
+                    join,
+                    lc: &cur_tree,
+                    rc,
+                })
+                .collect();
+            let mut scored = Vec::with_capacity(cands.len());
+            session.score_join_batch(&cands, &mut scored);
+            stats.candidates += scored.len();
+            stats.cost_calls += scored.len();
+            let best = joins.into_iter().zip(scored).reduce(|best, cand| {
+                if cand.1.score < best.1.score {
+                    cand
+                } else {
+                    best
+                }
+            });
             match best {
-                Some((p, t)) => {
+                Some(((p, _), t)) => {
                     cur_plan = p;
                     cur_tree = t;
                     stats.states += 1;

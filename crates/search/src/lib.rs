@@ -94,7 +94,7 @@ pub struct SearchStats {
     /// random search).
     pub pairs: usize,
     /// Actual cost-model / scorer invocations: scan summaries plus
-    /// every `work_out` / `join_summary` / `score_join` call that really
+    /// every `work_out` / `join_summary` / scored join that really
     /// ran. Unlike `candidates` this **excludes** work that was never
     /// done: in the DP, candidates the child-monotone early reject
     /// pruned before costing; in the beam, candidates dropped as

@@ -12,6 +12,11 @@
 //!   bits, states, candidates)` of every query × mode × width × ε cell,
 //!   recorded at the commit *before* sharing landed. Sharing must not
 //!   move plans, costs or enumeration counters by one bit.
+//! * **One scoring path** — the same decorator counts single-join
+//!   `score_join` calls: the beam, the greedy floor and every stage of
+//!   the DP → beam-8 → greedy chain score joins through
+//!   `score_join_batch` only, and greedy's answers equal a checksum
+//!   recorded when it still scored one candidate at a time.
 
 use balsa_card::HistogramEstimator;
 use balsa_cost::{
@@ -19,9 +24,13 @@ use balsa_cost::{
 };
 use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::{Plan, Query};
-use balsa_search::{BeamPlanner, PlannedQuery, Planner, SearchMode, WorkerPool};
+use balsa_search::{
+    BeamPlanner, DpPlanner, GreedyLeftDeepPlanner, PlanBudget, PlannedQuery, Planner, SearchMode,
+    WorkerPool, FALLBACK_BEAM_WIDTH,
+};
 use balsa_storage::{mini_imdb, DataGenConfig, Database};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 fn fixture() -> (Arc<Database>, Vec<Query>) {
@@ -64,15 +73,27 @@ fn for_each_cell(
 }
 
 /// Records, per query session, one fingerprint list per
-/// `score_join_batch` call.
+/// `score_join_batch` call, and counts single-join `score_join` calls.
 struct Counting<'a> {
     inner: &'a dyn PlanScorer,
     batches: Mutex<Vec<Vec<u64>>>,
+    singles: AtomicUsize,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: &'a dyn PlanScorer) -> Self {
+        Self {
+            inner,
+            batches: Mutex::new(Vec::new()),
+            singles: AtomicUsize::new(0),
+        }
+    }
 }
 
 struct CountingSession<'q> {
     inner: Box<dyn QueryScorer + 'q>,
     batches: &'q Mutex<Vec<Vec<u64>>>,
+    singles: &'q AtomicUsize,
 }
 
 impl PlanScorer for Counting<'_> {
@@ -84,6 +105,7 @@ impl PlanScorer for Counting<'_> {
         Box::new(CountingSession {
             inner: self.inner.for_query(query),
             batches: &self.batches,
+            singles: &self.singles,
         })
     }
 }
@@ -94,10 +116,7 @@ impl QueryScorer for CountingSession<'_> {
     }
 
     fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {
-        self.batches
-            .lock()
-            .expect("no panics under the lock")
-            .push(vec![join.fingerprint()]);
+        self.singles.fetch_add(1, Relaxed);
         self.inner.score_join(join, lc, rc)
     }
 
@@ -121,10 +140,7 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
     let est = HistogramEstimator::new(&db);
     let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
     let expert = CostScorer::new(&model, &est);
-    let counting = Counting {
-        inner: &expert,
-        batches: Mutex::new(Vec::new()),
-    };
+    let counting = Counting::new(&expert);
     let mut placed = 0;
     for_each_cell(&db, &counting, &queries, |q, mode, width, eps, out| {
         let cell = format!("{} {mode:?} width={width} eps={eps}", q.name);
@@ -177,6 +193,7 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
         placed * 100 >= cells * 99,
         "levels known in {placed}/{cells}"
     );
+    assert_eq!(counting.singles.load(Relaxed), 0, "beam called score_join");
 }
 
 /// FNV-style order-dependent fold.
@@ -224,4 +241,102 @@ fn plans_costs_and_counters_match_the_pre_sharing_pin() {
         k += 1;
     });
     assert_eq!(sums, PINNED, "actual: {sums:#x?}");
+}
+
+/// Checksum over `(Plan::canonical_hash, cost bits, candidates,
+/// cost_calls)` of [`GreedyLeftDeepPlanner`] on all 137 queries × both
+/// modes under the expert scorer, recorded at commit 1f82e3b — when
+/// greedy scored each extension with its own `score_join` call.
+const GREEDY_PIN: u64 = 0x8940_68f9_d5a5_2d7d;
+
+/// Greedy scores each extension step as one `score_join_batch` call —
+/// never `score_join` — and answers bit-for-bit what it answered one
+/// candidate at a time.
+#[test]
+fn greedy_batches_each_step_and_matches_the_per_candidate_pin() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let expert = CostScorer::new(&model, &est);
+    let counting = Counting::new(&expert);
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for mode in MODES {
+        for q in &queries {
+            let out = GreedyLeftDeepPlanner::new(&db, &counting, mode).plan(q);
+            for v in [
+                out.plan.canonical_hash(),
+                out.cost.to_bits(),
+                out.stats.candidates as u64,
+                out.stats.cost_calls as u64,
+            ] {
+                sum = fold(sum, v);
+            }
+            let batches = std::mem::take(&mut *counting.batches.lock().unwrap());
+            assert_eq!(
+                batches.len(),
+                q.num_tables() - 1,
+                "{}: one batch a step",
+                q.name
+            );
+        }
+    }
+    assert_eq!(sum, GREEDY_PIN, "actual {sum:#x}");
+    assert_eq!(
+        counting.singles.load(Relaxed),
+        0,
+        "greedy called score_join"
+    );
+}
+
+/// Under CI's tight budget (`work=20000,memo=2000`) the DP degrades
+/// through beam-8 to greedy. The chain builds its own [`CostScorer`], so
+/// each degraded answer is reproduced by the stage that gave it, run
+/// over the counting scorer: same plan, same cost bits, no `score_join`.
+#[test]
+fn fallback_chain_stages_never_call_score_join() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let expert = CostScorer::new(&model, &est);
+    let counting = Counting::new(&expert);
+    let budget = PlanBudget::parse("work=20000,memo=2000").expect("CI's budget spec");
+    let mut by_level = [0usize; 3];
+    for mode in MODES {
+        for q in &queries {
+            let chain = DpPlanner::new(&db, &model, &est, mode)
+                .with_budget(budget)
+                .try_plan(q)
+                .expect("the chain always answers a connected query");
+            by_level[chain.stats.degraded_levels] += 1;
+            let stage = match chain.stats.degraded_levels {
+                0 => continue,
+                1 => BeamPlanner::new(&db, &counting, mode, FALLBACK_BEAM_WIDTH)
+                    .with_budget(budget)
+                    .try_plan_raw(q),
+                _ => GreedyLeftDeepPlanner::new(&db, &counting, mode).try_plan(q),
+            }
+            .expect("the stage that answered in the chain answers alone");
+            assert_eq!(
+                chain.plan.fingerprint(),
+                stage.plan.fingerprint(),
+                "{} {mode:?}",
+                q.name
+            );
+            assert_eq!(
+                chain.cost.to_bits(),
+                stage.cost.to_bits(),
+                "{} {mode:?}",
+                q.name
+            );
+        }
+    }
+    assert!(
+        by_level[1] > 0 && by_level[2] > 0,
+        "chain depths reached: {by_level:?}"
+    );
+    assert_eq!(
+        counting.singles.load(Relaxed),
+        0,
+        "a chain stage called score_join"
+    );
 }
