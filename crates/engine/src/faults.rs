@@ -20,8 +20,7 @@
 //!   [`ExhaustedPolicy`] deciding what a permanently-failing execution
 //!   becomes (a timeout-censored label at the kill point, or a dropped
 //!   sample);
-//! * [`ResilienceStats`] — the counters every recovery layer reports
-//!   (`BENCH_learning.json`'s `resilience` block).
+//! * [`ResilienceStats`] — the counters every recovery layer reports.
 //!
 //! With every rate at zero the injector draws nothing and every
 //! recorded latency reproduces bit-for-bit — chaos is strictly opt-in.
@@ -87,9 +86,9 @@ impl FaultConfig {
         self.transient == 0.0 && self.crash == 0.0 && self.spike == 0.0 && self.hang == 0.0
     }
 
-    /// Parses a `BALSA_FAULTS`-style spec: comma-separated `key=value`
-    /// pairs over `seed`, `transient`, `crash`, `spike`,
-    /// `spike_factor`, `hang`, `restart` (e.g.
+    /// Parses a fault spec: comma-separated `key=value` pairs over
+    /// `seed`, `transient`, `crash`, `spike`, `spike_factor`, `hang`,
+    /// `restart` (e.g.
     /// `"seed=7,transient=0.05,crash=0.02,spike=0.03,spike_factor=4,hang=0.01"`).
     /// Unknown keys, malformed numbers, out-of-range rates, and rates
     /// summing past 1 are errors — a garbled chaos spec must never
@@ -150,29 +149,6 @@ impl FaultConfig {
             return Err(format!("fault rates sum to {total} > 1"));
         }
         Ok(cfg)
-    }
-
-    /// Reads `BALSA_FAULTS` from the environment. Unset means chaos off
-    /// (`None`); a set-but-garbled spec **warns loudly on stderr and
-    /// runs fault-free** — the same warn-and-fallback contract as
-    /// `BALSA_PLAN_THREADS`: a typo'd CI leg must never silently inject
-    /// (or silently skip a check it claims to have run — the caller can
-    /// tell the difference because `None` is returned, not a zero
-    /// config).
-    pub fn from_env() -> Option<FaultConfig> {
-        match std::env::var("BALSA_FAULTS") {
-            Ok(raw) => match FaultConfig::parse(&raw) {
-                Ok(cfg) => Some(cfg),
-                Err(why) => {
-                    eprintln!(
-                        "warning: BALSA_FAULTS={raw:?} is not a fault spec ({why}); \
-                         running fault-free"
-                    );
-                    None
-                }
-            },
-            Err(_) => None,
-        }
     }
 
     /// A structural fingerprint of the config (seed + every rate's bit
@@ -345,8 +321,7 @@ impl RetryPolicy {
 }
 
 /// Counters of everything the resilience layer absorbed — reported per
-/// training run (`BENCH_learning.json`'s `resilience` block) and per
-/// retry call.
+/// training run and per retry call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceStats {
     /// Faults injected across all attempts, all classes.
@@ -512,9 +487,9 @@ mod tests {
         assert_ne!(p.backoff_secs(1, 0), p.backoff_secs(2, 0));
     }
 
-    /// The `BALSA_FAULTS` parse table: accepted specs round-trip into
-    /// the expected config, garbled specs are errors (the env reader
-    /// warns and runs fault-free — never a silently different chaos).
+    /// The fault-spec parse table: accepted specs round-trip into the
+    /// expected config, garbled specs are errors — never a silently
+    /// different chaos.
     #[test]
     fn fault_spec_parse_table() {
         let ok: &[(&str, FaultConfig)] = &[

@@ -47,3 +47,9 @@ pub use train::{
     IterationStats, TrainBreakdown, TrainConfig, TrainOutcome,
 };
 pub use treeconv::{TreeConvConfig, TreeConvValueModel};
+
+/// Compiles the README's worked example under `cargo test`: this crate
+/// depends on every crate the example imports.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

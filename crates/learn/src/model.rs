@@ -32,44 +32,13 @@ pub enum FeatureEncoding {
     Tree,
 }
 
-/// Which value-model family to instantiate (checkpoint selection in the
-/// training loop and model flags in the benchmarks go through this).
+/// Which value-model family the training loop instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// Ridge-regularized linear regressor over the flat encoding.
     Linear,
     /// Tree-convolution network over the per-node encoding (§6).
     TreeConv,
-}
-
-impl ModelKind {
-    /// Stable name used in benchmark JSON and CLI flags.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ModelKind::Linear => "linear",
-            ModelKind::TreeConv => "tree_conv",
-        }
-    }
-
-    /// Parses a CLI/env flag value (the inverse of
-    /// [`ModelKind::as_str`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "linear" => Some(ModelKind::Linear),
-            "tree_conv" => Some(ModelKind::TreeConv),
-            _ => None,
-        }
-    }
-
-    /// Parses a `BALSA_MODEL`-style selection: one family name or
-    /// `both`. `None` means the spec is garbled — callers warn loudly
-    /// and fall back to the default selection, never silently.
-    pub fn parse_spec(s: &str) -> Option<Vec<ModelKind>> {
-        match s {
-            "both" => Some(vec![ModelKind::Linear, ModelKind::TreeConv]),
-            other => ModelKind::parse(other).map(|k| vec![k]),
-        }
-    }
 }
 
 /// Opaque incremental per-subtree inference state threaded through the
@@ -87,8 +56,7 @@ pub struct JoinStateItem<'a> {
     pub right: &'a ModelState,
 }
 
-/// Which per-parameter update rule the minibatch gradients feed
-/// (`BALSA_OPTIMIZER=sgd|momentum|adam` in the benchmarks).
+/// Which per-parameter update rule the minibatch gradients feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizerKind {
     /// Plain SGD: `p -= lr · (g + l2·mask·p)` (momentum forced to 0).
@@ -101,27 +69,6 @@ pub enum OptimizerKind {
     /// the non-convex tree-conv loss wants it (flat pooled channels and
     /// rarely-active censored samples get tiny raw gradients).
     Adam,
-}
-
-impl OptimizerKind {
-    /// Stable name used in benchmark JSON and CLI flags.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OptimizerKind::Sgd => "sgd",
-            OptimizerKind::Momentum => "momentum",
-            OptimizerKind::Adam => "adam",
-        }
-    }
-
-    /// Parses a CLI/env flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sgd" => Some(OptimizerKind::Sgd),
-            "momentum" => Some(OptimizerKind::Momentum),
-            "adam" => Some(OptimizerKind::Adam),
-            _ => None,
-        }
-    }
 }
 
 /// Minibatch-SGD hyperparameters.
@@ -317,9 +264,7 @@ pub trait ValueModel: Send + Sync {
     /// Reference per-sample fit: the same samples, sampler stream, and
     /// update arithmetic as [`ValueModel::fit`] with any batched
     /// training kernels bypassed. Models without a distinct batched
-    /// path just forward to `fit`; the benchmark's
-    /// batched-vs-per-sample training gate times the two against each
-    /// other.
+    /// path just forward to `fit`.
     fn fit_per_sample(&mut self, data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
         self.fit(data, cfg, rng)
     }
@@ -823,39 +768,6 @@ impl ValueModel for ResidualValueModel {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    /// Parse table for the `BALSA_MODEL` / `BALSA_OPTIMIZER` env specs
-    /// (the warn-and-fallback treatment in `bench_learning` relies on
-    /// `None` meaning "garbled", mirroring `BALSA_PLAN_THREADS`).
-    #[test]
-    fn env_spec_parse_tables() {
-        use ModelKind::*;
-        let model_cases: &[(&str, Option<Vec<ModelKind>>)] = &[
-            ("linear", Some(vec![Linear])),
-            ("tree_conv", Some(vec![TreeConv])),
-            ("both", Some(vec![Linear, TreeConv])),
-            ("", None),
-            ("treeconv", None),
-            ("Linear", None),
-            ("linear,tree_conv", None),
-            (" both", None),
-        ];
-        for (raw, want) in model_cases {
-            assert_eq!(&ModelKind::parse_spec(raw), want, "BALSA_MODEL={raw:?}");
-        }
-        let opt_cases: &[(&str, Option<OptimizerKind>)] = &[
-            ("sgd", Some(OptimizerKind::Sgd)),
-            ("momentum", Some(OptimizerKind::Momentum)),
-            ("adam", Some(OptimizerKind::Adam)),
-            ("", None),
-            ("Adam", None),
-            ("adamw", None),
-            ("sgd ", None),
-        ];
-        for (raw, want) in opt_cases {
-            assert_eq!(&OptimizerKind::parse(raw), want, "BALSA_OPTIMIZER={raw:?}");
-        }
-    }
 
     fn synth(n: usize, rng: &mut SmallRng) -> TrainSet {
         // y = 2*x0 - 3*x1 + 0.5 plus small noise.

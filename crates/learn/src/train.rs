@@ -215,9 +215,9 @@ impl TrainConfig {
     }
 }
 
-/// Where the training loop's wall-clock went — the benchmark's
-/// per-phase breakdown. All fields are measured walls for reporting;
-/// nothing downstream is keyed on them.
+/// Where the training loop's wall-clock went, per phase. All fields
+/// are measured walls for reporting; nothing downstream is keyed on
+/// them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrainBreakdown {
     /// Model-fit forward passes (the batched tree-conv kernels; 0 for
@@ -231,15 +231,6 @@ pub struct TrainBreakdown {
     /// Execution phases' wall-clock — dominated by first-touch
     /// true-cardinality materialization.
     pub truecard_secs: f64,
-    /// Sum of per-execution walls inside the execution phases; divide
-    /// by [`TrainBreakdown::truecard_secs`] for the realized parallel
-    /// speedup.
-    pub truecard_job_secs: f64,
-    /// Execution jobs run across the execution pool — the
-    /// `parallel_items` feeding `balsa_search::parallel_speedup`'s
-    /// suppression rule, so a run where nothing fanned out reports
-    /// `null` rather than a noise "speedup".
-    pub truecard_jobs: usize,
 }
 
 /// One point of the learning trajectory.
@@ -839,22 +830,15 @@ pub fn train_loop(
         let t_exec = Instant::now();
         let executed = exec_pool.map(&jobs, |_, &j| {
             let q = &workload.queries[train_idx[j]];
-            let t0 = Instant::now();
-            let r = env
-                .execute_labeled_retry_uncharged(q, &planned[j].plan, budgets[j], &cfg.retry)
-                .expect("plan must be executable");
-            (r, t0.elapsed().as_secs_f64())
+            env.execute_labeled_retry_uncharged(q, &planned[j].plan, budgets[j], &cfg.retry)
+                .expect("plan must be executable")
         });
         breakdown.truecard_secs += t_exec.elapsed().as_secs_f64();
-        if exec_pool.threads().min(jobs.len()) > 1 {
-            breakdown.truecard_jobs += jobs.len();
-        }
         let mut lats = Vec::with_capacity(train_idx.len());
         let mut timeouts = 0usize;
         let mut charged = Vec::with_capacity(train_idx.len());
         let mut label_jobs: Vec<(usize, Vec<SubtreeObs>)> = Vec::with_capacity(train_idx.len());
-        for (&qi, (report, job_secs)) in train_idx.iter().zip(executed) {
-            breakdown.truecard_job_secs += job_secs;
+        for (&qi, report) in train_idx.iter().zip(executed) {
             iter_res.merge(&report.stats);
             // Wasted attempts + the final attempt occupy this query's
             // execution slot; cache hits cost nothing, exactly as in

@@ -1042,7 +1042,7 @@ impl ValueModel for TreeConvValueModel {
     /// sampler stream ([`shuffle_epoch_order`]) and the same
     /// [`Optimizer`] arithmetic as the batched [`ValueModel::fit`].
     /// Kept as the bit-identity reference (a batch of one reproduces it
-    /// exactly) and as the benchmark gate's baseline.
+    /// exactly).
     fn fit_per_sample(&mut self, data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
         assert_eq!(data.xs.len(), data.ys.len());
         assert_eq!(data.censored.len(), data.ys.len());

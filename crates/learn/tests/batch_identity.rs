@@ -13,9 +13,9 @@
 //! bit-identical.
 //!
 //! Also covered here: the intra-query parallel expansion
-//! (`BALSA_PLAN_THREADS`, [`BeamPlanner::with_pool`]) must be
-//! bit-identical across thread counts, and the raw model batch hooks
-//! must equal their batch-of-one forms on random plans.
+//! ([`BeamPlanner::with_pool`]) must be bit-identical across thread
+//! counts, and the raw model batch hooks must equal their batch-of-one
+//! forms on random plans.
 
 use balsa_card::HistogramEstimator;
 use balsa_cost::{JoinCandidate, OpWeights, PlanScorer, QueryScorer, ScoredTree};
@@ -158,7 +158,7 @@ fn batched_scoring_is_bit_identical_to_per_candidate() {
     }
 }
 
-/// Intra-query parallel expansion (`BALSA_PLAN_THREADS` ∈ {1, 4} via
+/// Intra-query parallel expansion (pools of 1 and 4 via
 /// [`BeamPlanner::with_pool`]) is bit-identical to serial for both
 /// model kinds, widths 1 and 20, with and without exploration.
 #[test]

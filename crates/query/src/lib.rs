@@ -20,7 +20,6 @@
 
 pub mod ir;
 pub mod plan;
-pub mod sql;
 pub mod verify;
 pub mod workloads;
 

@@ -47,13 +47,13 @@
 //!    distinct joins nobody has scored yet, in generation order — are
 //!    scored through [`balsa_cost::QueryScorer::score_join_batch`],
 //!    spread across a [`WorkerPool`] by deterministic work-stealing
-//!    spans ([`WorkerPool::steal_map_spans`]; [`BeamPlanner::with_pool`],
-//!    `BALSA_PLAN_THREADS`). Batch scoring is bit-identical to
-//!    per-candidate scoring by contract (span layout is never a math
-//!    change), a join's score is a pure function of the join plan by
-//!    the same contract (so sharing it is never a math change either),
-//!    and every span's results land at their input index, so any thread
-//!    count — and any steal schedule — produces bit-identical plans.
+//!    spans ([`WorkerPool::steal_map_spans`]; [`BeamPlanner::with_pool`]).
+//!    Batch scoring is bit-identical to per-candidate scoring by
+//!    contract (span layout is never a math change), a join's score is
+//!    a pure function of the join plan by the same contract (so sharing
+//!    it is never a math change either), and every span's results land
+//!    at their input index, so any thread count — and any steal
+//!    schedule — produces bit-identical plans.
 //! 3. *Assemble + select* (serial): survivors are ranked on totals read
 //!    through their slots, epsilon-filled, and truncated to the beam
 //!    width; only the kept states are materialized.
@@ -362,11 +362,10 @@ impl<'a> BeamPlanner<'a> {
         self
     }
 
-    /// Spreads each level's candidate scoring across `pool`
-    /// (`BALSA_PLAN_THREADS` via [`WorkerPool::from_env`]) — intra-query
-    /// parallelism for serving a single query. Scoring spans are
-    /// work-stolen but every result lands at its input index, so every
-    /// thread count yields bit-identical plans (tested).
+    /// Spreads each level's candidate scoring across `pool` —
+    /// intra-query parallelism for serving a single query. Scoring
+    /// spans are work-stolen but every result lands at its input index,
+    /// so every thread count yields bit-identical plans (tested).
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
         self.pool = pool;
         self
@@ -583,9 +582,6 @@ impl BeamPlanner<'_> {
             // re-balance skew without claim-lock churn on cheap items.
             let t_score = Instant::now();
             let span = (queue.len() / (self.pool.threads().max(1) * 8)).max(32);
-            if self.pool.span_workers(queue.len(), span) > 1 {
-                stats.parallel_items += queue.len();
-            }
             let scored: Vec<ScoredTree> =
                 self.pool.steal_map_spans(queue.len(), span, |lo, hi, out| {
                     let cands: Vec<JoinCandidate<'_>> = queue[lo..hi]

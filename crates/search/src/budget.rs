@@ -165,24 +165,6 @@ impl PlanBudget {
         Ok(budget)
     }
 
-    /// Reads `BALSA_PLAN_BUDGET`. Unset → `None` (unbudgeted). Garbled
-    /// input warns loudly and falls back to unbudgeted — same contract
-    /// as `BALSA_FAULTS` / `BALSA_PLAN_THREADS`.
-    pub fn from_env() -> Option<PlanBudget> {
-        let raw = std::env::var("BALSA_PLAN_BUDGET").ok()?;
-        match PlanBudget::parse(&raw) {
-            Ok(b) if b.is_unlimited() => None,
-            Ok(b) => Some(b),
-            Err(why) => {
-                eprintln!(
-                    "warning: BALSA_PLAN_BUDGET={raw:?} is not a budget spec ({why}); \
-                     planning unbudgeted"
-                );
-                None
-            }
-        }
-    }
-
     /// Order-sensitive digest of the budget, mixed into training-run
     /// fingerprints (a budget changes which plans come out, so resumed
     /// checkpoints must agree on it).
@@ -244,8 +226,7 @@ pub(crate) fn verify_emitted(
 mod tests {
     use super::*;
 
-    /// Parse table in the style of `fault_spec_parse_table` /
-    /// `ModelKind::parse_spec`.
+    /// Parse table in the style of `fault_spec_parse_table`.
     #[test]
     fn budget_spec_parse_table() {
         let ok: &[(&str, PlanBudget)] = &[

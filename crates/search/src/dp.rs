@@ -563,7 +563,6 @@ impl<'a> DpPlanner<'a> {
                             2 * la * lb
                         }))
                     {
-                        stats.parallel_items += bucket.len();
                         let shared: &DpScratch = s;
                         let results = self.pool.steal_map(&bucket, 1, |_, &(a, b)| {
                             let sa = shared.slot_of[&a] as usize;
@@ -646,7 +645,6 @@ impl<'a> DpPlanner<'a> {
                                 .sum()
                         }))
                     {
-                        stats.parallel_items += bucket.len();
                         let shared: &DpScratch = s;
                         let graph = &graph;
                         let results = self.pool.steal_map(&bucket, 1, |_, &mask| {

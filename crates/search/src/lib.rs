@@ -43,7 +43,7 @@ pub use candidates::CandidateSpace;
 pub use dp::{DpPlanner, FrontierEntry, SubmaskDpPlanner};
 pub use enumerate::JoinGraph;
 pub use greedy::GreedyLeftDeepPlanner;
-pub use pool::{parallel_speedup, WorkerPool};
+pub use pool::WorkerPool;
 pub use random::{random_plan, try_random_plan, RandomPlanner};
 pub use scratch::{ScratchGuard, SharedScratch};
 
@@ -124,17 +124,6 @@ pub struct SearchStats {
     /// survivors to join-score slots, and assembling/sorting states.
     /// 0 for DP.
     pub dedup_secs: f64,
-    /// Work items that actually fanned out across a parallel pool —
-    /// DP pairs (bushy) / masks (left-deep) in levels that crossed the
-    /// fan-out cutoff, the beam's scored joins (what `cost_calls`
-    /// counts — not the candidates that shared a score) in levels
-    /// scored on more than one participant. 0 on a serial pool and
-    /// whenever every level stayed under the cutoff, which is what lets
-    /// benchmarks suppress a meaningless ~1.0x "speedup" (see
-    /// [`parallel_speedup`]). Like `cost_calls` it is deterministic for
-    /// a fixed thread count but excluded from the parallel-vs-serial
-    /// bit-identity contract.
-    pub parallel_items: usize,
     /// How many fallback steps the budget chain took to produce this
     /// plan: 0 = the primary planner answered, 1 = degraded one level
     /// (DP → beam, or beam → greedy), 2 = degraded twice (DP → beam →

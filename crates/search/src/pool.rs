@@ -44,10 +44,10 @@
 //!
 //! **Nesting and sharing.** One pool instance is meant to be shared
 //! (cheaply cloned — clones share the same workers) across the whole
-//! workspace: benches, planners, and the training loop. Only one job
-//! runs on the workers at a time; a dispatch that finds the pool busy —
+//! workspace: planners and the training loop. Only one job runs on the
+//! workers at a time; a dispatch that finds the pool busy —
 //! a concurrent caller, or a *nested* call from inside a running task
-//! (a planner fanning out a DP level while the outer bench fans out
+//! (a planner fanning out a DP level while its caller fans out
 //! queries on the same pool) — runs its whole job inline on the calling
 //! thread as participant 0. The publish-at-input-index contract makes
 //! that fallback bit-identical to the fanned-out execution.
@@ -226,24 +226,15 @@ impl WorkerPool {
         }
     }
 
-    /// Pool sized from the `BALSA_PLAN_THREADS` environment variable
-    /// (see [`env_threads`]), falling back to the machine's available
-    /// parallelism.
-    pub fn from_env() -> Self {
-        Self::new(env_threads())
-    }
-
     /// Worker count (participants per job, including the caller).
     pub fn threads(&self) -> usize {
         self.shared.threads
     }
 
     /// How many participants a [`WorkerPool::steal_map_spans`] call
-    /// over `len` items with the given `max_span` would fan out to
-    /// (1 means the call runs serially on the caller). Exposed so
-    /// callers can tell whether a span map *actually* parallelized —
-    /// e.g. to count fanned-out items for honest speedup reporting.
-    pub fn span_workers(&self, len: usize, max_span: usize) -> usize {
+    /// over `len` items with the given `max_span` fans out to (1 means
+    /// the call runs serially on the caller).
+    fn span_workers(&self, len: usize, max_span: usize) -> usize {
         self.threads().min(len.div_ceil(max_span.max(1))).max(1)
     }
 
@@ -554,53 +545,6 @@ fn balanced_ranges(chunks: usize, len: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Realized speedup of a parallel phase — the summed per-item walls
-/// over the phase's wall-clock — or `None` when it would be
-/// meaningless: a serial pool (`threads <= 1`), or a parallel pool
-/// where nothing actually fanned out (`parallel_items == 0`, e.g.
-/// every DP level stayed under the fan-out cutoff), in which case the
-/// "speedup" would only measure measurement overhead and benchmarks
-/// suppress the field. Shared by the planner and learning benchmarks
-/// so the suppression rule cannot drift between them.
-pub fn parallel_speedup(
-    total_secs: f64,
-    wall_secs: f64,
-    threads: usize,
-    parallel_items: usize,
-) -> Option<f64> {
-    (threads > 1 && parallel_items > 0).then(|| total_secs / wall_secs.max(1e-12))
-}
-
-/// Thread count from `BALSA_PLAN_THREADS` (≥ 1; `0` means serial),
-/// else the machine's available parallelism, else 1. A set-but-garbled
-/// value (`"four"`, `"2x"`, …) complains on stderr and runs **serial**
-/// — never silently multi-threaded on a machine-sized pool, so a
-/// typo'd CI leg cannot claim serial numbers it didn't measure.
-pub fn env_threads() -> usize {
-    match std::env::var("BALSA_PLAN_THREADS") {
-        Ok(raw) => parse_env_threads(&raw).unwrap_or_else(|()| {
-            eprintln!(
-                "warning: BALSA_PLAN_THREADS={raw:?} is not a thread count; \
-                 running serial (1 thread)"
-            );
-            1
-        }),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// The parse behind [`env_threads`]: surrounding whitespace is
-/// tolerated, `0` clamps to 1 (pool off = serial, matching
-/// [`WorkerPool::new`]'s clamp), anything else non-numeric is an error.
-fn parse_env_threads(raw: &str) -> Result<usize, ()> {
-    raw.trim()
-        .parse::<usize>()
-        .map(|t| t.max(1))
-        .map_err(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,38 +575,9 @@ mod tests {
 
     #[test]
     fn env_zero_threads_means_serial() {
-        // Not a full env-var test (process-global state); just the
-        // clamp contract both entry points share.
+        // `WorkerPool::new`'s clamp: 0 means serial, not "no participants".
         assert_eq!(WorkerPool::new(0).threads(), 1);
         assert_eq!(WorkerPool::new(1).threads(), 1);
-    }
-
-    #[test]
-    fn env_threads_parse_table() {
-        // Parsable values, whitespace tolerated, 0 clamps to serial.
-        assert_eq!(parse_env_threads("4"), Ok(4));
-        assert_eq!(parse_env_threads("1"), Ok(1));
-        assert_eq!(parse_env_threads(" 2 "), Ok(2));
-        assert_eq!(parse_env_threads("2\n"), Ok(2));
-        assert_eq!(parse_env_threads("0"), Ok(1));
-        // Garbled values are loud errors (env_threads maps them to a
-        // serial pool, never to available_parallelism).
-        assert_eq!(parse_env_threads("four"), Err(()));
-        assert_eq!(parse_env_threads(""), Err(()));
-        assert_eq!(parse_env_threads("2x"), Err(()));
-        assert_eq!(parse_env_threads("-1"), Err(()));
-        assert_eq!(parse_env_threads("3.5"), Err(()));
-    }
-
-    #[test]
-    fn parallel_speedup_suppression_rules() {
-        // Serial pool: suppressed regardless of fan-out.
-        assert_eq!(parallel_speedup(2.0, 1.0, 1, 100), None);
-        // Parallel pool but nothing fanned out: suppressed.
-        assert_eq!(parallel_speedup(2.0, 1.0, 4, 0), None);
-        // Parallel pool with real fan-out: reported.
-        let s = parallel_speedup(2.0, 1.0, 4, 17).unwrap();
-        assert!((s - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   records the fingerprint of every join it is handed, batch by
 //!   batch. Under the serial pool one batch is one beam level, so the
 //!   record shows directly that no join is scored twice within a level
-//!   or in two consecutive levels, and `SearchStats::cost_calls` counts
-//!   exactly the calls the decorator saw.
+//!   or in two consecutive levels, `SearchStats::cost_calls` counts
+//!   exactly the calls the decorator saw, and bushy beam-20 sends under
+//!   four tenths of its candidates to the scorer.
 //! * **Identity pin** — a checksum over `(Plan::canonical_hash, cost
 //!   bits, states, candidates)` of every query × mode × width × ε cell,
 //!   recorded at the commit *before* sharing landed. Sharing must not
@@ -142,8 +143,15 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
     let expert = CostScorer::new(&model, &est);
     let counting = Counting::new(&expert);
     let mut placed = 0;
+    // Greedy bushy beam-20 over the 113 JOB-like queries.
+    let (mut beam20_calls, mut beam20_candidates) = (0, 0);
     for_each_cell(&db, &counting, &queries, |q, mode, width, eps, out| {
         let cell = format!("{} {mode:?} width={width} eps={eps}", q.name);
+        if mode == SearchMode::Bushy && width == 20 && eps == 0.0 && !q.name.starts_with("extjob_")
+        {
+            beam20_calls += out.stats.cost_calls;
+            beam20_candidates += out.stats.candidates;
+        }
         let batches = std::mem::take(&mut *counting.batches.lock().unwrap());
         // Serial pool: one batch per level that scored anything. A
         // level whose joins were all scored before sends none, so only
@@ -194,6 +202,13 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
         "levels known in {placed}/{cells}"
     );
     assert_eq!(counting.singles.load(Relaxed), 0, "beam called score_join");
+    // Under four tenths of beam-20's candidates reach the scorer:
+    // 210 741 of 598 778 = 0.352 on this fixture, plus 10 %. Scoring per
+    // state again drives the ratio back to ~0.99.
+    assert!(
+        (beam20_calls as f64) <= 0.39 * beam20_candidates as f64,
+        "beam-20 scored {beam20_calls} of {beam20_candidates} candidates"
+    );
 }
 
 /// FNV-style order-dependent fold.
@@ -288,7 +303,7 @@ fn greedy_batches_each_step_and_matches_the_per_candidate_pin() {
     );
 }
 
-/// Under CI's tight budget (`work=20000,memo=2000`) the DP degrades
+/// Under a tight budget (`work=20000,memo=2000`) the DP degrades
 /// through beam-8 to greedy. The chain builds its own [`CostScorer`], so
 /// each degraded answer is reproduced by the stage that gave it, run
 /// over the counting scorer: same plan, same cost bits, no `score_join`.
@@ -299,7 +314,7 @@ fn fallback_chain_stages_never_call_score_join() {
     let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
     let expert = CostScorer::new(&model, &est);
     let counting = Counting::new(&expert);
-    let budget = PlanBudget::parse("work=20000,memo=2000").expect("CI's budget spec");
+    let budget = PlanBudget::parse("work=20000,memo=2000").expect("budget spec");
     let mut by_level = [0usize; 3];
     for mode in MODES {
         for q in &queries {

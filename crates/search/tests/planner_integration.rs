@@ -156,6 +156,36 @@ fn beam_cost_is_within_bounded_ratio_of_dp_on_training_split() {
     }
 }
 
+/// (b') Beam search with the expert cost model does not drift from the
+/// DP optimum's *executed* latency either: over the 113 JOB-like
+/// queries the beam-20 / DP median ratio stays within 1.15 (0.99 on
+/// this fixture). Simulated latencies, so the same number everywhere.
+#[test]
+fn beam20_executed_latency_median_is_within_bounded_ratio_of_dp() {
+    let db = small_db();
+    let w = job_workload(db.catalog(), 7);
+    assert_eq!(w.queries.len(), 113);
+    let est = balsa_card::HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let scorer = CostScorer::new(&model, &est);
+    let env = ExecutionEnv::postgres_sim(db.clone());
+    let median_latency = |planner: &dyn Planner| {
+        let mut secs: Vec<f64> = w
+            .queries
+            .iter()
+            .map(|q| {
+                let plan = planner.plan(q).plan;
+                env.execute(q, &plan, None).unwrap().latency_secs
+            })
+            .collect();
+        secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        secs[secs.len() / 2]
+    };
+    let dp = median_latency(&DpPlanner::new(&db, &model, &est, SearchMode::Bushy));
+    let beam = median_latency(&BeamPlanner::new(&db, &scorer, SearchMode::Bushy, 20));
+    assert!(beam <= dp * 1.15, "beam-20 median {beam} vs dp {dp}");
+}
+
 /// (c) Plan-cache behavior: a reissued fingerprint hits the cache,
 /// returns the identical latency, and advances no simulated time.
 #[test]
@@ -409,12 +439,15 @@ fn parallel_dp_bit_identity_holds_for_default_cutoff_and_cmm() {
     let job = job_workload(db.catalog(), 7);
     let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
     // Default cutoff, biggest queries only (small ones never fan out).
+    let (mut serial_calls, mut par_calls) = (0, 0);
     for q in job.queries.iter().filter(|q| q.num_tables() >= 10) {
         for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
             let (serial, sf) = DpPlanner::new(&db, &expert, &est, mode).plan_with_frontier(q);
             let (par, pf) = DpPlanner::new(&db, &expert, &est, mode)
                 .with_pool(WorkerPool::new(4))
                 .plan_with_frontier(q);
+            serial_calls += serial.stats.cost_calls;
+            par_calls += par.stats.cost_calls;
             assert_eq!(par.cost.to_bits(), serial.cost.to_bits(), "{}", q.name);
             assert_eq!(
                 par.plan.fingerprint(),
@@ -426,6 +459,13 @@ fn parallel_dp_bit_identity_holds_for_default_cutoff_and_cmm() {
             assert_eq!(par.stats.candidates, serial.stats.candidates, "{}", q.name);
         }
     }
+    // Levels really did fan out: workers prune against pair-local
+    // frontiers, so a fanned-out level costs more candidates than the
+    // serial sweep; equal counts would mean every level stayed serial.
+    assert!(
+        par_calls > serial_calls,
+        "no DP level crossed the default cutoff: {par_calls} vs {serial_calls} cost calls"
+    );
     // C_mm: child_monotone() == false disables the pre-cost early
     // reject, the other costing path through `combine`.
     let cmm: &dyn CostModel = &balsa_cost::CmmModel;
