@@ -12,7 +12,6 @@ pub type SubsetCard = f64;
 ///
 /// Implementations:
 /// * [`crate::HistogramEstimator`] — PostgreSQL-style estimates.
-/// * [`crate::NoisyEstimator`] — a wrapper injecting multiplicative noise.
 /// * `balsa_engine::TrueCards` — the ground-truth oracle backed by actual
 ///   execution.
 pub trait CardEstimator: Send + Sync {

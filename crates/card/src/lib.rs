@@ -10,17 +10,12 @@
 //! `balsa-storage`, and therefore exhibits the same failure mode the
 //! paper relies on: orders-of-magnitude errors on correlated predicates.
 //!
-//! [`NoisyEstimator`] reproduces the §10 robustness study ("dividing them
-//! by random noises, a median noise factor of 5x").
-//!
 //! The trait [`CardEstimator`] is also implemented by the execution
 //! engine's true-cardinality oracle, so cost models can run on either
 //! estimated or true cardinalities.
 
 pub mod estimator;
 pub mod histogram;
-pub mod noisy;
 
 pub use estimator::{CardEstimator, MemoEstimator, SubsetCard};
 pub use histogram::HistogramEstimator;
-pub use noisy::NoisyEstimator;

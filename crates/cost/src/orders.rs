@@ -100,11 +100,6 @@ impl OrderInterner {
         OrderMask(mask)
     }
 
-    /// Packs a subtree summary's output orders.
-    pub fn intern_cost(&mut self, sc: &SubtreeCost) -> OrderMask {
-        self.intern(&sc.sorted_on)
-    }
-
     /// Read-only mask lookup for orders interned ahead of time.
     ///
     /// Enumerators that pre-intern a query's whole order universe (so
@@ -230,17 +225,5 @@ mod tests {
         let mut it = OrderInterner::new();
         it.intern(&[(0, 0)]);
         it.mask_of(&[(9, 9)]);
-    }
-
-    #[test]
-    fn intern_cost_reads_sorted_on() {
-        let mut it = OrderInterner::new();
-        let sc = SubtreeCost {
-            work: 1.0,
-            out_rows: 1.0,
-            sorted_on: vec![(0, 1), (2, 3)],
-        };
-        let m = it.intern_cost(&sc);
-        assert_eq!(m.count(), 2);
     }
 }

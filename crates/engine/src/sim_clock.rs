@@ -34,11 +34,6 @@ impl SimClock {
         Self::new(2.5, 0.004)
     }
 
-    /// Non-parallel configuration (Fig 8).
-    pub fn non_parallel() -> Self {
-        Self::new(1.0, 0.004)
-    }
-
     /// Elapsed simulated seconds.
     pub fn seconds(&self) -> f64 {
         self.seconds
@@ -110,7 +105,8 @@ mod tests {
 
     #[test]
     fn non_parallel_charges_sum() {
-        let mut c = SimClock::non_parallel();
+        // One execution node (Fig 8): total/1 >= max, the serial sum.
+        let mut c = SimClock::new(1.0, 0.004);
         c.charge_executions(&[1.0, 2.0, 3.0]);
         assert!((c.seconds() - 6.0).abs() < 1e-9);
     }

@@ -940,8 +940,8 @@ impl ValueModel for TreeConvValueModel {
         self.fitted
     }
 
-    /// Whole trees through the training-side kernels ([`TreeArena`] +
-    /// [`TreeConvValueModel::batch_forward`]), a fixed-size chunk at a
+    /// Whole trees through the training-side kernels (`TreeArena` +
+    /// `TreeConvValueModel::batch_forward`), a fixed-size chunk at a
     /// time so the scratch stays cache-sized however many trees arrive.
     fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
         const CHUNK: usize = 64;
@@ -957,8 +957,8 @@ impl ValueModel for TreeConvValueModel {
     }
 
     /// Minibatched censored-hinge SGD: the whole minibatch runs through
-    /// [`TreeConvValueModel::batch_forward`] /
-    /// [`TreeConvValueModel::batch_backward`] as filters × batch matrix
+    /// `TreeConvValueModel::batch_forward` /
+    /// `TreeConvValueModel::batch_backward` as filters × batch matrix
     /// products instead of one tree at a time. The batched kernels
     /// replay the per-sample arithmetic exactly, so at any fixed batch
     /// geometry checkpoints are bit-identical across runs, and a batch
@@ -1038,7 +1038,7 @@ impl ValueModel for TreeConvValueModel {
     }
 
     /// The pre-batching reference: one tree at a time through
-    /// [`TreeConvValueModel::forward`] / `backward`, with the same
+    /// `TreeConvValueModel::forward` / `backward`, with the same
     /// sampler stream ([`shuffle_epoch_order`]) and the same
     /// [`Optimizer`] arithmetic as the batched [`ValueModel::fit`].
     /// Kept as the bit-identity reference (a batch of one reproduces it
@@ -1196,7 +1196,7 @@ impl ValueModel for TreeConvValueModel {
     /// across tiles — the classical GEMM blocking, sized for this
     /// network's tiny filter banks against beam-level-sized batches.
     /// Per-candidate arithmetic — `b + wn·x + wl·xl + wr·xr`, dots
-    /// accumulated left to right — is exactly [`ConvLayer::pre`]'s, so
+    /// accumulated left to right — is exactly `ConvLayer::pre`'s, so
     /// a composed state does not depend on which batch composed it.
     // The filters × tile orientation wants plain index loops over
     // several parallel slice arrays; iterator chains over four zipped

@@ -13,10 +13,9 @@
 //!   joins (hash / merge / nested-loop), with structural fingerprints used
 //!   by the plan cache, exploration visit counts, and experience buffers.
 //! * [`workloads`] — template-based generators reproducing the paper's
-//!   three workloads (§8.1): a 113-query JOB-like workload over mini-IMDb
-//!   with the paper's train/test splits, a 24-query out-of-distribution
-//!   Ext-JOB-like workload, and a TPC-H-like workload (templates
-//!   3,5,7,8,12,13,14 for training and 10 for testing).
+//!   JOB workloads (§8.1): a 113-query JOB-like workload over mini-IMDb
+//!   with the paper's random and slow-template train/test splits, and a
+//!   24-query out-of-distribution Ext-JOB-like workload.
 
 pub mod ir;
 pub mod plan;
@@ -26,4 +25,4 @@ pub mod workloads;
 pub use ir::{CmpOp, Filter, JoinEdge, Predicate, Query, QueryId, QueryTable, TableMask};
 pub use plan::{JoinOp, Plan, PlanShape, ScanOp, TreeTensor};
 pub use verify::{verify_plan, VerifyError};
-pub use workloads::{Split, Workload, WorkloadKind};
+pub use workloads::{Split, Workload};

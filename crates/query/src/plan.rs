@@ -177,14 +177,6 @@ impl Plan {
         out
     }
 
-    /// Join subtrees only (no scan leaves).
-    pub fn join_subplans(self: &Arc<Plan>) -> Vec<Arc<Plan>> {
-        self.subplans()
-            .into_iter()
-            .filter(|p| !p.is_scan())
-            .collect()
-    }
-
     /// All subtrees in post-order (children before parents, left before
     /// right; the root is last). This is the order compositional cost
     /// evaluation visits nodes, so per-subtree observations can be
@@ -596,7 +588,7 @@ mod tests {
         let p = bushy_4();
         let subs = p.subplans();
         assert_eq!(subs.len(), 7); // 4 leaves + 3 joins
-        assert_eq!(p.join_subplans().len(), 3);
+        assert_eq!(subs.iter().filter(|s| !s.is_scan()).count(), 3);
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! Workload generators reproducing the paper's three benchmarks (§8.1).
+//! Workload generators reproducing the paper's JOB benchmarks (§8.1).
 //!
 //! * **JOB-like**: 113 queries instantiated from 33 join templates over the
 //!   mini-IMDb schema (3–16 joins, averaging ≈8), with variants differing
 //!   in filter constants — the structure of the real Join Order Benchmark.
 //! * **Ext-JOB-like**: 24 queries from 8 *disjoint* templates — the
 //!   out-of-distribution generalization workload of §8.5.
-//! * **TPC-H-like**: 10 queries per template for templates
-//!   3, 5, 7, 8, 12, 13, 14 (train) and 10 (test), matching the paper's
-//!   footnote 9 (70 train / 10 test).
 //!
-//! Splits mirror §8.1: a seeded **random split** (94/19), the **slow
-//! split** (19 slowest test queries under the expert), and the
-//! **slow-template split** (4 slowest templates held out).
+//! Splits mirror §8.1: a seeded **random split** (94/19) and the
+//! **slow-template split** (the slowest templates under the expert held
+//! out).
 
 use crate::ir::{CmpOp, Filter, JoinEdge, Predicate, Query, QueryTable};
 use balsa_storage::Catalog;
@@ -19,22 +16,9 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Which benchmark a workload instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkloadKind {
-    /// JOB-like over mini-IMDb.
-    Job,
-    /// Ext-JOB-like over mini-IMDb (disjoint templates).
-    ExtJob,
-    /// TPC-H-like over mini-TPC-H.
-    TpcH,
-}
-
 /// A set of queries over one database.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Benchmark kind.
-    pub kind: WorkloadKind,
     /// The queries, ids equal to their position.
     pub queries: Vec<Query>,
 }
@@ -80,26 +64,16 @@ impl Split {
         Self { train, test }
     }
 
-    /// Slow split: the `test_count` slowest queries (by the provided
-    /// per-query runtimes, e.g. expert latencies) become the test set.
-    pub fn slowest(runtimes: &[f64], test_count: usize) -> Self {
-        let mut idx: Vec<usize> = (0..runtimes.len()).collect();
-        idx.sort_by(|&a, &b| runtimes[b].partial_cmp(&runtimes[a]).expect("finite"));
-        let mut test: Vec<usize> = idx.iter().take(test_count).copied().collect();
-        let mut train: Vec<usize> = idx.iter().skip(test_count).copied().collect();
-        train.sort_unstable();
-        test.sort_unstable();
-        Self { train, test }
-    }
-
     /// Slow-template split (§8.5): hold out all queries of the
-    /// `n_templates` templates with the largest summed runtime.
+    /// `n_templates` templates with the largest summed runtime. Sums
+    /// compare by `f64::total_cmp`, so a NaN runtime places its template
+    /// deterministically instead of panicking.
     pub fn slowest_templates(workload: &Workload, runtimes: &[f64], n_templates: usize) -> Self {
         let mut groups = workload.by_template();
         groups.sort_by(|a, b| {
             let ra: f64 = a.1.iter().map(|&i| runtimes[i]).sum();
             let rb: f64 = b.1.iter().map(|&i| runtimes[i]).sum();
-            rb.partial_cmp(&ra).expect("finite")
+            rb.total_cmp(&ra)
         });
         let mut test = Vec::new();
         let mut train = Vec::new();
@@ -112,20 +86,6 @@ impl Split {
         }
         train.sort_unstable();
         test.sort_unstable();
-        Self { train, test }
-    }
-
-    /// Split holding out every query of the given templates.
-    pub fn by_templates(workload: &Workload, test_templates: &[u32]) -> Self {
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for (i, q) in workload.queries.iter().enumerate() {
-            if test_templates.contains(&q.template) {
-                test.push(i);
-            } else {
-                train.push(i);
-            }
-        }
         Self { train, test }
     }
 }
@@ -745,10 +705,7 @@ pub fn job_workload(catalog: &Catalog, seed: u64) -> Workload {
         }
     }
     assert_eq!(queries.len(), 113);
-    Workload {
-        kind: WorkloadKind::Job,
-        queries,
-    }
+    Workload { queries }
 }
 
 /// Generates the 24-query Ext-JOB-like workload (template ids continue
@@ -767,185 +724,13 @@ pub fn ext_job_workload(catalog: &Catalog, seed: u64) -> Workload {
         }
     }
     assert_eq!(queries.len(), 24);
-    Workload {
-        kind: WorkloadKind::ExtJob,
-        queries,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TPC-H-like workload
-// ---------------------------------------------------------------------------
-
-/// TPC-H template numbers used by the paper (footnote 9).
-pub const TPCH_TRAIN_TEMPLATES: &[u32] = &[3, 5, 7, 8, 12, 13, 14];
-/// The held-out TPC-H template.
-pub const TPCH_TEST_TEMPLATE: u32 = 10;
-
-fn tpch_query(catalog: &Catalog, template: u32, id: u32, v: u32, rng: &mut SmallRng) -> Query {
-    let mut qb = Qb::new(catalog);
-    use Predicate::*;
-    match template {
-        3 => {
-            // customer, orders, lineitem
-            qb.table("customer", "c");
-            qb.table("orders", "o");
-            qb.table("lineitem", "l");
-            qb.join("o", "o_custkey", "c", "c_custkey");
-            qb.join("l", "l_orderkey", "o", "o_orderkey");
-            let seg = rng.random_range(0..5i64);
-            let d = rng.random_range(800..1800i64);
-            qb.filter("c", "c_mktsegment", Cmp(CmpOp::Eq, seg));
-            qb.filter("o", "o_orderdate", Cmp(CmpOp::Lt, d));
-            qb.filter("l", "l_shipdate", Cmp(CmpOp::Gt, d));
-        }
-        5 => {
-            // customer, orders, lineitem, supplier, nation, region
-            qb.table("customer", "c");
-            qb.table("orders", "o");
-            qb.table("lineitem", "l");
-            qb.table("supplier", "s");
-            qb.table("nation", "na");
-            qb.table("region", "r");
-            qb.join("o", "o_custkey", "c", "c_custkey");
-            qb.join("l", "l_orderkey", "o", "o_orderkey");
-            qb.join("l", "l_suppkey", "s", "s_suppkey");
-            qb.join("s", "s_nationkey", "na", "n_nationkey");
-            qb.join("na", "n_regionkey", "r", "r_regionkey");
-            let reg = rng.random_range(0..5i64);
-            let d = rng.random_range(0..2192i64);
-            qb.filter("r", "r_name", Cmp(CmpOp::Eq, reg));
-            qb.filter("o", "o_orderdate", Between(d, d + 365));
-        }
-        7 => {
-            // supplier, lineitem, orders, customer, nation n1, nation n2
-            qb.table("supplier", "s");
-            qb.table("lineitem", "l");
-            qb.table("orders", "o");
-            qb.table("customer", "c");
-            qb.table("nation", "n1");
-            qb.table("nation", "n2");
-            qb.join("l", "l_suppkey", "s", "s_suppkey");
-            qb.join("l", "l_orderkey", "o", "o_orderkey");
-            qb.join("o", "o_custkey", "c", "c_custkey");
-            qb.join("s", "s_nationkey", "n1", "n_nationkey");
-            qb.join("c", "c_nationkey", "n2", "n_nationkey");
-            let a = rng.random_range(0..25i64);
-            let b = (a + 1 + rng.random_range(0..24i64)) % 25;
-            qb.filter("n1", "n_name", Cmp(CmpOp::Eq, a));
-            qb.filter("n2", "n_name", Cmp(CmpOp::Eq, b));
-            let d = rng.random_range(0..1800i64);
-            qb.filter("l", "l_shipdate", Between(d, d + 730));
-        }
-        8 => {
-            // part, supplier, lineitem, orders, customer, n1, n2, region
-            qb.table("part", "p");
-            qb.table("supplier", "s");
-            qb.table("lineitem", "l");
-            qb.table("orders", "o");
-            qb.table("customer", "c");
-            qb.table("nation", "n1");
-            qb.table("nation", "n2");
-            qb.table("region", "r");
-            qb.join("l", "l_partkey", "p", "p_partkey");
-            qb.join("l", "l_suppkey", "s", "s_suppkey");
-            qb.join("l", "l_orderkey", "o", "o_orderkey");
-            qb.join("o", "o_custkey", "c", "c_custkey");
-            qb.join("c", "c_nationkey", "n1", "n_nationkey");
-            qb.join("n1", "n_regionkey", "r", "r_regionkey");
-            qb.join("s", "s_nationkey", "n2", "n_nationkey");
-            let ty = rng.random_range(0..150i64);
-            let reg = rng.random_range(0..5i64);
-            let d = rng.random_range(0..1461i64);
-            qb.filter("p", "p_type", Cmp(CmpOp::Eq, ty));
-            qb.filter("r", "r_name", Cmp(CmpOp::Eq, reg));
-            qb.filter("o", "o_orderdate", Between(d, d + 730));
-        }
-        10 => {
-            // customer, orders, lineitem, nation
-            qb.table("customer", "c");
-            qb.table("orders", "o");
-            qb.table("lineitem", "l");
-            qb.table("nation", "na");
-            qb.join("o", "o_custkey", "c", "c_custkey");
-            qb.join("l", "l_orderkey", "o", "o_orderkey");
-            qb.join("c", "c_nationkey", "na", "n_nationkey");
-            let d = rng.random_range(0..2284i64);
-            qb.filter("o", "o_orderdate", Between(d, d + 90));
-            let sm = rng.random_range(0..7i64);
-            qb.filter("l", "l_shipmode", Cmp(CmpOp::Eq, sm));
-        }
-        12 => {
-            // orders, lineitem
-            qb.table("orders", "o");
-            qb.table("lineitem", "l");
-            qb.join("l", "l_orderkey", "o", "o_orderkey");
-            let m1 = rng.random_range(0..6i64);
-            let d = rng.random_range(0..2192i64);
-            qb.filter("l", "l_shipmode", InList(vec![m1, m1 + 1]));
-            qb.filter("l", "l_shipdate", Between(d, d + 365));
-            let pr = rng.random_range(0..5i64);
-            qb.filter("o", "o_orderpriority", Cmp(CmpOp::Eq, pr));
-        }
-        13 => {
-            // customer, orders, nation (3-way; the paper uses SPJ blocks)
-            qb.table("customer", "c");
-            qb.table("orders", "o");
-            qb.table("nation", "na");
-            qb.join("o", "o_custkey", "c", "c_custkey");
-            qb.join("c", "c_nationkey", "na", "n_nationkey");
-            let pr = rng.random_range(0..5i64);
-            qb.filter("o", "o_orderpriority", Cmp(CmpOp::Eq, pr));
-            let seg = rng.random_range(0..5i64);
-            qb.filter("c", "c_mktsegment", Cmp(CmpOp::Eq, seg));
-        }
-        14 => {
-            // lineitem, part
-            qb.table("lineitem", "l");
-            qb.table("part", "p");
-            qb.join("l", "l_partkey", "p", "p_partkey");
-            let d = rng.random_range(0..2526i64);
-            qb.filter("l", "l_shipdate", Between(d, d + 30));
-            let b = rng.random_range(0..25i64);
-            qb.filter("p", "p_brand", Cmp(CmpOp::Eq, b));
-        }
-        other => panic!("unknown TPC-H template {other}"),
-    }
-    qb.build(id, format!("tpch_q{template:02}_v{v}"), template)
-}
-
-/// Generates the TPC-H-like workload: 10 queries per template for the
-/// train templates plus template 10 (80 queries total).
-pub fn tpch_workload(catalog: &Catalog, seed: u64) -> Workload {
-    let mut queries = Vec::new();
-    let mut id = 0u32;
-    let mut templates: Vec<u32> = TPCH_TRAIN_TEMPLATES.to_vec();
-    templates.push(TPCH_TEST_TEMPLATE);
-    for &template in &templates {
-        for v in 0..10u32 {
-            let mut rng =
-                SmallRng::seed_from_u64(seed ^ (0x79C << 32) ^ ((template as u64) << 8) ^ v as u64);
-            queries.push(tpch_query(catalog, template, id, v, &mut rng));
-            id += 1;
-        }
-    }
-    assert_eq!(queries.len(), 80);
-    Workload {
-        kind: WorkloadKind::TpcH,
-        queries,
-    }
-}
-
-/// The paper's TPC-H split: train on templates 3,5,7,8,12,13,14 and test
-/// on template 10 (70 train / 10 test).
-pub fn tpch_split(workload: &Workload) -> Split {
-    Split::by_templates(workload, &[TPCH_TEST_TEMPLATE])
+    Workload { queries }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use balsa_storage::{mini_imdb, mini_tpch, DataGenConfig};
+    use balsa_storage::{mini_imdb, DataGenConfig};
 
     fn imdb() -> balsa_storage::Database {
         mini_imdb(DataGenConfig {
@@ -1033,25 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn tpch_workload_and_split() {
-        let db = mini_tpch(DataGenConfig {
-            scale: 0.05,
-            ..Default::default()
-        });
-        let w = tpch_workload(db.catalog(), 7);
-        assert_eq!(w.queries.len(), 80);
-        for q in &w.queries {
-            q.validate(db.catalog()).expect("valid");
-        }
-        let s = tpch_split(&w);
-        assert_eq!(s.train.len(), 70);
-        assert_eq!(s.test.len(), 10);
-        for &i in &s.test {
-            assert_eq!(w.queries[i].template, TPCH_TEST_TEMPLATE);
-        }
-    }
-
-    #[test]
     fn random_split_is_partition() {
         let s = Split::random(113, 19, 3);
         assert_eq!(s.train.len(), 94);
@@ -1065,27 +831,29 @@ mod tests {
     }
 
     #[test]
-    fn slowest_split_picks_slowest() {
-        let runtimes = vec![1.0, 9.0, 2.0, 8.0, 3.0];
-        let s = Split::slowest(&runtimes, 2);
-        assert_eq!(s.test, vec![1, 3]);
-        assert_eq!(s.train, vec![0, 2, 4]);
-    }
-
-    #[test]
     fn slowest_templates_split() {
         let db = imdb();
         let w = job_workload(db.catalog(), 7);
         // Synthetic runtimes: template 0 queries are slowest.
-        let runtimes: Vec<f64> = w
+        let mut runtimes: Vec<f64> = w
             .queries
             .iter()
             .map(|q| if q.template == 0 { 100.0 } else { 1.0 })
             .collect();
         let s = Split::slowest_templates(&w, &runtimes, 1);
+        assert!(!s.test.is_empty());
         for &i in &s.test {
             assert_eq!(w.queries[i].template, 0);
         }
         assert_eq!(s.train.len() + s.test.len(), 113);
+
+        // A NaN runtime (a failed measurement) must not panic the sort;
+        // the split still partitions the workload, deterministically.
+        runtimes[50] = f64::NAN;
+        let s = Split::slowest_templates(&w, &runtimes, 1);
+        let mut all: Vec<usize> = s.train.iter().chain(&s.test).copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..113).collect::<Vec<_>>());
+        assert_eq!(s, Split::slowest_templates(&w, &runtimes, 1));
     }
 }

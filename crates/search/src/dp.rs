@@ -397,7 +397,7 @@ impl<'a> DpPlanner<'a> {
     }
 
     /// Overrides the estimated-work threshold above which a level is
-    /// costed in parallel (default [`DEFAULT_PAR_CUTOFF`], now small
+    /// costed in parallel (default `DEFAULT_PAR_CUTOFF`, now small
     /// enough that nearly every multi-pair level of a real query fans
     /// out). `0` forces every multi-pair level through the parallel
     /// path — useful for exercising it on small test queries; it never

@@ -5,13 +5,14 @@
 //! [`balsa_cost::CostModel`] + [`balsa_card::CardEstimator`] traits.
 //!
 //! * [`DpPlanner`] — an exhaustive System-R-style dynamic program over
-//!   [`TableMask`] subsets (connected-subgraph pairs only; cross products
-//!   are outside the search space, §7 of the paper). It keeps a Pareto
-//!   set of (cost, output-order) entries per subset, so interesting
-//!   orders are handled exactly: on compositional cost models its chosen
-//!   plan provably matches brute-force enumeration. Driven by the expert
-//!   cost model on estimated cardinalities it is the classical expert
-//!   optimizer baseline; on true cardinalities it is the oracle planner.
+//!   [`balsa_query::TableMask`] subsets (connected-subgraph pairs only;
+//!   cross products are outside the search space, §7 of the paper). It
+//!   keeps a Pareto set of (cost, output-order) entries per subset, so
+//!   interesting orders are handled exactly: on compositional cost models
+//!   its chosen plan provably matches brute-force enumeration. Driven by
+//!   the expert cost model on estimated cardinalities it is the classical
+//!   expert optimizer baseline; on true cardinalities it is the oracle
+//!   planner.
 //! * [`BeamPlanner`] — width-`k` best-first beam search over the same
 //!   candidate-generation core ([`CandidateSpace`]), generic over any
 //!   [`balsa_cost::PlanScorer`]: the expert cost model (via
@@ -20,8 +21,8 @@
 //!   inference procedure (§5). Epsilon-greedy exploration
 //!   ([`BeamPlanner::with_exploration`]) supplies the §5.2 behavior
 //!   policy for the training loop.
-//! * [`RandomPlanner`] — uniform random valid plans, the exploration /
-//!   sanity baseline.
+//! * [`random_plan`] — uniform random valid plans, the simulation-data
+//!   and sanity baseline.
 //!
 //! Both search modes of the paper's two engines are supported:
 //! [`SearchMode::Bushy`] (PostgresSim hints) and [`SearchMode::LeftDeep`]
@@ -44,7 +45,7 @@ pub use dp::{DpPlanner, FrontierEntry, SubmaskDpPlanner};
 pub use enumerate::JoinGraph;
 pub use greedy::GreedyLeftDeepPlanner;
 pub use pool::WorkerPool;
-pub use random::{random_plan, try_random_plan, RandomPlanner};
+pub use random::{random_plan, try_random_plan};
 pub use scratch::{ScratchGuard, SharedScratch};
 
 // Moved to `balsa-card` so the scoring layer (`balsa_cost::PlanScorer`)
@@ -62,17 +63,6 @@ pub enum SearchMode {
     Bushy,
     /// Every join's right input is a base table (CommDbSim).
     LeftDeep,
-}
-
-impl SearchMode {
-    /// The mode matching an engine's hint space.
-    pub fn for_bushy_hints(bushy_hints: bool) -> Self {
-        if bushy_hints {
-            SearchMode::Bushy
-        } else {
-            SearchMode::LeftDeep
-        }
-    }
 }
 
 /// Search effort counters reported by a planner run.
@@ -217,11 +207,5 @@ mod tests {
         assert_eq!(memo.cardinality(&q, m), 2.0);
         assert_eq!(memo.cardinality(&q, m), 2.0);
         assert_eq!(inner.0.load(std::sync::atomic::Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn mode_for_profile() {
-        assert_eq!(SearchMode::for_bushy_hints(true), SearchMode::Bushy);
-        assert_eq!(SearchMode::for_bushy_hints(false), SearchMode::LeftDeep);
     }
 }

@@ -7,17 +7,13 @@
 //! a random plan is always *valid* (connected joins only, mode-legal
 //! shape) but its join order and operators are arbitrary.
 
-use crate::budget::verify_emitted;
 use crate::candidates::CandidateSpace;
-use crate::{PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
-use balsa_card::CardEstimator;
-use balsa_cost::CostModel;
+use crate::{PlanError, SearchMode};
 use balsa_query::{JoinOp, Plan, Query, TableMask};
 use balsa_storage::Database;
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Samples one uniformly random valid plan for `query`.
 ///
@@ -109,69 +105,12 @@ pub fn try_random_plan(
     }
 }
 
-/// A planner that returns one seeded random valid plan per query.
-pub struct RandomPlanner<'a> {
-    db: &'a Database,
-    cost: &'a dyn CostModel,
-    est: &'a dyn CardEstimator,
-    mode: SearchMode,
-    seed: u64,
-}
-
-impl<'a> RandomPlanner<'a> {
-    /// Creates a random planner. The sample is deterministic given
-    /// `seed` and the query id.
-    pub fn new(
-        db: &'a Database,
-        cost: &'a dyn CostModel,
-        est: &'a dyn CardEstimator,
-        mode: SearchMode,
-        seed: u64,
-    ) -> Self {
-        Self {
-            db,
-            cost,
-            est,
-            mode,
-            seed,
-        }
-    }
-}
-
-impl Planner for RandomPlanner<'_> {
-    fn name(&self) -> String {
-        format!("random/{}", self.cost.name())
-    }
-
-    fn try_plan(&self, query: &Query) -> Result<PlannedQuery, PlanError> {
-        let start = Instant::now();
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ ((query.id as u64) << 17));
-        let plan = try_random_plan(self.db, query, self.mode, &mut rng)?;
-        let cost = self.cost.plan_cost(query, &plan, self.est);
-        let mut planned = PlannedQuery {
-            plan,
-            cost,
-            stats: SearchStats {
-                states: 1,
-                candidates: 1,
-                cost_calls: 1,
-                ..SearchStats::default()
-            },
-            planning_secs: start.elapsed().as_secs_f64(),
-        };
-        // Random plans are structurally valid by construction; the
-        // verifier re-derives that independently. Costs of random plans
-        // can be astronomically bad, so the cost check is skipped.
-        verify_emitted(&self.name(), query, &mut planned, None);
-        Ok(planned)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use balsa_query::workloads::job_workload;
     use balsa_storage::{mini_imdb, DataGenConfig};
+    use rand::SeedableRng;
 
     fn fixture() -> (Database, balsa_query::Workload) {
         let db = mini_imdb(DataGenConfig {

@@ -20,9 +20,10 @@
 //! * **Greedy sanity** — `GreedyLeftDeepPlanner` is deterministic and
 //!   stays within a sanity cost factor of the DP optimum.
 //! * **Error taxonomy** — disconnected join graphs surface
-//!   [`PlanError::DisconnectedGraph`] from every planner's `try_plan`,
-//!   and the raw chain-free entry points surface
-//!   [`PlanError::BudgetExhausted`] with the exhausting stage named.
+//!   [`PlanError::DisconnectedGraph`] from every planner's `try_plan`
+//!   and from the random-plan sampler, and the raw chain-free entry
+//!   points surface [`PlanError::BudgetExhausted`] with the exhausting
+//!   stage named.
 //!
 //! The independent plan verifier runs inside every planner here (debug
 //! assertions are on in tests), so each emitted plan in this file is
@@ -33,10 +34,12 @@ use balsa_engine::ExecutionEnv;
 use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::Query;
 use balsa_search::{
-    BeamPlanner, DpPlanner, GreedyLeftDeepPlanner, PlanBudget, PlanError, Planner, RandomPlanner,
+    try_random_plan, BeamPlanner, DpPlanner, GreedyLeftDeepPlanner, PlanBudget, PlanError, Planner,
     SearchMode, SubmaskDpPlanner, FALLBACK_BEAM_WIDTH,
 };
 use balsa_storage::{mini_imdb, DataGenConfig};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn small_db() -> Arc<balsa_storage::Database> {
@@ -262,7 +265,8 @@ fn tight_budget_keeps_executed_latency_median_within_bound_of_clean() {
 }
 
 /// Disconnected join graphs surface [`PlanError::DisconnectedGraph`]
-/// from every planner's `try_plan` — never a panic, never a bogus plan.
+/// from every planner's `try_plan` and from [`try_random_plan`] — never a
+/// panic, never a bogus plan.
 #[test]
 fn disconnected_graphs_error_from_every_planner() {
     let db = small_db();
@@ -284,8 +288,11 @@ fn disconnected_graphs_error_from_every_planner() {
             Box::new(SubmaskDpPlanner::new(&db, &model, &est, mode)),
             Box::new(BeamPlanner::new(&db, &scorer, mode, 4)),
             Box::new(GreedyLeftDeepPlanner::new(&db, &scorer, mode)),
-            Box::new(RandomPlanner::new(&db, &model, &est, mode, 7)),
         ];
+        match try_random_plan(&db, &q, mode, &mut SmallRng::seed_from_u64(7)) {
+            Err(PlanError::DisconnectedGraph { query }) => assert_eq!(query, "disconnected"),
+            other => panic!("random sampler: expected DisconnectedGraph, got {other:?}"),
+        }
         for p in &planners {
             match p.try_plan(&q) {
                 Err(PlanError::DisconnectedGraph { query }) => {

@@ -100,13 +100,6 @@ impl Catalog {
         &self.fk_edges
     }
 
-    /// Foreign-key edges incident to `table` (as child or parent).
-    pub fn fks_of(&self, table: TableId) -> impl Iterator<Item = &FkEdge> {
-        self.fk_edges
-            .iter()
-            .filter(move |e| e.child == table || e.parent == table)
-    }
-
     /// Whether `table.col` is indexed.
     pub fn is_indexed(&self, table: TableId, col: ColumnId) -> bool {
         self.tables[table].columns[col].indexed
@@ -196,8 +189,8 @@ mod tests {
         assert_eq!(c.num_tables(), 2);
         assert_eq!(c.table_id("b"), Some(b));
         assert_eq!(c.table(a).name, "a");
-        assert_eq!(c.fks_of(a).count(), 1);
-        assert_eq!(c.fks_of(b).count(), 1);
+        assert_eq!(c.fk_edges().len(), 1);
+        assert_eq!((c.fk_edges()[0].child, c.fk_edges()[0].parent), (b, a));
         assert!(c.is_indexed(b, 1));
         assert_eq!(c.table(b).column_id("a_id"), Some(1));
     }

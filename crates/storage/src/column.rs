@@ -42,12 +42,6 @@ impl Column {
         self.values[row]
     }
 
-    /// Returns `true` if the value at `row` is NULL.
-    #[inline]
-    pub fn is_null(&self, row: usize) -> bool {
-        self.values[row] == NULL_SENTINEL
-    }
-
     /// Raw value slice.
     #[inline]
     pub fn values(&self) -> &[Value] {
@@ -57,11 +51,6 @@ impl Column {
     /// Iterator over non-null values.
     pub fn non_null(&self) -> impl Iterator<Item = Value> + '_ {
         self.values.iter().copied().filter(|&v| v != NULL_SENTINEL)
-    }
-
-    /// Count of NULL entries.
-    pub fn null_count(&self) -> usize {
-        self.values.iter().filter(|&&v| v == NULL_SENTINEL).count()
     }
 }
 
@@ -81,9 +70,7 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
         assert_eq!(c.get(1), 2);
-        assert!(c.is_null(2));
-        assert!(!c.is_null(3));
-        assert_eq!(c.null_count(), 1);
+        assert_eq!(c.get(2), NULL_SENTINEL);
         assert_eq!(c.non_null().collect::<Vec<_>>(), vec![1, 2, 4]);
     }
 
@@ -91,6 +78,6 @@ mod tests {
     fn empty_column() {
         let c = Column::new(vec![]);
         assert!(c.is_empty());
-        assert_eq!(c.null_count(), 0);
+        assert_eq!(c.non_null().count(), 0);
     }
 }

@@ -1,20 +1,15 @@
 //! Deterministic synthetic database generators.
 //!
-//! The paper evaluates on the real IMDb dataset (Join Order Benchmark) and
-//! TPC-H at scale factor 10. Neither dataset is available offline, so we
-//! generate synthetic equivalents that preserve the properties the learning
-//! dynamics depend on:
-//!
-//! * **mini-IMDb** — the same 21-table snowflake schema as IMDb/JOB, with
-//!   zipfian foreign-key fan-out (a few movies have enormous casts),
-//!   skewed dimension values, and *cross-column correlations* (e.g.
-//!   `movie_info.info` is strongly determined by `info_type_id`,
-//!   `title.kind_id` correlates with `production_year`). The correlations
-//!   are what make the independence-assuming histogram estimator err by
-//!   orders of magnitude — the property §1/§10 of the paper rely on.
-//! * **mini-TPC-H** — the 8-table TPC-H schema with uniform distributions,
-//!   matching the paper's description of TPC-H as generated "from uniform
-//!   distributions".
+//! The paper evaluates on the real IMDb dataset (Join Order Benchmark),
+//! which is not available offline, so **mini-IMDb** generates a synthetic
+//! equivalent that preserves the properties the learning dynamics depend
+//! on: the same 21-table snowflake schema as IMDb/JOB, with zipfian
+//! foreign-key fan-out (a few movies have enormous casts), skewed
+//! dimension values, and *cross-column correlations* (e.g.
+//! `movie_info.info` is strongly determined by `info_type_id`,
+//! `title.kind_id` correlates with `production_year`). The correlations
+//! are what make the independence-assuming histogram estimator err by
+//! orders of magnitude — the property §1/§10 of the paper rely on.
 //!
 //! All generation is deterministic given [`DataGenConfig::seed`].
 
@@ -595,195 +590,6 @@ pub fn mini_imdb(cfg: DataGenConfig) -> Database {
     finish_db(catalog, tables)
 }
 
-/// Generates the mini-TPC-H database (uniform distributions, 8 tables).
-pub fn mini_tpch(cfg: DataGenConfig) -> Database {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x7_9C41);
-    let mut catalog = Catalog::new();
-    let mut tables = Vec::new();
-
-    let n_region = 5;
-    let n_nation = 25;
-    let n_supplier = cfg.rows(100);
-    let n_customer = cfg.rows(1000);
-    let n_part = cfg.rows(1200);
-    let n_partsupp = cfg.rows(4000);
-    let n_orders = cfg.rows(7000);
-    let n_lineitem = cfg.rows(25000);
-
-    let region = TableBuilder::new("region")
-        .pk("r_regionkey", n_region)
-        .col("r_name", (0..n_region as i64).collect(), false)
-        .finish(&mut catalog, &mut tables);
-
-    let na_region = uniform_fk(&mut rng, n_nation, n_region);
-    let nation = TableBuilder::new("nation")
-        .pk("n_nationkey", n_nation)
-        .col("n_regionkey", na_region, true)
-        .col("n_name", (0..n_nation as i64).collect(), false)
-        .finish(&mut catalog, &mut tables);
-    catalog.add_fk(FkEdge {
-        child: nation,
-        child_col: 1,
-        parent: region,
-        parent_col: 0,
-    });
-
-    let s_nation = uniform_fk(&mut rng, n_supplier, n_nation);
-    let supplier = TableBuilder::new("supplier")
-        .pk("s_suppkey", n_supplier)
-        .col("s_nationkey", s_nation, true)
-        .col(
-            "s_acctbal",
-            (0..n_supplier)
-                .map(|_| rng.random_range(-999..10000i64))
-                .collect(),
-            false,
-        )
-        .finish(&mut catalog, &mut tables);
-    catalog.add_fk(FkEdge {
-        child: supplier,
-        child_col: 1,
-        parent: nation,
-        parent_col: 0,
-    });
-
-    let c_nation = uniform_fk(&mut rng, n_customer, n_nation);
-    let customer = TableBuilder::new("customer")
-        .pk("c_custkey", n_customer)
-        .col("c_nationkey", c_nation, true)
-        .col(
-            "c_mktsegment",
-            (0..n_customer).map(|_| rng.random_range(0..5i64)).collect(),
-            false,
-        )
-        .finish(&mut catalog, &mut tables);
-    catalog.add_fk(FkEdge {
-        child: customer,
-        child_col: 1,
-        parent: nation,
-        parent_col: 0,
-    });
-
-    let part = TableBuilder::new("part")
-        .pk("p_partkey", n_part)
-        .col(
-            "p_brand",
-            (0..n_part).map(|_| rng.random_range(0..25i64)).collect(),
-            false,
-        )
-        .col(
-            "p_type",
-            (0..n_part).map(|_| rng.random_range(0..150i64)).collect(),
-            false,
-        )
-        .col(
-            "p_size",
-            (0..n_part).map(|_| rng.random_range(1..=50i64)).collect(),
-            false,
-        )
-        .finish(&mut catalog, &mut tables);
-
-    let ps_part = uniform_fk(&mut rng, n_partsupp, n_part);
-    let ps_supp = uniform_fk(&mut rng, n_partsupp, n_supplier);
-    let partsupp = TableBuilder::new("partsupp")
-        .pk("ps_key", n_partsupp)
-        .col("ps_partkey", ps_part, true)
-        .col("ps_suppkey", ps_supp, true)
-        .col(
-            "ps_supplycost",
-            (0..n_partsupp)
-                .map(|_| rng.random_range(1..1000i64))
-                .collect(),
-            false,
-        )
-        .finish(&mut catalog, &mut tables);
-    catalog.add_fk(FkEdge {
-        child: partsupp,
-        child_col: 1,
-        parent: part,
-        parent_col: 0,
-    });
-    catalog.add_fk(FkEdge {
-        child: partsupp,
-        child_col: 2,
-        parent: supplier,
-        parent_col: 0,
-    });
-
-    let o_cust = uniform_fk(&mut rng, n_orders, n_customer);
-    let orders = TableBuilder::new("orders")
-        .pk("o_orderkey", n_orders)
-        .col("o_custkey", o_cust, true)
-        .col(
-            "o_orderdate",
-            (0..n_orders)
-                .map(|_| rng.random_range(0..2557i64)) // days over 7 years
-                .collect(),
-            false,
-        )
-        .col(
-            "o_orderpriority",
-            (0..n_orders).map(|_| rng.random_range(0..5i64)).collect(),
-            false,
-        )
-        .finish(&mut catalog, &mut tables);
-    catalog.add_fk(FkEdge {
-        child: orders,
-        child_col: 1,
-        parent: customer,
-        parent_col: 0,
-    });
-
-    let l_order = uniform_fk(&mut rng, n_lineitem, n_orders);
-    let l_part = uniform_fk(&mut rng, n_lineitem, n_part);
-    let l_supp = uniform_fk(&mut rng, n_lineitem, n_supplier);
-    let lineitem = TableBuilder::new("lineitem")
-        .pk("l_key", n_lineitem)
-        .col("l_orderkey", l_order, true)
-        .col("l_partkey", l_part, true)
-        .col("l_suppkey", l_supp, true)
-        .col(
-            "l_shipdate",
-            (0..n_lineitem)
-                .map(|_| rng.random_range(0..2557i64))
-                .collect(),
-            false,
-        )
-        .col(
-            "l_quantity",
-            (0..n_lineitem)
-                .map(|_| rng.random_range(1..=50i64))
-                .collect(),
-            false,
-        )
-        .col(
-            "l_shipmode",
-            (0..n_lineitem).map(|_| rng.random_range(0..7i64)).collect(),
-            false,
-        )
-        .finish(&mut catalog, &mut tables);
-    catalog.add_fk(FkEdge {
-        child: lineitem,
-        child_col: 1,
-        parent: orders,
-        parent_col: 0,
-    });
-    catalog.add_fk(FkEdge {
-        child: lineitem,
-        child_col: 2,
-        parent: part,
-        parent_col: 0,
-    });
-    catalog.add_fk(FkEdge {
-        child: lineitem,
-        child_col: 3,
-        parent: supplier,
-        parent_col: 0,
-    });
-
-    finish_db(catalog, tables)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,28 +687,19 @@ mod tests {
     }
 
     #[test]
-    fn mini_tpch_schema() {
-        let db = mini_tpch(DataGenConfig::default());
-        assert_eq!(db.catalog().num_tables(), 8);
-        for name in [
-            "region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem",
-        ] {
-            assert!(db.catalog().table_id(name).is_some(), "missing {name}");
-        }
-        let li = db.table(db.catalog().table_id("lineitem").unwrap());
-        assert!(li.num_rows() > 10_000);
-    }
-
-    #[test]
     fn scale_factor_scales_rows() {
-        let small = mini_tpch(DataGenConfig {
+        let small = mini_imdb(DataGenConfig {
             scale: 0.1,
             ..Default::default()
         });
-        let big = mini_tpch(DataGenConfig::default());
-        let s = small.table(small.catalog().table_id("lineitem").unwrap());
-        let b = big.table(big.catalog().table_id("lineitem").unwrap());
-        assert!(s.num_rows() * 5 < b.num_rows());
+        let big = mini_imdb(DataGenConfig::default());
+        let rows =
+            |db: &Database, name: &str| db.table(db.catalog().table_id(name).unwrap()).num_rows();
+        for name in ["title", "cast_info", "movie_info"] {
+            assert!(rows(&small, name) * 5 < rows(&big, name), "{name}");
+        }
+        // Fixed-size dimension tables do not scale.
+        assert_eq!(rows(&small, "kind_type"), rows(&big, "kind_type"));
     }
 
     #[test]
