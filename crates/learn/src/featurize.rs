@@ -37,9 +37,8 @@
 //! invariants the training loop relies on for experience dedup.
 
 use crate::model::FeatureEncoding;
-use crate::treeconv::encode_tree;
 use balsa_card::CardEstimator;
-use balsa_cost::{join_cost, physical_cost, scan_cost, OpWeights, SubtreeCost};
+use balsa_cost::{join_cost, physical_cost, scan_cost, JoinPairCost, OpWeights, SubtreeCost};
 use balsa_query::{JoinOp, Plan, PlanShape, Query, ScanOp};
 use balsa_storage::Database;
 use std::sync::Arc;
@@ -204,6 +203,26 @@ impl Featurizer {
     /// O(1) in the subtree size.
     pub fn node_features(&self, query: &Query, node: &Plan, est: &dyn CardEstimator) -> Vec<f64> {
         let mut x = vec![0.0; self.node_dim()];
+        let sels = query_selectivities(query, est);
+        self.node_features_into(query, node, est, &sels, &mut x);
+        x
+    }
+
+    /// [`Featurizer::node_features`] written into `x` (length
+    /// [`Featurizer::node_dim`]), with `sels[qt]` the query's
+    /// `est.selectivity(query, qt)` for every query table
+    /// ([`query_selectivities`]) so callers featurizing many nodes of one
+    /// query ask the estimator once per table, not once per node.
+    pub(crate) fn node_features_into(
+        &self,
+        query: &Query,
+        node: &Plan,
+        est: &dyn CardEstimator,
+        sels: &[f64],
+        x: &mut [f64],
+    ) {
+        debug_assert_eq!(x.len(), self.node_dim());
+        x.fill(0.0);
         match node {
             Plan::Join {
                 op, left, right, ..
@@ -227,20 +246,27 @@ impl Featurizer {
                     out_rows: rows,
                     sorted_on: Vec::new(),
                 };
-                let sc = join_cost(
+                let right_index_scan = matches!(
+                    **right,
+                    Plan::Scan {
+                        op: ScanOp::Index,
+                        ..
+                    }
+                );
+                // `join_cost`'s `work` without the output sort orders it
+                // would build and this channel would drop.
+                let (work, _) = JoinPairCost::new(
                     &self.db,
                     query,
-                    *op,
-                    left,
-                    &bare(lcard),
-                    right,
-                    &bare(rcard),
+                    left.mask(),
+                    right.mask(),
                     est,
-                    &self.weights,
-                );
+                    self.weights,
+                )
+                .work_out(*op, &bare(lcard), &bare(rcard), right_index_scan);
                 x[10] = lcard.ln_1p();
                 x[11] = rcard.ln_1p();
-                x[12] = sc.work.max(0.0).ln_1p();
+                x[12] = work.max(0.0).ln_1p();
             }
             Plan::Scan { qt, op } => {
                 let slot = match op {
@@ -258,26 +284,33 @@ impl Featurizer {
         x[7] = est.cardinality(query, mask).max(0.0).ln_1p();
         for (qt, qtab) in query.tables.iter().enumerate() {
             if mask.contains(qt) {
-                x[8] += est.selectivity(query, qt);
+                x[8] += sels[qt];
                 x[NODE_SCALAR_CHANNELS + qtab.table] += 1.0;
             }
         }
         x[9] = 1.0; // bias channel
-        x
     }
 
     /// Encodes `plan` in the flat binary-tree tensor layout consumed by
     /// [`crate::TreeConvValueModel`]: per-node feature rows in post-order
-    /// plus child indices ([`crate::treeconv::encode_tree`]). Pure, like
+    /// plus child indices, laid out as [`crate::treeconv::encode_tree`]
+    /// does, each row written in place. Pure, like
     /// [`Featurizer::featurize`].
     pub fn featurize_tree(&self, query: &Query, plan: &Plan, est: &dyn CardEstimator) -> Vec<f64> {
-        let mut feats = Vec::new();
-        let mut children = Vec::new();
+        let d = self.node_dim();
+        let sels = query_selectivities(query, est);
+        let nodes = 2 * plan.num_tables() as usize - 1;
+        let mut x = Vec::with_capacity(2 + nodes * (2 + d));
+        x.extend([nodes as f64, d as f64]);
         plan.visit_tensor(&mut |node, kids| {
-            feats.push(self.node_features(query, node, est));
-            children.push(kids);
+            let (l, r) = kids.map_or((0, 0), |(l, r)| (l + 1, r + 1));
+            x.extend([l as f64, r as f64]);
+            let at = x.len();
+            x.resize(at + d, 0.0);
+            self.node_features_into(query, node, est, &sels, &mut x[at..]);
         });
-        encode_tree(&feats, &children)
+        debug_assert_eq!(x.len(), 2 + nodes * (2 + d), "binary plan node count");
+        x
     }
 
     /// Incremental flat-encoding state for a scan leaf — the start of the
@@ -434,6 +467,15 @@ impl Featurizer {
             }
         }
     }
+}
+
+/// `est.selectivity(query, qt)` for every table of `query`, indexed by
+/// `qt` — the per-node encoding's selectivity inputs, which depend on the
+/// query alone.
+pub(crate) fn query_selectivities(query: &Query, est: &dyn CardEstimator) -> Vec<f64> {
+    (0..query.num_tables())
+        .map(|qt| est.selectivity(query, qt))
+        .collect()
 }
 
 /// The incremental state of the flat encoding for one subtree: the

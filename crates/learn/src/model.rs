@@ -303,11 +303,11 @@ pub trait ValueModel: Send + Sync {
     }
 
     /// Composes the states of candidate joins from their children's
-    /// states, O(1) each — the beam's per-level hot path; models with
-    /// dense per-state math (the tree convolution) stream each filter
-    /// row across the whole batch. `None` when the model does not
-    /// support incremental states; otherwise one state per item, each a
-    /// function of its own item alone.
+    /// states, O(1) each — the beam's per-level hot path; the tree
+    /// convolution computes each child's share of a window once per
+    /// child subtree, however many items it feeds. `None` when the model
+    /// does not support incremental states; otherwise one state per item,
+    /// each a function of its own item alone.
     fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
         let _ = items;
         None

@@ -20,10 +20,14 @@
 //!   [`Featurizer::flat_join_state`] (O(tables + edges) per candidate,
 //!   bit-identical to a from-scratch featurization) and go through
 //!   [`ValueModel::predict_batch`];
-//! * tree encoding (tree convolution): the model's own
+//! * tree encoding (tree convolution): the batch's join nodes are
+//!   featurized into one buffer, with the query's per-table
+//!   selectivities computed once per query session; the model's own
 //!   [`ValueModel::join_state_batch`] carries per-layer root activations
-//!   and pooled maxima, so a candidate join costs one convolution
-//!   window, read out by [`ValueModel::state_value_batch`].
+//!   and pooled maxima, and each child subtree's side of the window
+//!   (its `Wl·h` / `Wr·h` terms) is computed once per subtree, so a
+//!   candidate join costs the node term of one convolution window, read
+//!   out by [`ValueModel::state_value_batch`].
 //!
 //! A candidate missing a child state (e.g. a model without incremental
 //! support) falls back to the from-scratch encode
@@ -31,7 +35,7 @@
 //! tests compare the incremental path against), so correctness never
 //! depends on the hooks.
 
-use crate::featurize::{Featurizer, FlatState};
+use crate::featurize::{query_selectivities, Featurizer, FlatState};
 use crate::model::{FeatureEncoding, JoinStateItem, ValueModel};
 use balsa_card::{CardEstimator, MemoEstimator};
 use balsa_cost::{JoinCandidate, PlanScorer, QueryScorer, ScoredTree, SubtreeCost, SubtreeExt};
@@ -71,11 +75,17 @@ impl PlanScorer for LearnedScorer<'_> {
     }
 
     fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
+        let memo = MemoEstimator::new(self.est);
+        let sels = match self.model.encoding() {
+            FeatureEncoding::Flat => Vec::new(),
+            FeatureEncoding::Tree => query_selectivities(query, &memo),
+        };
         Box::new(LearnedQueryScorer {
             featurizer: self.featurizer,
             model: self.model,
-            memo: MemoEstimator::new(self.est),
+            memo,
             query,
+            sels,
         })
     }
 }
@@ -85,6 +95,9 @@ struct LearnedQueryScorer<'q> {
     model: &'q dyn ValueModel,
     memo: MemoEstimator<'q>,
     query: &'q Query,
+    /// The query's per-table selectivities through `memo`, the per-node
+    /// encoding's query-level inputs (empty for the flat encoding).
+    sels: Vec<f64>,
 }
 
 impl LearnedQueryScorer<'_> {
@@ -124,7 +137,9 @@ impl LearnedQueryScorer<'_> {
 impl QueryScorer for LearnedQueryScorer<'_> {
     fn score_scan(&self, scan: &Plan) -> ScoredTree {
         if self.model.encoding() == FeatureEncoding::Tree {
-            let nx = self.featurizer.node_features(self.query, scan, &self.memo);
+            let mut nx = vec![0.0; self.featurizer.node_dim()];
+            self.featurizer
+                .node_features_into(self.query, scan, &self.memo, &self.sels, &mut nx);
             if let Some(state) = self.model.leaf_state(&nx) {
                 let pred = self
                     .model
@@ -140,9 +155,9 @@ impl QueryScorer for LearnedQueryScorer<'_> {
 
     /// The inference hot path: one pass composes every candidate's
     /// incremental state, then a single batched model call produces all
-    /// predictions — the tree-convolution forward becomes a filters ×
-    /// batch matrix product over the stacked per-candidate root
-    /// activations, the linear model a streamed dot-product loop.
+    /// predictions — for the tree convolution, the join nodes' encodings
+    /// in one `k × node_dim` buffer composed over the children's cached
+    /// window terms; for the linear model, a streamed dot-product loop.
     /// Candidates missing a child state are encoded from scratch in
     /// place, so the output order always matches the input.
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
@@ -177,18 +192,23 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                 fn kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a SubtreeExt, &'a SubtreeExt)> {
                     c.lc.ext.as_ref().zip(c.rc.ext.as_ref())
                 }
-                let nxs: Vec<Vec<f64>> = cands
-                    .iter()
-                    .filter(|c| kids(c).is_some())
-                    .map(|c| {
-                        self.featurizer
-                            .node_features(self.query, c.join, &self.memo)
-                    })
-                    .collect();
+                let d = self.featurizer.node_dim();
+                let mut nxs = Vec::with_capacity(cands.len() * d);
+                for c in cands.iter().filter(|c| kids(c).is_some()) {
+                    let at = nxs.len();
+                    nxs.resize(at + d, 0.0);
+                    self.featurizer.node_features_into(
+                        self.query,
+                        c.join,
+                        &self.memo,
+                        &self.sels,
+                        &mut nxs[at..],
+                    );
+                }
                 let items: Vec<JoinStateItem<'_>> = cands
                     .iter()
                     .filter_map(kids)
-                    .zip(&nxs)
+                    .zip(nxs.chunks_exact(d))
                     .map(|((left, right), node_x)| JoinStateItem {
                         node_x,
                         left,
@@ -299,8 +319,9 @@ mod tests {
                 &featurizer.featurize_tree(q, &out.plan, &est),
             );
             let expect = full.min(MAX_LOG_PRED).exp();
-            assert!(
-                (out.cost - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+            assert_eq!(
+                out.cost.to_bits(),
+                expect.to_bits(),
                 "{}: incremental {} vs full {}",
                 q.name,
                 out.cost,

@@ -20,10 +20,14 @@
 //! Because a convolution layer only looks *downward* (a node and its
 //! children), a node's activations never change when a parent is added
 //! above it. Inference inside the beam exploits this: the incremental
-//! [`crate::model::ValueModel::join_state_batch`] hook carries each subtree's
-//! root activations per layer plus the pooled channel maxima, so scoring
-//! a candidate join costs one window of convolutions — O(1) in the
-//! subtree size — instead of a full re-encode.
+//! [`crate::model::ValueModel::join_state_batch`] hook carries each
+//! subtree's root activations per layer plus the pooled channel maxima
+//! in one flat buffer, so scoring a candidate join costs one window of
+//! convolutions — O(1) in the subtree size — instead of a full
+//! re-encode. A window's child-side terms (`Wl·h_left`, `Wr·h_right`)
+//! are functions of one child subtree alone, so each subtree computes
+//! them once, the first time it is a join input, and every candidate it
+//! feeds reuses them: per candidate only the node term `Wn·x` remains.
 
 use crate::model::{
     shuffle_epoch_order, FeatureEncoding, FitReport, JoinStateItem, ModelState, Optimizer,
@@ -31,7 +35,7 @@ use crate::model::{
 };
 use rand::rngs::SmallRng;
 use rand::RngExt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Architecture of the tree-convolution network.
@@ -331,15 +335,20 @@ struct BatchScratch {
     d_h_pre: Vec<f64>,
 }
 
-/// Incremental per-subtree inference state (the [`ModelState`] payload):
-/// the subtree root's activation at every level plus the pooled
-/// channel-maxima over the whole subtree.
+/// Incremental per-subtree inference state (the [`ModelState`] payload).
 struct TcState {
-    /// `acts[l]`: the root node's activation entering conv layer `l`;
-    /// the last entry is its final-layer activation.
-    acts: Vec<Vec<f64>>,
-    /// Channel-wise max of final-layer activations over the subtree.
-    pooled: Vec<f64>,
+    /// `[root activation entering conv layer 0 | … | entering layer L−1 |
+    /// pooled channel maxima over the subtree]`. The root's final-layer
+    /// activation is not kept: a parent reads only the pooled maxima.
+    buf: Box<[f64]>,
+    /// Per conv layer `l`, `[Wl⁽ˡ⁾·h⁽ˡ⁾ | Wr⁽ˡ⁾·h⁽ˡ⁾]` of the root's
+    /// activation `h⁽ˡ⁾` entering layer `l`: this subtree's term in any
+    /// parent window, on either side. Filled the first time the subtree
+    /// is a join input (`TreeConvValueModel::child_proj`); `OnceLock`
+    /// makes concurrent first uses from pool threads harmless. The terms
+    /// belong to the weights of the model that opened the state, which is
+    /// the only model that composes it.
+    proj: OnceLock<Box<[f64]>>,
 }
 
 /// Tree-convolution value model over the flat tree encoding.
@@ -617,23 +626,21 @@ impl TreeConvValueModel {
         mask
     }
 
-    /// Batched training forward over one minibatch of trees: the same
-    /// filters × tile orientation as the inference-side
-    /// [`ValueModel::join_state_batch`], generalized from one window per
-    /// candidate to every node of every sample. Within a tile of node
-    /// windows each filter row sweeps the gathered inputs while the
-    /// weights stay cached — a tiled filters × batch matrix product.
-    /// Per-window arithmetic (`b + wn·x + wl·xl + wr·xr`, dots
-    /// accumulated left to right), the strict-`>` pool over nodes in
-    /// post-order, and the MLP head all replay
-    /// [`TreeConvValueModel::forward`] exactly, so batched outputs are
-    /// bit-identical to the per-sample path at any batch geometry.
-    // Filters × tile wants plain index loops over parallel slice views;
-    // see `join_state_batch` for the layout rationale.
+    /// Batched training forward over one minibatch of trees, every node
+    /// of every sample. Within a tile of node windows each filter row
+    /// sweeps the gathered inputs while the weights stay cached — a
+    /// tiled filters × batch matrix product. Per-window arithmetic
+    /// (`b + wn·x + wl·xl + wr·xr`, dots accumulated left to right), the
+    /// strict-`>` pool over nodes in post-order, and the MLP head all
+    /// replay [`TreeConvValueModel::forward`] exactly, so batched outputs
+    /// are bit-identical to the per-sample path at any batch geometry.
+    // Filters × tile wants plain index loops over several parallel slice
+    // views; iterator chains over zipped row views would obscure the
+    // blocking.
     #[allow(clippy::needless_range_loop)]
     fn batch_forward(&self, arena: &TreeArena, chunk: &[usize], s: &mut BatchScratch) {
         /// Node windows per tile: 3 input slices × ≤ 34 channels × 8 B
-        /// × 32 ≈ 26 KB — sized to L1, matching `join_state_batch`.
+        /// × 32 ≈ 26 KB — sized to L1.
         const TILE: usize = 32;
         // Assemble the batch: gather arena nodes, rebase child links.
         s.node.clear();
@@ -925,6 +932,35 @@ impl TreeConvValueModel {
         }
         grad
     }
+
+    /// Offset of the pooled maxima in a [`TcState`] buffer: the summed
+    /// input widths of the conv layers.
+    fn pooled_ofs(&self) -> usize {
+        self.conv.iter().map(|c| c.in_dim).sum()
+    }
+
+    /// The child-side window terms of `s` ([`TcState::proj`]), computed
+    /// on first use. Each is the same left-to-right dot product the
+    /// uncached window (`ConvLayer::pre`) takes, so adding it later in
+    /// the same order reproduces that window bit for bit.
+    fn child_proj<'s>(&self, s: &'s TcState) -> &'s [f64] {
+        s.proj.get_or_init(|| {
+            let len = self.conv.iter().map(|c| 2 * c.out_dim).sum();
+            let mut p = Vec::with_capacity(len);
+            let mut at = 0;
+            for layer in &self.conv {
+                let h = &s.buf[at..at + layer.in_dim];
+                for w in [&layer.wl, &layer.wr] {
+                    p.extend(
+                        w.chunks_exact(layer.in_dim)
+                            .map(|row| row.iter().zip(h).map(|(w, x)| w * x).sum::<f64>()),
+                    );
+                }
+                at += layer.in_dim;
+            }
+            p.into_boxed_slice()
+        })
+    }
 }
 
 impl ValueModel for TreeConvValueModel {
@@ -1177,34 +1213,102 @@ impl ValueModel for TreeConvValueModel {
 
     fn leaf_state(&self, node_x: &[f64]) -> Option<ModelState> {
         assert_eq!(node_x.len(), self.node_dim, "node encoding mismatch");
-        let mut acts = Vec::with_capacity(self.conv.len() + 1);
-        acts.push(node_x.to_vec());
+        let c_dim = self.conv.last().expect("at least one layer").out_dim;
+        let mut buf = Vec::with_capacity(self.pooled_ofs() + c_dim);
+        buf.extend_from_slice(node_x);
         for layer in &self.conv {
-            let z = layer.pre(acts.last().expect("non-empty"), None, None);
-            acts.push(z.into_iter().map(lrelu).collect());
+            let z = layer.pre(&buf[buf.len() - layer.in_dim..], None, None);
+            buf.extend(z.into_iter().map(lrelu));
         }
-        let pooled = acts.last().expect("non-empty").clone();
-        Some(Arc::new(TcState { acts, pooled }))
+        // A leaf's pooled maxima are its own final-layer activation,
+        // already in place at the end of the buffer.
+        Some(Arc::new(TcState {
+            buf: buf.into_boxed_slice(),
+            proj: OnceLock::new(),
+        }))
     }
 
-    /// The beam forward: instead of N independent window walks, each
-    /// convolution **filter row streams across a tile of
-    /// candidates** (a tiled filters × batch matrix product over the
-    /// stacked per-candidate window inputs): within a tile the three
-    /// input slices stay resident in L1 while every filter row sweeps
-    /// them, and the weight matrix is small enough to stay cached
-    /// across tiles — the classical GEMM blocking, sized for this
-    /// network's tiny filter banks against beam-level-sized batches.
-    /// Per-candidate arithmetic — `b + wn·x + wl·xl + wr·xr`, dots
-    /// accumulated left to right — is exactly `ConvLayer::pre`'s, so
-    /// a composed state does not depend on which batch composed it.
-    // The filters × tile orientation wants plain index loops over
-    // several parallel slice arrays; iterator chains over four zipped
-    // row views would obscure the GEMM blocking.
-    #[allow(clippy::needless_range_loop)]
+    /// The beam forward over cached child terms. A window's
+    /// pre-activation is `b + Wn·x + Wl·h_left + Wr·h_right`; the two
+    /// child terms come from each child's `TreeConvValueModel::child_proj`,
+    /// computed once per subtree, so per candidate only `Wn·x` and the
+    /// additions remain, written straight into the new state's buffer.
+    /// The additions keep `ConvLayer::pre`'s order and each cached term
+    /// is the same left-to-right dot product, so a composed state is
+    /// bit-identical to the uncached window's and does not depend on
+    /// which batch composed it.
     fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
-        /// Candidates per tile: 3 input slices × ≤ 34 channels × 8 B
-        /// × 32 ≈ 26 KB — sized to L1.
+        let pooled_ofs = self.pooled_ofs();
+        let top = self.conv.len() - 1;
+        let c_dim = self.conv[top].out_dim;
+        items
+            .iter()
+            .map(|it| {
+                let l = it.left.downcast_ref::<TcState>()?;
+                let r = it.right.downcast_ref::<TcState>()?;
+                assert_eq!(it.node_x.len(), self.node_dim, "node encoding mismatch");
+                let (pl, pr) = (self.child_proj(l), self.child_proj(r));
+                let (l_pool, r_pool) = (&l.buf[pooled_ofs..], &r.buf[pooled_ofs..]);
+                let mut buf = vec![0.0; pooled_ofs + c_dim].into_boxed_slice();
+                buf[..self.node_dim].copy_from_slice(it.node_x);
+                let (mut at, mut p_at) = (0, 0);
+                for (li, layer) in self.conv.iter().enumerate() {
+                    let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+                    let (x, out) = buf[at..].split_at_mut(in_dim);
+                    let wl_h = &pl[p_at..p_at + out_dim];
+                    let wr_h = &pr[p_at + out_dim..p_at + 2 * out_dim];
+                    for (o, (row, &b)) in layer.wn.chunks_exact(in_dim).zip(&layer.b).enumerate() {
+                        let mut z = b;
+                        z += row.iter().zip(&*x).map(|(w, x)| w * x).sum::<f64>();
+                        z += wl_h[o];
+                        z += wr_h[o];
+                        let h = lrelu(z);
+                        // The last layer's activation only feeds the pool.
+                        out[o] = if li == top {
+                            h.max(l_pool[o].max(r_pool[o]))
+                        } else {
+                            h
+                        };
+                    }
+                    at += in_dim;
+                    p_at += 2 * out_dim;
+                }
+                Some(Arc::new(TcState {
+                    buf,
+                    proj: OnceLock::new(),
+                }) as ModelState)
+            })
+            .collect()
+    }
+
+    /// The MLP head over each state's pooled maxima; per-state
+    /// arithmetic is `forward`'s head.
+    fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
+        let pooled_ofs = self.pooled_ofs();
+        let in_dim = self.head1.in_dim;
+        let mut h = vec![0.0; self.head1.b.len()];
+        states
+            .iter()
+            .map(|s| {
+                let pooled = &s.downcast_ref::<TcState>()?.buf[pooled_ofs..];
+                let rows = self.head1.w.chunks_exact(in_dim).zip(&self.head1.b);
+                for (h, (row, b)) in h.iter_mut().zip(rows) {
+                    *h = lrelu(b + row.iter().zip(pooled).map(|(w, x)| w * x).sum::<f64>());
+                }
+                Some(self.head2.b[0] + self.head2.w.iter().zip(&h).map(|(w, x)| w * x).sum::<f64>())
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl TreeConvValueModel {
+    /// The pre-caching `join_state_batch`, kept as the reference the
+    /// cached kernel is checked against: every candidate recomputes
+    /// `b + wn·x + wl·xl + wr·xr` from its children's activations, each
+    /// filter row streaming across a tile of candidates.
+    #[allow(clippy::needless_range_loop)]
+    fn join_state_batch_uncached(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
         const TILE: usize = 32;
         let n = items.len();
         let ls: Option<Vec<&TcState>> = items
@@ -1217,6 +1321,17 @@ impl ValueModel for TreeConvValueModel {
             .collect();
         let (ls, rs) = (ls?, rs?);
         let levels = self.conv.len();
+        let pooled_ofs = self.pooled_ofs();
+        // Offset of each level's root activation in a child's buffer.
+        let ofs: Vec<usize> = self
+            .conv
+            .iter()
+            .scan(0, |at, c| {
+                let o = *at;
+                *at += c.in_dim;
+                Some(o)
+            })
+            .collect();
         let mut acts: Vec<Vec<Vec<f64>>> = items
             .iter()
             .map(|it| {
@@ -1228,15 +1343,14 @@ impl ValueModel for TreeConvValueModel {
             .collect();
         for (li, layer) in self.conv.iter().enumerate() {
             let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+            let child = ofs[li]..ofs[li] + in_dim;
             let mut zs: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; out_dim]).collect();
             let mut lo = 0;
             while lo < n {
                 let hi = (lo + TILE).min(n);
-                // One indirection per candidate per tile, not per
-                // (filter, candidate) pair.
                 let xn: Vec<&[f64]> = (lo..hi).map(|c| acts[c][li].as_slice()).collect();
-                let xl: Vec<&[f64]> = (lo..hi).map(|c| ls[c].acts[li].as_slice()).collect();
-                let xr: Vec<&[f64]> = (lo..hi).map(|c| rs[c].acts[li].as_slice()).collect();
+                let xl: Vec<&[f64]> = (lo..hi).map(|c| &ls[c].buf[child.clone()]).collect();
+                let xr: Vec<&[f64]> = (lo..hi).map(|c| &rs[c].buf[child.clone()]).collect();
                 for o in 0..out_dim {
                     let wn_row = &layer.wn[o * in_dim..(o + 1) * in_dim];
                     let wl_row = &layer.wl[o * in_dim..(o + 1) * in_dim];
@@ -1260,49 +1374,19 @@ impl ValueModel for TreeConvValueModel {
         Some(
             acts.into_iter()
                 .enumerate()
-                .map(|(c, acts)| {
-                    let top = acts.last().expect("non-empty");
-                    let pooled: Vec<f64> = top
-                        .iter()
-                        .zip(ls[c].pooled.iter().zip(&rs[c].pooled))
-                        .map(|(&h, (&a, &b))| h.max(a.max(b)))
-                        .collect();
-                    Arc::new(TcState { acts, pooled }) as ModelState
-                })
-                .collect(),
-        )
-    }
-
-    /// The MLP head over the pooled vectors, filters × batch like the
-    /// convolution stack; per-state arithmetic is `forward`'s head.
-    #[allow(clippy::needless_range_loop)]
-    fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
-        let ss: Option<Vec<&TcState>> =
-            states.iter().map(|s| s.downcast_ref::<TcState>()).collect();
-        let ss = ss?;
-        const TILE: usize = 64;
-        let n = ss.len();
-        let hd = self.head1.b.len();
-        let in_dim = self.head1.in_dim;
-        let mut hs: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0; hd]).collect();
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + TILE).min(n);
-            let xs: Vec<&[f64]> = (lo..hi).map(|c| ss[c].pooled.as_slice()).collect();
-            for o in 0..hd {
-                let row = &self.head1.w[o * in_dim..(o + 1) * in_dim];
-                let b = self.head1.b[o];
-                for cc in 0..hi - lo {
-                    hs[lo + cc][o] =
-                        lrelu(b + row.iter().zip(xs[cc]).map(|(w, x)| w * x).sum::<f64>());
-                }
-            }
-            lo = hi;
-        }
-        Some(
-            hs.iter()
-                .map(|h| {
-                    self.head2.b[0] + self.head2.w.iter().zip(h).map(|(w, x)| w * x).sum::<f64>()
+                .map(|(c, mut acts)| {
+                    let top = acts.pop().expect("non-empty");
+                    let (lp, rp) = (&ls[c].buf[pooled_ofs..], &rs[c].buf[pooled_ofs..]);
+                    let mut buf = acts.concat();
+                    buf.extend(
+                        top.iter()
+                            .zip(lp.iter().zip(rp))
+                            .map(|(&h, (&a, &b))| h.max(a.max(b))),
+                    );
+                    Arc::new(TcState {
+                        buf: buf.into_boxed_slice(),
+                        proj: OnceLock::new(),
+                    }) as ModelState
                 })
                 .collect(),
         )
@@ -1561,12 +1645,12 @@ mod tests {
     }
 
     /// Dynamic pooling is the channel-wise max over all nodes, and the
-    /// incremental join state reproduces the full forward exactly.
+    /// incremental join state reproduces the full forward bit for bit.
     #[test]
     fn incremental_states_match_full_forward() {
         let mut rng = SmallRng::seed_from_u64(21);
         let model = small_model(&mut rng);
-        for leaves in [1usize, 2, 4, 7] {
+        for leaves in [1usize, 2, 3, 4, 5, 7, 9, 12, 16] {
             let x = random_tree(leaves, 5, &mut rng);
             let t = decode_tree(&x);
             // Recompute incrementally, bottom-up over the same topology.
@@ -1586,18 +1670,282 @@ mod tests {
             let root = states.last().unwrap().as_ref().unwrap();
             let incremental = model.state_value(root).expect("state value");
             let full = model.predict(&x);
-            assert!(
-                (incremental - full).abs() <= 1e-12 * full.abs().max(1.0),
+            assert_eq!(
+                incremental.to_bits(),
+                full.to_bits(),
                 "leaves {leaves}: incremental {incremental} vs full {full}"
             );
             // The root state's pooled vector is the channel-wise max of
             // the full forward's final-layer activations.
             let f = model.forward(&t);
             let s = root.downcast_ref::<TcState>().unwrap();
-            for (c, (&a, &b)) in s.pooled.iter().zip(&f.pooled).enumerate() {
-                assert!((a - b).abs() < 1e-15, "channel {c}: {a} vs {b}");
+            let pooled = &s.buf[model.pooled_ofs()..];
+            assert_eq!(pooled.len(), f.pooled.len());
+            for (c, (&a, &b)) in pooled.iter().zip(&f.pooled).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "channel {c}: {a} vs {b}");
             }
         }
+    }
+
+    /// A three-layer network, so the kernel tests cover an interior
+    /// level whose input is neither the node encoding nor the pool.
+    fn deep_model(rng: &mut SmallRng) -> TreeConvValueModel {
+        let mut m = TreeConvValueModel::new(
+            5,
+            TreeConvConfig {
+                conv_channels: vec![6, 4, 3],
+                mlp_hidden: 3,
+            },
+        );
+        m.init_weights(-0.25, rng);
+        m
+    }
+
+    /// Child states for the kernel tests: leaves plus joins of leaves,
+    /// composed through the uncached reference so every child has a
+    /// cold projection cache.
+    fn child_states(model: &TreeConvValueModel, rng: &mut SmallRng) -> Vec<ModelState> {
+        let mut feat = || -> Vec<f64> { (0..5).map(|_| rng.random_normal(0.0, 1.0)).collect() };
+        let mut kids: Vec<ModelState> = (0..4)
+            .map(|_| model.leaf_state(&feat()).expect("leaf state"))
+            .collect();
+        for (a, b) in [(0, 1), (2, 3), (1, 2)] {
+            let x = feat();
+            let item = JoinStateItem {
+                node_x: &x,
+                left: &kids[a],
+                right: &kids[b],
+            };
+            let joined = model.join_state_batch_uncached(&[item]).expect("tc state");
+            kids.extend(joined);
+        }
+        kids
+    }
+
+    /// `n` join items over `kids`, whose children repeat: item `i` joins
+    /// `kids[i % k]` with `kids[(i + 1) % k]`, so once `n > k` every
+    /// child is a left input in some items and a right input in others.
+    fn join_items<'a>(xs: &'a [Vec<f64>], kids: &'a [ModelState]) -> Vec<JoinStateItem<'a>> {
+        let k = kids.len();
+        xs.iter()
+            .enumerate()
+            .map(|(i, x)| JoinStateItem {
+                node_x: x,
+                left: &kids[i % k],
+                right: &kids[(i + 1) % k],
+            })
+            .collect()
+    }
+
+    fn assert_states_bit_equal(
+        model: &TreeConvValueModel,
+        got: &[ModelState],
+        want: &[ModelState],
+        what: &str,
+    ) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let (g, w) = (
+                &g.downcast_ref::<TcState>().unwrap().buf,
+                &w.downcast_ref::<TcState>().unwrap().buf,
+            );
+            let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{what}: state {i}");
+        }
+        let (gv, wv) = (
+            model.state_value_batch(got).unwrap(),
+            model.state_value_batch(want).unwrap(),
+        );
+        for (i, (g, w)) in gv.iter().zip(&wv).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: value {i}");
+        }
+    }
+
+    /// The cached-projection kernel equals the pre-caching reference
+    /// state by state (buffer and pooled bits) and value by value, at
+    /// batch sizes on both sides of the reference's tile, on first use of
+    /// each child and again with every projection cached.
+    #[test]
+    fn cached_kernel_matches_uncached_reference() {
+        let mut rng = SmallRng::seed_from_u64(0xCAC4E);
+        for model in [small_model(&mut rng), deep_model(&mut rng)] {
+            for n in [1usize, 7, 33, 300] {
+                let kids = child_states(&model, &mut rng);
+                let xs: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..5).map(|_| rng.random_normal(0.0, 1.0)).collect())
+                    .collect();
+                let items = join_items(&xs, &kids);
+                let want = model.join_state_batch_uncached(&items).unwrap();
+                let cold = model.join_state_batch(&items).unwrap();
+                assert_states_bit_equal(&model, &cold, &want, &format!("cold, batch {n}"));
+                let warm = model.join_state_batch(&items).unwrap();
+                assert_states_bit_equal(&model, &warm, &want, &format!("warm, batch {n}"));
+            }
+        }
+    }
+
+    /// Four threads compose one batch at once over children none of which
+    /// has its projections yet, so they race to fill each `OnceLock`;
+    /// every thread's states equal the serial result.
+    #[test]
+    fn concurrent_first_use_matches_serial() {
+        let mut rng = SmallRng::seed_from_u64(0x4EAD);
+        let model = deep_model(&mut rng);
+        let xs: Vec<Vec<f64>> = (0..64)
+            .map(|_| (0..5).map(|_| rng.random_normal(0.0, 1.0)).collect())
+            .collect();
+        let mut kid_rng = SmallRng::seed_from_u64(0x1D5);
+        let serial_kids = child_states(&model, &mut kid_rng);
+        let serial = model
+            .join_state_batch(&join_items(&xs, &serial_kids))
+            .unwrap();
+        let mut kid_rng = SmallRng::seed_from_u64(0x1D5);
+        let kids = child_states(&model, &mut kid_rng);
+        let items = join_items(&xs, &kids);
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<Vec<ModelState>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        model.join_state_batch(&items).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (t, got) in results.iter().enumerate() {
+            assert_states_bit_equal(&model, got, &serial, &format!("thread {t}"));
+        }
+    }
+
+    /// The floor microbenchmark: `join_state_batch` + `state_value_batch`
+    /// on 420 candidates over 40 children at the `mini_imdb` node
+    /// dimension and the default architecture, beside a hand-written
+    /// loop doing only each candidate's `Wn·x` products, the additions,
+    /// the pool and the head into preallocated buffers, and the
+    /// pre-caching reference kernel. Children are fresh each repetition,
+    /// so the kernel's time includes each child's first-use projection.
+    /// Run with
+    /// `cargo test --release -p balsa-learn treeconv_kernel_floor -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    #[allow(clippy::needless_range_loop)]
+    fn treeconv_kernel_floor() {
+        use balsa_cost::OpWeights;
+        use balsa_storage::{mini_imdb, DataGenConfig};
+        const CANDS: usize = 420;
+        const KIDS: usize = 40;
+        const REPS: usize = 400;
+        let db = Arc::new(mini_imdb(DataGenConfig {
+            scale: 0.02,
+            ..Default::default()
+        }));
+        let d = crate::Featurizer::new(db, OpWeights::postgres_like(), true).node_dim();
+        let mut model = TreeConvValueModel::new(d, TreeConvConfig::default());
+        let mut rng = SmallRng::seed_from_u64(0xF100);
+        model.init_weights(0.0, &mut rng);
+        let feat = |rng: &mut SmallRng| -> Vec<f64> {
+            (0..d).map(|_| rng.random_normal(0.0, 1.0)).collect()
+        };
+        let kid_xs: Vec<Vec<f64>> = (0..KIDS).map(|_| feat(&mut rng)).collect();
+        let xs: Vec<Vec<f64>> = (0..CANDS).map(|_| feat(&mut rng)).collect();
+        let pairs: Vec<(usize, usize)> = (0..CANDS)
+            .map(|_| (rng.random_range(0..KIDS), rng.random_range(0..KIDS)))
+            .collect();
+
+        // The floor: the child terms and pooled maxima are given, every
+        // output buffer is preallocated, and per candidate only the node
+        // products, the additions, the pool and the head run.
+        let (c0, c1) = (&model.conv[0], &model.conv[1]);
+        let proj: Vec<(Vec<f64>, Vec<f64>)> = kid_xs
+            .iter()
+            .map(|x| {
+                let s = model.leaf_state(x).unwrap();
+                let s = s.downcast_ref::<TcState>().unwrap();
+                let pooled = s.buf[model.pooled_ofs()..].to_vec();
+                (model.child_proj(s).to_vec(), pooled)
+            })
+            .collect();
+        let (o0, o1, hd) = (c0.out_dim, c1.out_dim, model.head1.b.len());
+        let (mut h0, mut pooled, mut h) = (vec![0.0; o0], vec![0.0; o1], vec![0.0; hd]);
+        let mut floor = |out: &mut [f64]| {
+            for ((x, &(l, r)), y) in xs.iter().zip(&pairs).zip(out.iter_mut()) {
+                let ((pl, lp), (pr, rp)) = (&proj[l], &proj[r]);
+                for o in 0..o0 {
+                    let row = &c0.wn[o * d..(o + 1) * d];
+                    let z = c0.b[o] + row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>();
+                    h0[o] = lrelu(z + pl[o] + pr[o0 + o]);
+                }
+                let p = 2 * o0;
+                for o in 0..o1 {
+                    let row = &c1.wn[o * o0..(o + 1) * o0];
+                    let z = c1.b[o] + row.iter().zip(&h0).map(|(w, x)| w * x).sum::<f64>();
+                    let v = lrelu(z + pl[p + o] + pr[p + o1 + o]);
+                    pooled[o] = v.max(lp[o].max(rp[o]));
+                }
+                for o in 0..hd {
+                    let row = &model.head1.w[o * o1..(o + 1) * o1];
+                    let z = row.iter().zip(&pooled).map(|(w, x)| w * x).sum::<f64>();
+                    h[o] = lrelu(model.head1.b[o] + z);
+                }
+                let z = model
+                    .head2
+                    .w
+                    .iter()
+                    .zip(&h)
+                    .map(|(w, x)| w * x)
+                    .sum::<f64>();
+                *y = model.head2.b[0] + z;
+            }
+        };
+
+        // Interleave the two sides per repetition and report medians, so
+        // load from other processes hits both alike.
+        let (mut kernel_ns, mut floor_ns, mut uncached_ns) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = vec![0.0; CANDS];
+        let mut sink = 0.0;
+        for _ in 0..REPS {
+            let kids: Vec<ModelState> = kid_xs
+                .iter()
+                .map(|x| model.leaf_state(x).unwrap())
+                .collect();
+            let items: Vec<JoinStateItem<'_>> = xs
+                .iter()
+                .zip(&pairs)
+                .map(|(x, &(l, r))| JoinStateItem {
+                    node_x: x,
+                    left: &kids[l],
+                    right: &kids[r],
+                })
+                .collect();
+            let t = Instant::now();
+            let states = model.join_state_batch(&items).unwrap();
+            let values = model.state_value_batch(&states).unwrap();
+            kernel_ns.push(t.elapsed().as_nanos());
+            sink += values[0];
+            let t = Instant::now();
+            floor(&mut out);
+            floor_ns.push(t.elapsed().as_nanos());
+            sink += std::hint::black_box(&out)[0];
+            let t = Instant::now();
+            let states = model.join_state_batch_uncached(&items).unwrap();
+            let values = model.state_value_batch(&states).unwrap();
+            uncached_ns.push(t.elapsed().as_nanos());
+            sink += values[0];
+        }
+        let per_candidate = |mut ns: Vec<u128>| {
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64 / CANDS as f64
+        };
+        let (k, f) = (per_candidate(kernel_ns), per_candidate(floor_ns));
+        let u = per_candidate(uncached_ns);
+        println!(
+            "node_dim {d}, conv {o0} -> {o1}, head {hd}: kernel {k:.0} ns/candidate, \
+             floor {f:.0} ns/candidate, ratio {:.2}; uncached reference {u:.0} ns/candidate \
+             (sink {sink:.3})",
+            k / f
+        );
     }
 
     /// SGD on the censored-hinge loss reduces training error on a
