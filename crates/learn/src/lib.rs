@@ -15,7 +15,8 @@
 //!   trained by the same censored-hinge minibatch SGD.
 //! * [`ExperienceBuffer`] — deduplicated per-subplan labels from both
 //!   simulated (`C_out`) and real (`ExecutionEnv`, timeout-censored)
-//!   runs, with best-label retention (§4.2).
+//!   runs, with best-label retention (§4.2); each entry keeps its
+//!   features once, as [`PackedFeatures`].
 //! * [`LearnedScorer`] — the value model plugged into
 //!   `balsa_cost::PlanScorer`, driving the same beam search as the
 //!   classical cost models (§5).
@@ -34,7 +35,7 @@ pub mod scorer;
 pub mod train;
 pub mod treeconv;
 
-pub use buffer::{Experience, ExperienceBuffer, LabelSource};
+pub use buffer::{Experience, ExperienceBuffer, LabelSource, PackedFeatures};
 pub use checkpoint::{BufferEntry, CheckpointData};
 pub use featurize::{Featurizer, FlatState};
 pub use model::{

@@ -399,18 +399,47 @@ impl LinearValueModel {
                 .sum::<f64>();
         (w, b)
     }
+}
 
-    fn standardized(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            x.iter()
-                .zip(self.mean.iter().zip(&self.inv_std))
-                .map(|(&v, (&m, &s))| (v - m) * s),
+/// `Sum for f64`'s start value; [`dot_rows`]' chains start from it too.
+const SUM_START: f64 = -0.0;
+
+/// Appends `Σ_j w[j] · z(j, row[j]) + b` for each row to `out`, in row
+/// order. Four rows share each pass over `w` as independent add chains,
+/// so the loop is bound by add throughput, not latency; the remainder
+/// runs one chain at a time. Every chain adds its terms left to right
+/// from [`SUM_START`], so each result has the bits of the serial
+/// `.map(..).sum::<f64>() + b`.
+fn dot_rows(w: &[f64], b: f64, rows: &[&[f64]], z: impl Fn(usize, f64) -> f64, out: &mut Vec<f64>) {
+    let n = w.len();
+    let mut groups = rows.chunks_exact(4);
+    for group in &mut groups {
+        // Every slice re-cut to `n`, so the compiler drops the bounds
+        // checks below.
+        let (r0, r1, r2, r3) = (
+            &group[0][..n],
+            &group[1][..n],
+            &group[2][..n],
+            &group[3][..n],
         );
+        let mut acc = [SUM_START; 4];
+        for j in 0..n {
+            let wj = w[j];
+            acc[0] += wj * z(j, r0[j]);
+            acc[1] += wj * z(j, r1[j]);
+            acc[2] += wj * z(j, r2[j]);
+            acc[3] += wj * z(j, r3[j]);
+        }
+        out.extend(acc.iter().map(|a| a + b));
     }
-
-    fn raw_predict(&self, z: &[f64]) -> f64 {
-        self.w.iter().zip(z).map(|(w, z)| w * z).sum::<f64>() + self.b
+    for row in groups.remainder() {
+        let dot = w
+            .iter()
+            .zip(*row)
+            .enumerate()
+            .map(|(j, (&wj, &v))| wj * z(j, v))
+            .sum::<f64>();
+        out.push(dot + b);
     }
 }
 
@@ -466,19 +495,26 @@ impl ValueModel for LinearValueModel {
         Box::new(self.clone())
     }
 
-    /// One reused standardization buffer across the batch.
+    /// Standardizes each state on the fly inside four interleaved
+    /// dot-product chains.
     fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
-        let mut z = Vec::with_capacity(self.w.len());
-        xs.iter()
-            .map(|x| {
-                assert_eq!(x.len(), self.w.len(), "feature length mismatch");
-                self.standardized(x, &mut z);
-                self.raw_predict(&z)
-            })
-            .collect()
+        for x in xs {
+            assert_eq!(x.len(), self.w.len(), "feature length mismatch");
+        }
+        let n = self.w.len();
+        let (mean, inv_std) = (&self.mean[..n], &self.inv_std[..n]);
+        let mut out = Vec::with_capacity(xs.len());
+        dot_rows(
+            &self.w,
+            self.b,
+            xs,
+            |j, v| (v - mean[j]) * inv_std[j],
+            &mut out,
+        );
+        out
     }
 
-    fn fit(&mut self, data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
+    fn fit(&mut self, mut data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
         assert_eq!(data.xs.len(), data.ys.len());
         assert_eq!(data.censored.len(), data.ys.len());
         if data.is_empty() {
@@ -486,15 +522,29 @@ impl ValueModel for LinearValueModel {
         }
         let dim = self.w.len();
         let n = data.len();
+        for x in &data.xs {
+            assert_eq!(x.len(), dim, "feature length mismatch");
+        }
 
         if !self.fitted {
             // Freeze standardization on the first training distribution.
-            for (j, m) in self.mean.iter_mut().enumerate() {
-                *m = data.xs.iter().map(|x| x[j]).sum::<f64>() / n as f64;
+            // Row-major, one accumulator per column: each column still
+            // adds its rows in order from `Sum`'s start value.
+            let mut acc = vec![SUM_START; dim];
+            for x in &data.xs {
+                acc.iter_mut().zip(x).for_each(|(a, v)| *a += v);
             }
-            for (j, s) in self.inv_std.iter_mut().enumerate() {
-                let m = self.mean[j];
-                let var = data.xs.iter().map(|x| (x[j] - m) * (x[j] - m)).sum::<f64>() / n as f64;
+            for (m, a) in self.mean.iter_mut().zip(&acc) {
+                *m = a / n as f64;
+            }
+            acc.fill(SUM_START);
+            for x in &data.xs {
+                for ((a, v), m) in acc.iter_mut().zip(x).zip(&self.mean) {
+                    *a += (v - m) * (v - m);
+                }
+            }
+            for (s, a) in self.inv_std.iter_mut().zip(&acc) {
+                let var = a / n as f64;
                 *s = if var > 1e-12 { 1.0 / var.sqrt() } else { 0.0 };
             }
             // Gaussian init and a bias at the label mean put the first
@@ -506,17 +556,15 @@ impl ValueModel for LinearValueModel {
             self.fitted = true;
         }
 
-        // Pre-standardize once.
-        let zs: Vec<Vec<f64>> = data
-            .xs
-            .iter()
-            .map(|x| {
-                assert_eq!(x.len(), dim, "feature length mismatch");
-                let mut z = Vec::with_capacity(dim);
-                self.standardized(x, &mut z);
-                z
-            })
-            .collect();
+        // Standardize once, in place: the fit owns `data`, so each row
+        // becomes its z-vector `(v − m) · s` without a second copy of the
+        // set.
+        for x in &mut data.xs {
+            for (v, (m, s)) in x.iter_mut().zip(self.mean.iter().zip(&self.inv_std)) {
+                *v = (*v - m) * s;
+            }
+        }
+        let zs: Vec<&[f64]> = data.xs.iter().map(Vec::as_slice).collect();
 
         // Flat parameter vector `[w…, b]` through the shared optimizer;
         // the weight-only L2 mask zeroes decay on the bias exactly as
@@ -527,19 +575,21 @@ impl ValueModel for LinearValueModel {
         let mut opt = Optimizer::new(cfg, dim + 1);
         let mut order: Vec<usize> = (0..n).collect();
         let mut grad = vec![0.0; dim + 1];
+        let mut rows: Vec<&[f64]> = Vec::with_capacity(cfg.batch.max(1));
+        let mut preds = Vec::with_capacity(cfg.batch.max(1));
         let mut steps = 0u64;
         for _epoch in 0..cfg.epochs {
             shuffle_epoch_order(&mut order, rng);
             for chunk in order.chunks(cfg.batch.max(1)) {
+                // The params hold still within a chunk: predict all of it
+                // first, then accumulate gradients in sample order.
+                rows.clear();
+                rows.extend(chunk.iter().map(|&i| zs[i]));
+                preds.clear();
+                dot_rows(&params[..dim], params[dim], &rows, |_, z| z, &mut preds);
                 grad.iter_mut().for_each(|g| *g = 0.0);
                 let mut active = 0usize;
-                for &i in chunk {
-                    let pred = params[..dim]
-                        .iter()
-                        .zip(&zs[i])
-                        .map(|(w, z)| w * z)
-                        .sum::<f64>()
-                        + params[dim];
+                for (&i, &pred) in chunk.iter().zip(&preds) {
                     let resid = pred - data.ys[i];
                     // Censored lower bound: no penalty once we predict
                     // at or above it.
@@ -547,7 +597,7 @@ impl ValueModel for LinearValueModel {
                         continue;
                     }
                     active += 1;
-                    for (g, z) in grad.iter_mut().zip(&zs[i]) {
+                    for (g, z) in grad.iter_mut().zip(zs[i]) {
                         *g += resid * z;
                     }
                     grad[dim] += resid;
@@ -563,11 +613,13 @@ impl ValueModel for LinearValueModel {
         self.w.copy_from_slice(&params[..dim]);
         self.b = params[dim];
 
-        let mse = zs
+        preds.clear();
+        dot_rows(&self.w, self.b, &zs, |_, z| z, &mut preds);
+        let mse = preds
             .iter()
             .zip(data.ys.iter().zip(&data.censored))
-            .map(|(z, (&y, &c))| {
-                let r = self.raw_predict(z) - y;
+            .map(|(p, (&y, &c))| {
+                let r = p - y;
                 if c && r >= 0.0 {
                     0.0
                 } else {
@@ -918,6 +970,110 @@ mod tests {
         let flat = LinearValueModel::new(2);
         assert!(flat.join_state(&[0.0, 0.0], &a, &b).is_none());
         assert!(flat.state_value(&a).is_none());
+    }
+
+    /// The serial reference: standardize the state into its own vector.
+    fn standardized(m: &LinearValueModel, x: &[f64]) -> Vec<f64> {
+        x.iter()
+            .zip(m.mean.iter().zip(&m.inv_std))
+            .map(|(&v, (&m, &s))| (v - m) * s)
+            .collect()
+    }
+
+    /// The serial reference: one `.sum()` chain over the weights.
+    fn raw_predict(m: &LinearValueModel, z: &[f64]) -> f64 {
+        m.w.iter().zip(z).map(|(w, z)| w * z).sum::<f64>() + m.b
+    }
+
+    /// Sparse rows over `dim` features: zeros, constant columns, signs.
+    fn sparse_set(n: usize, dim: usize, rng: &mut SmallRng) -> TrainSet {
+        let mut set = TrainSet::default();
+        for i in 0..n {
+            let x: Vec<f64> = (0..dim)
+                .map(|j| match j % 5 {
+                    0 => 1.0,
+                    1 | 2 if rng.random_bool(0.7) => 0.0,
+                    _ => rng.random::<f64>() * 6.0 - 2.0,
+                })
+                .collect();
+            set.ys.push(x[3] - 0.5 * x[4] + rng.random_normal(0.0, 0.1));
+            set.xs.push(x);
+            set.censored.push(i % 5 == 0);
+        }
+        set
+    }
+
+    /// `predict_batch`'s interleaved chains equal the serial reference
+    /// bit for bit at every batch size around the chain width, fitted
+    /// and unfitted. The unfitted model with bias `-0.0` on all-negative
+    /// states sums `-0.0` terms only, so there the chains' start value
+    /// shows in the result.
+    #[test]
+    fn predict_batch_equals_the_serial_reference_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let dim = 29;
+        let negative: Vec<Vec<f64>> = (0..65)
+            .map(|_| (0..dim).map(|_| -0.5 - rng.random::<f64>()).collect())
+            .collect();
+        let mixed = sparse_set(65, dim, &mut rng).xs;
+        let mut neg_bias = LinearValueModel::new(dim);
+        neg_bias.b = -0.0;
+        let mut fitted = LinearValueModel::new(dim);
+        fitted.fit(
+            sparse_set(101, dim, &mut rng),
+            &SgdConfig::default(),
+            &mut rng,
+        );
+        let cases = [
+            (LinearValueModel::new(dim), &negative),
+            (neg_bias, &negative),
+            (fitted.clone(), &mixed),
+            (fitted, &negative),
+        ];
+        for (case, (m, rows)) in cases.iter().enumerate() {
+            for size in [0usize, 1, 3, 4, 5, 8, 63, 64, 65] {
+                let xs: Vec<&[f64]> = rows[..size].iter().map(Vec::as_slice).collect();
+                let got = m.predict_batch(&xs);
+                assert_eq!(got.len(), size);
+                for (x, g) in xs.iter().zip(&got) {
+                    let want = raw_predict(m, &standardized(m, x));
+                    assert_eq!(g.to_bits(), want.to_bits(), "case {case} batch {size}");
+                }
+            }
+        }
+    }
+
+    /// Params, `mse` and predictions of three successive fits (censored
+    /// samples, sizes not a multiple of the chain width, batch 64) are
+    /// pinned to the bits of the serial one-chain-per-sample fit that
+    /// standardized into a separate copy of the set.
+    #[test]
+    fn linear_fit_bits_are_pinned() {
+        const PIN: u64 = 0xa9f6_75e1_d19c_5d5b;
+        let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut rng = SmallRng::seed_from_u64(0x11);
+        let dim = 37;
+        let probe = sparse_set(67, dim, &mut rng).xs;
+        let probe: Vec<&[f64]> = probe.iter().map(Vec::as_slice).collect();
+        let cfg = SgdConfig {
+            epochs: 3,
+            ..SgdConfig::default()
+        };
+        assert_eq!(cfg.batch, 64);
+        let mut m = LinearValueModel::new(dim);
+        let mut sum = 0xcbf2_9ce4_8422_2325u64;
+        for n in [203usize, 253, 303] {
+            let report = m.fit(sparse_set(n, dim, &mut rng), &cfg, &mut rng);
+            let bits = m
+                .params()
+                .into_iter()
+                .chain([report.mse])
+                .chain(m.predict_batch(&probe));
+            for v in bits {
+                sum = fold(sum, v.to_bits());
+            }
+        }
+        assert_eq!(sum, PIN, "actual {sum:#x}");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! inference on a *separate* environment, so evaluation neither warms
 //! the training plan cache nor advances the training clock.
 
-use crate::buffer::{Experience, ExperienceBuffer, LabelSource};
+use crate::buffer::{Experience, ExperienceBuffer, LabelSource, PackedFeatures};
 use crate::checkpoint::{BufferEntry, CheckpointData};
 use crate::featurize::Featurizer;
 use crate::model::{
@@ -330,7 +330,7 @@ fn sim_labels(
         out.push(Experience {
             query_key: qk,
             fingerprint: sub.canonical_hash(),
-            features: featurizer.featurize_enc(enc, query, &sub, est),
+            features: PackedFeatures::pack(&featurizer.featurize_enc(enc, query, &sub, est)),
             plan: sub,
             label_secs: label,
             censored: false,
@@ -564,7 +564,7 @@ pub fn train_loop(
                 "checkpoint plan does not match its recorded fingerprint"
             );
             let memo = MemoEstimator::new(&est);
-            let features = featurizer.featurize_enc(enc, q, &plan, &memo);
+            let features = PackedFeatures::pack(&featurizer.featurize_enc(enc, q, &plan, &memo));
             buffer.record(Experience {
                 query_key: e.query_key,
                 fingerprint: e.fingerprint,
@@ -891,7 +891,9 @@ pub fn train_loop(
                     query_key: qk,
                     // Frozen key — see `record_sim_labels`.
                     fingerprint: l.plan.canonical_hash(),
-                    features: featurizer.featurize_enc(enc, q, &l.plan, &memo),
+                    features: PackedFeatures::pack(
+                        &featurizer.featurize_enc(enc, q, &l.plan, &memo),
+                    ),
                     plan: l.plan.clone(),
                     label_secs: l.latency_secs,
                     censored: l.censored,
@@ -988,5 +990,116 @@ pub fn train_loop(
         buffer,
         breakdown,
         resilience: stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use balsa_query::workloads::job_workload;
+    use balsa_storage::{mini_imdb, DataGenConfig};
+
+    fn smoke_cfg(model: ModelKind, iterations: usize) -> TrainConfig {
+        TrainConfig {
+            model,
+            beam_width: 3,
+            sim_random_plans: 2,
+            iterations,
+            pretrain_sgd: SgdConfig {
+                epochs: 2,
+                ..SgdConfig::default()
+            },
+            finetune_sgd: SgdConfig {
+                epochs: 1,
+                ..SgdConfig::default()
+            },
+            ..TrainConfig::default()
+        }
+    }
+
+    /// The oracle: every row `train_set` hands a fit equals a fresh
+    /// featurization of its entry's `(query, plan)` — no memo, no packing
+    /// — bit for bit, for both label sources.
+    fn assert_rows_are_fresh_features(
+        db: &Arc<Database>,
+        workload: &Workload,
+        kind: ModelKind,
+        buffer: &ExperienceBuffer,
+    ) {
+        let profile = *ExecutionEnv::postgres_sim(db.clone()).profile();
+        let featurizer = Featurizer::new(db.clone(), profile.weights, profile.bushy_hints);
+        let enc = make_model(kind, &featurizer).encoding();
+        let est = HistogramEstimator::new(db);
+        let queries: HashMap<u64, &Query> =
+            workload.queries.iter().map(|q| (query_key(q), q)).collect();
+        for source in [LabelSource::Simulated, LabelSource::Real] {
+            let set = buffer.train_set(source);
+            let entries: Vec<&Experience> = buffer
+                .sorted_entries()
+                .into_iter()
+                .filter(|e| e.source == source)
+                .collect();
+            assert!(!entries.is_empty(), "{kind:?} {source:?}: no entries");
+            assert_eq!(set.len(), entries.len());
+            for (x, e) in set.xs.iter().zip(entries) {
+                let fresh = featurizer.featurize_enc(enc, queries[&e.query_key], &e.plan, &est);
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(&fresh), "{kind:?} {source:?}: {}", e.plan);
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_rows_equal_fresh_featurization() {
+        let db = Arc::new(mini_imdb(DataGenConfig {
+            scale: 0.02,
+            ..Default::default()
+        }));
+        let w = job_workload(db.catalog(), 7);
+        let split = Split {
+            train: (0..5).collect(),
+            test: (5..7).collect(),
+        };
+        for kind in [ModelKind::Linear, ModelKind::TreeConv] {
+            let env = ExecutionEnv::postgres_sim(db.clone());
+            let o = train_loop(&db, &env, &w, &split, &smoke_cfg(kind, 2));
+            assert_rows_are_fresh_features(&db, &w, kind, &o.buffer);
+        }
+
+        // Kill after iteration 1, then resume: the rebuilt buffer and the
+        // iteration recorded on top of it pass the same oracle.
+        let tmp = |tag: &str| {
+            std::env::temp_dir().join(format!(
+                "balsa_buffer_oracle_{tag}_{}.ckpt",
+                std::process::id()
+            ))
+        };
+        let (killed, resumed) = (tmp("killed"), tmp("resumed"));
+        let mut cfg = smoke_cfg(ModelKind::Linear, 2);
+        cfg.checkpoint_every = 1;
+        cfg.checkpoint_path = Some(killed.clone());
+        cfg.halt_after = Some(1);
+        train_loop(
+            &db,
+            &ExecutionEnv::postgres_sim(db.clone()),
+            &w,
+            &split,
+            &cfg,
+        );
+        cfg.checkpoint_path = Some(resumed.clone());
+        cfg.halt_after = None;
+        cfg.resume_from = Some(killed.clone());
+        let o = train_loop(
+            &db,
+            &ExecutionEnv::postgres_sim(db.clone()),
+            &w,
+            &split,
+            &cfg,
+        );
+        assert_eq!(o.trajectory.len(), 3, "resumed run finishes iteration 2");
+        assert_rows_are_fresh_features(&db, &w, ModelKind::Linear, &o.buffer);
+        for p in [killed, resumed] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }

@@ -171,7 +171,7 @@ fn experience_buffer_with_real_labeled_executions() {
             buffer.record(Experience {
                 query_key: query_key(q),
                 fingerprint: l.plan.fingerprint(),
-                features: f.featurize(q, &l.plan, &est),
+                features: balsa_learn::PackedFeatures::pack(&f.featurize(q, &l.plan, &est)),
                 plan: l.plan.clone(),
                 label_secs: l.latency_secs,
                 censored: l.censored,
@@ -442,7 +442,7 @@ fn censoring_at_root_vs_interior_subtree() {
             buffer.record(Experience {
                 query_key: query_key(q),
                 fingerprint: l.plan.fingerprint(),
-                features: f.featurize(q, &l.plan, &est),
+                features: balsa_learn::PackedFeatures::pack(&f.featurize(q, &l.plan, &est)),
                 plan: l.plan.clone(),
                 label_secs: l.latency_secs,
                 censored: l.censored,
