@@ -47,77 +47,153 @@ use crate::{
 };
 use balsa_card::CardEstimator;
 use balsa_cost::{CostModel, CostScorer, OrderInterner, OrderMask, OrderSource, SubtreeCost};
-use balsa_query::{Plan, Query, ScanOp, TableMask};
+use balsa_query::{JoinOp, Plan, Query, ScanOp, TableMask};
 use balsa_storage::Database;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One Pareto entry: the cheapest known subplan producing its exact
-/// output-order set (packed through the query's [`OrderInterner`]).
-struct Entry {
-    plan: Arc<Plan>,
-    sc: SubtreeCost,
-    orders: OrderMask,
+/// Where a Pareto entry's plan node comes from. Scans are built up
+/// front. A join only records its operator and its children's memo
+/// positions `(slot, index)` while its DP level is open; its node is
+/// built when the level closes ([`close_level`]), and only if the entry
+/// is still in its Pareto set — most inserted joins are evicted by a
+/// cheaper one before then.
+enum Node {
+    Plan(Arc<Plan>),
+    Join {
+        op: JoinOp,
+        left: (u32, u32),
+        right: (u32, u32),
+    },
 }
 
-/// A Pareto set with its dominance keys `(work, orders)` in a compact
-/// parallel array, so the per-candidate reject-scan streams 32-byte
-/// records instead of chasing plan pointers. Dominance is two integer
-/// ops per comparison: `work` compare + order-mask superset test.
+/// One Pareto entry: the cheapest known subplan producing its exact
+/// output-order set. Its dominance key `(work, orders)` lives in the
+/// owning [`ParetoSet`]'s columns.
+struct Entry {
+    node: Node,
+    sc: SubtreeCost,
+    /// Whether the subplan is an index-scan leaf — the one fact about a
+    /// right input that costing needs beyond its summary — so the inner
+    /// loop never reads a plan node.
+    index_scan: bool,
+}
+
+impl Entry {
+    fn scan(plan: Arc<Plan>, sc: SubtreeCost) -> Self {
+        let index_scan = matches!(
+            &*plan,
+            Plan::Scan {
+                op: ScanOp::Index,
+                ..
+            }
+        );
+        Self {
+            node: Node::Plan(plan),
+            sc,
+            index_scan,
+        }
+    }
+
+    /// The entry's plan node.
+    ///
+    /// # Panics
+    /// Panics while the entry's level is still open.
+    fn plan(&self) -> &Arc<Plan> {
+        match &self.node {
+            Node::Plan(plan) => plan,
+            Node::Join { .. } => unreachable!("join nodes are built when their level closes"),
+        }
+    }
+}
+
+/// A Pareto set stored as columns: the dominance keys `works` and
+/// `masks` apart from the `entries` they describe (`works[i]` is
+/// `entries[i].sc.work`), so threshold scans and eviction sweeps stream
+/// two flat arrays and never touch summaries or plan nodes. Dominance
+/// is two integer ops per comparison: `work` compare + order-mask
+/// superset test.
 #[derive(Default)]
 struct ParetoSet {
-    keys: Vec<(f64, OrderMask)>,
+    works: Vec<f64>,
+    masks: Vec<OrderMask>,
     entries: Vec<Entry>,
 }
 
 impl ParetoSet {
     /// Whether a candidate with this key is dominated by the set.
-    #[inline]
     fn dominates(&self, work: f64, orders: OrderMask) -> bool {
-        self.keys
+        self.works
             .iter()
-            .any(|&(w, o)| w <= work && o.contains_all(orders))
+            .zip(&self.masks)
+            .any(|(&w, &o)| w <= work && o.contains_all(orders))
     }
 
     /// Cheapest work among entries whose orders cover `orders` —
     /// the dominance threshold for a whole class of candidates
-    /// (`f64::INFINITY` when none covers it). Any candidate of this
-    /// order class whose work reaches the threshold is dominated.
+    /// (`f64::INFINITY` when none covers it). A candidate of this order
+    /// class is dominated exactly when its work reaches the threshold.
     fn dominance_threshold(&self, orders: OrderMask) -> f64 {
-        self.keys
+        self.works
             .iter()
+            .zip(&self.masks)
             .filter(|(_, o)| o.contains_all(orders))
-            .map(|&(w, _)| w)
+            .map(|(&w, _)| w)
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Inserts an **undominated** entry, dropping entries it dominates
-    /// (order-preserving). Callers check [`ParetoSet::dominates`] first.
-    fn insert_undominated(&mut self, entry: Entry) {
-        let (work, orders) = (entry.sc.work, entry.orders);
-        let mut i = 0;
-        while i < self.keys.len() {
-            let (w, o) = self.keys[i];
-            if work <= w && orders.contains_all(o) {
-                self.keys.remove(i);
-                self.entries.remove(i);
-            } else {
-                i += 1;
+    /// Inserts an **undominated** entry with output orders `orders`,
+    /// dropping the entries it dominates (order-preserving). Callers
+    /// check dominance first.
+    fn insert_undominated(&mut self, orders: OrderMask, entry: Entry) {
+        let work = entry.sc.work;
+        let evicts = |w: f64, o: OrderMask| work <= w && orders.contains_all(o);
+        let first = self
+            .works
+            .iter()
+            .zip(&self.masks)
+            .position(|(&w, &o)| evicts(w, o));
+        if let Some(first) = first {
+            let mut kept = first;
+            for i in first + 1..self.works.len() {
+                if !evicts(self.works[i], self.masks[i]) {
+                    self.works[kept] = self.works[i];
+                    self.masks[kept] = self.masks[i];
+                    self.entries.swap(kept, i);
+                    kept += 1;
+                }
             }
+            self.works.truncate(kept);
+            self.masks.truncate(kept);
+            self.entries.truncate(kept);
         }
-        self.keys.push((work, orders));
+        self.works.push(work);
+        self.masks.push(orders);
         self.entries.push(entry);
     }
 
-    /// Inserts `cand`, dropping dominated entries. Returns whether the
-    /// candidate survived.
-    fn insert(&mut self, cand: Entry) -> bool {
-        if self.dominates(cand.sc.work, cand.orders) {
+    /// Inserts `entry` with output orders `orders`, dropping dominated
+    /// entries. Returns whether the entry survived.
+    fn insert(&mut self, orders: OrderMask, entry: Entry) -> bool {
+        if self.dominates(entry.sc.work, orders) {
             return false;
         }
-        self.insert_undominated(cand);
+        self.insert_undominated(orders, entry);
         true
+    }
+
+    /// Replays `other`'s entries, in order, through
+    /// [`ParetoSet::insert`].
+    fn absorb(&mut self, other: ParetoSet) {
+        if self.len() == 0 {
+            *self = other;
+            return;
+        }
+        for (orders, entry) in other.masks.into_iter().zip(other.entries) {
+            self.insert(orders, entry);
+        }
     }
 
     fn len(&self) -> usize {
@@ -125,8 +201,59 @@ impl ParetoSet {
     }
 
     fn clear(&mut self) {
-        self.keys.clear();
+        self.works.clear();
+        self.masks.clear();
         self.entries.clear();
+    }
+}
+
+/// The cached dominance threshold of one order class: the cheapest work
+/// among a set's entries whose orders cover `mask`.
+#[derive(Clone, Copy)]
+struct ClassThreshold {
+    mask: OrderMask,
+    work: f64,
+}
+
+impl ClassThreshold {
+    fn of(set: &ParetoSet, mask: OrderMask) -> Self {
+        Self {
+            mask,
+            work: set.dominance_threshold(mask),
+        }
+    }
+
+    /// Keeps the threshold exact across one
+    /// [`ParetoSet::insert_undominated`] of an entry with key
+    /// `(work, orders)`, in O(1) instead of a rescan.
+    ///
+    /// Exact because the insert adds that one entry and evicts only
+    /// entries `(w, o)` with `w ≥ work` and `o ⊆ orders`. If
+    /// `orders ⊇ mask`, the new entry joins the class, and an evicted
+    /// class member had `w ≥ work`, so the class minimum becomes exactly
+    /// `min(old, work)`. Otherwise nothing joins, and nothing leaves
+    /// either: an evicted member would have `mask ⊆ o ⊆ orders`.
+    #[inline]
+    fn admit(&mut self, work: f64, orders: OrderMask) {
+        if orders.contains_all(self.mask) {
+            self.work = self.work.min(work);
+        }
+    }
+}
+
+/// Builds the plan node of every join entry in `open` (the sets a DP
+/// level just finished) from its children in `closed` (every earlier
+/// level, whose nodes are already built). Only Pareto survivors are
+/// still there to build.
+fn close_level(closed: &[ParetoSet], open: &mut [ParetoSet]) {
+    let child =
+        |(slot, idx): (u32, u32)| closed[slot as usize].entries[idx as usize].plan().clone();
+    for set in open {
+        for e in &mut set.entries {
+            if let Node::Join { op, left, right } = e.node {
+                e.node = Node::Plan(Plan::join(op, child(left), child(right)));
+            }
+        }
     }
 }
 
@@ -271,6 +398,33 @@ fn fallback_chain(
 // DPccp planner
 // ---------------------------------------------------------------------------
 
+/// Multiplicative hasher for the memo's `u32` table-mask keys: one
+/// multiply and a rotate, where std's SipHash costs more than the rest
+/// of the lookup. The rotate brings the product's well-mixed high bits
+/// down to where the table picks its bucket. The map is never iterated,
+/// so the hash function cannot affect results.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+const MASK_HASH_MUL: u64 = 0xF135_7AEA_2E62_A9C5;
+
+impl Hasher for MaskHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached for non-u32 keys.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(MASK_HASH_MUL);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v).wrapping_mul(MASK_HASH_MUL);
+    }
+}
+
 /// Reusable per-planner scratch: the hash-indexed memo (slots exist only
 /// for connected subsets actually touched), the per-query order
 /// interner, and the enumeration buckets. Cleared — allocations kept —
@@ -279,7 +433,7 @@ fn fallback_chain(
 struct DpScratch {
     interner: OrderInterner,
     /// Connected mask -> dense slot index into `entries`.
-    slot_of: HashMap<u32, u32>,
+    slot_of: HashMap<u32, u32, BuildHasherDefault<MaskHasher>>,
     /// Pareto sets, indexed by slot. `entries[used..]` are retired
     /// (empty, capacity retained) sets from earlier queries.
     entries: Vec<ParetoSet>,
@@ -454,8 +608,9 @@ impl<'a> DpPlanner<'a> {
         // submask enumerator, which has no such cap — exactly the
         // pre-DPccp behavior for such queries, keeping `plan` total
         // where it used to be. (A DPccp variant with uncapped set-based
-        // order keys would serve sparse many-column giants better; see
-        // ROADMAP "Planner perf, next round".)
+        // order keys would serve sparse many-column giants better; no
+        // workload query comes near the cap — see the test
+        // `order_universe_bound_covers_all_sorted_on_sources`.)
         let universe = order_universe(self.db, query);
         if universe.len() > 128 {
             return SubmaskDpPlanner::new(self.db, self.cost, self.est, self.mode)
@@ -525,11 +680,7 @@ impl<'a> DpPlanner<'a> {
                 stats.candidates += 1;
                 stats.cost_calls += 1;
                 let orders = s.interner.mask_of_cost(&sc);
-                s.entries[slot].insert(Entry {
-                    plan: scan,
-                    sc,
-                    orders,
-                });
+                s.entries[slot].insert(orders, Entry::scan(scan, sc));
             }
         }
 
@@ -551,8 +702,13 @@ impl<'a> DpPlanner<'a> {
         // shared-target sweep), so they may *cost* more candidates, but
         // never admit or order them differently; only `cost_calls`
         // reflects the partitioning.
+        //
+        // A level allocates exactly the slots of its own subset size, so
+        // they are `level_start..s.used` and every child slot lies below;
+        // closing the level builds the surviving joins' plan nodes.
         check_budget(s, &stats)?;
         for size in 2..=n {
+            let level_start = s.used;
             match self.mode {
                 SearchMode::Bushy => {
                     let bucket = std::mem::take(&mut s.pair_buckets[size]);
@@ -577,8 +733,9 @@ impl<'a> DpPlanner<'a> {
                                     &memo,
                                     TableMask(lm),
                                     TableMask(rm),
-                                    &shared.entries[l],
-                                    &shared.entries[r],
+                                    &shared.entries,
+                                    l,
+                                    r,
                                     &mut local,
                                     &shared.interner,
                                     &mut lstats,
@@ -590,14 +747,7 @@ impl<'a> DpPlanner<'a> {
                             stats.candidates += lstats.candidates;
                             stats.cost_calls += lstats.cost_calls;
                             let target = s.slot(a | b);
-                            let cur = &mut s.entries[target];
-                            if cur.len() == 0 {
-                                *cur = local;
-                            } else {
-                                for e in local.entries {
-                                    cur.insert(e);
-                                }
-                            }
+                            s.entries[target].absorb(local);
                         }
                     } else {
                         for &(a, b) in &bucket {
@@ -613,8 +763,9 @@ impl<'a> DpPlanner<'a> {
                                     &memo,
                                     TableMask(lm),
                                     TableMask(rm),
-                                    &s.entries[l as usize],
-                                    &s.entries[r as usize],
+                                    &s.entries,
+                                    l as usize,
+                                    r as usize,
                                     &mut cur,
                                     &s.interner,
                                     &mut stats,
@@ -667,8 +818,9 @@ impl<'a> DpPlanner<'a> {
                                     &memo,
                                     TableMask(rest),
                                     TableMask::single(t),
-                                    &shared.entries[sr as usize],
-                                    &shared.entries[st],
+                                    &shared.entries,
+                                    sr as usize,
+                                    st,
                                     &mut local,
                                     &shared.interner,
                                     &mut lstats,
@@ -710,8 +862,9 @@ impl<'a> DpPlanner<'a> {
                                     &memo,
                                     TableMask(rest),
                                     TableMask::single(t),
-                                    &s.entries[sr as usize],
-                                    &s.entries[st as usize],
+                                    &s.entries,
+                                    sr as usize,
+                                    st as usize,
                                     &mut cur,
                                     &s.interner,
                                     &mut stats,
@@ -723,6 +876,8 @@ impl<'a> DpPlanner<'a> {
                     s.csg_buckets[size] = bucket;
                 }
             }
+            let (closed, open) = s.entries[..s.used].split_at_mut(level_start);
+            close_level(closed, open);
             check_budget(s, &stats)?;
         }
         stats.cost_secs = t_cost.elapsed().as_secs_f64();
@@ -736,7 +891,7 @@ impl<'a> DpPlanner<'a> {
         let full_entries = &s.entries[full_slot as usize];
         let best = best_of(full_entries).ok_or_else(disconnected)?;
         let mut planned = PlannedQuery {
-            plan: best.plan.clone(),
+            plan: best.plan().clone(),
             cost: best.sc.work,
             stats,
             planning_secs: start.elapsed().as_secs_f64(),
@@ -761,18 +916,26 @@ impl<'a> DpPlanner<'a> {
     }
 }
 
-/// Combines every (left entry, right entry, join op) candidate into
-/// `cur`'s Pareto set. Orientation is fixed by the caller; connectivity
-/// and disjointness hold by construction of the enumeration, and the
-/// left-deep right side is always a single-table slot, so the
-/// [`CandidateSpace`] mode filter is already satisfied.
+/// Combines every (left entry, right entry, join op) candidate of the
+/// closed sets `sets[l]` ⋈ `sets[r]` into `cur`'s Pareto set.
+/// Orientation is fixed by the caller; connectivity and disjointness
+/// hold by construction of the enumeration, and the left-deep right
+/// side is always a single-table slot, so the [`CandidateSpace`] mode
+/// filter is already satisfied.
 ///
-/// The hot path runs through the cost model's [`PairCoster`] session:
-/// per candidate it is a virtual work call, an order-mask derivation
-/// (two integer ops for hash/NL), and the dominance reject-scan — no
-/// allocation at all until a candidate survives. Models without a
-/// session fall back to [`CostModel::join_summary_parts`] per candidate
-/// (with the union cardinality pinned).
+/// The hot path runs through the cost model's [`PairCoster`] session.
+/// A candidate's output orders are fixed by its operator before
+/// costing, so it falls in one of three order classes (no order, the
+/// left input's orders, the session's pair orders), and `combine` keeps
+/// each class's dominance threshold over `cur` exact at all times
+/// ([`ClassThreshold::admit`]). A candidate costs one compare against
+/// its class threshold, then — unless that rejects it — a virtual work
+/// call and a second compare, which *is* the dominance test. Only a
+/// survivor allocates: its order list and an entry recording its
+/// operator and children; its plan node waits for [`close_level`].
+/// Models without a session fall back to
+/// [`CostModel::join_summary_parts`] per candidate (with the union
+/// cardinality pinned).
 ///
 /// The interner is **read-only** (the whole order universe is interned
 /// before costing starts), which is what lets parallel level workers
@@ -787,88 +950,100 @@ fn combine(
     memo: &MemoEstimator<'_>,
     lmask: TableMask,
     rmask: TableMask,
-    left: &ParetoSet,
-    right: &ParetoSet,
+    sets: &[ParetoSet],
+    l: usize,
+    r: usize,
     cur: &mut ParetoSet,
     interner: &OrderInterner,
     stats: &mut SearchStats,
 ) {
+    let (left, right) = (&sets[l], &sets[r]);
+    let ops = space.join_ops();
+    let join = |op, li: usize, ri: usize| Node::Join {
+        op,
+        left: (l as u32, li as u32),
+        right: (r as u32, ri as u32),
+    };
+    stats.candidates += left.len() * right.len() * ops.len();
     if let Some(coster) = cost.pair_coster(query, lmask, rmask, memo) {
-        // Resolve each operator's order semantics once per orientation;
-        // the session-constant order list is interned at most once.
-        let ops = space.join_ops();
-        let mut sources = [OrderSource::Empty; 8];
-        assert!(ops.len() <= sources.len(), "more join ops than expected");
-        for (i, &op) in ops.iter().enumerate() {
-            sources[i] = coster.order_source(op);
+        // Resolve each operator's order class once per orientation; the
+        // session-constant order list is interned at most once.
+        const NONE: usize = 0;
+        const LEFT: usize = 1;
+        const PAIR: usize = 2;
+        let mut class_of = [NONE; 8];
+        assert!(ops.len() <= class_of.len(), "more join ops than expected");
+        let mut pair = None;
+        for (class, &op) in class_of.iter_mut().zip(ops) {
+            *class = match coster.order_source(op) {
+                OrderSource::Empty => NONE,
+                OrderSource::LeftInput => LEFT,
+                OrderSource::Pair => {
+                    pair = Some(interner.mask_of(coster.pair_sorted_on()));
+                    PAIR
+                }
+            };
         }
-        let mut pair_mask: Option<OrderMask> = None;
-        // Cached dominance thresholds per order class. A candidate's
-        // order mask is known *before* costing, and (for models that
-        // declare it) work is child-monotone, so
-        // `threshold <= lc.work + rc.work` rejects a candidate without
-        // the costing call at all. Stale values are only ever too high
-        // (inserts can only lower a threshold), and every insert
-        // refreshes them, so the early reject is exact.
+        let class_of = &class_of[..ops.len()];
+        let none = ClassThreshold::of(cur, OrderMask::EMPTY);
+        let mut th = [
+            none,
+            none,
+            pair.map_or(none, |m| ClassThreshold::of(cur, m)),
+        ];
+        // For models that declare work child-monotone, a candidate's
+        // work is at least `lc.work + rc.work`, so a class threshold at
+        // or below that rejects it without the costing call. A whole
+        // left row is rejected when every class threshold it uses is at
+        // or below `le.work + min(right works)`: no candidate of the row
+        // is then inserted, so the thresholds hold for all of it. Its
+        // candidates are counted above and never visited.
         let monotone = coster.child_monotone();
-        let mut thresh_empty = cur.dominance_threshold(OrderMask::EMPTY);
-        let mut thresh_pair = f64::INFINITY;
-        let mut thresh_pair_valid = false;
-        for le in &left.entries {
-            let mut thresh_left = cur.dominance_threshold(le.orders);
-            for re in &right.entries {
-                debug_assert!(space.allows_join(&le.plan, &re.plan));
-                let right_index_scan = matches!(
-                    &*re.plan,
-                    Plan::Scan {
-                        op: ScanOp::Index,
-                        ..
-                    }
-                );
+        let min_right = right.works.iter().copied().fold(f64::INFINITY, f64::min);
+        for (li, le) in left.entries.iter().enumerate() {
+            th[LEFT] = ClassThreshold::of(cur, left.masks[li]);
+            if monotone {
+                let row_max = class_of
+                    .iter()
+                    .map(|&class| th[class].work)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                if row_max <= le.sc.work + min_right {
+                    continue;
+                }
+            }
+            for (ri, re) in right.entries.iter().enumerate() {
+                debug_assert!(space.allows_join(le.plan(), re.plan()));
                 let base = le.sc.work + re.sc.work;
-                for (i, &op) in ops.iter().enumerate() {
-                    stats.candidates += 1;
-                    let (orders, thresh) = match sources[i] {
-                        OrderSource::Empty => (OrderMask::EMPTY, thresh_empty),
-                        OrderSource::LeftInput => (le.orders, thresh_left),
-                        OrderSource::Pair => {
-                            let m = *pair_mask
-                                .get_or_insert_with(|| interner.mask_of(coster.pair_sorted_on()));
-                            if !thresh_pair_valid {
-                                thresh_pair = cur.dominance_threshold(m);
-                                thresh_pair_valid = true;
-                            }
-                            (m, thresh_pair)
-                        }
-                    };
+                for (&op, &class) in ops.iter().zip(class_of) {
+                    let ClassThreshold {
+                        mask: orders,
+                        work: thresh,
+                    } = th[class];
                     if monotone && thresh <= base {
                         continue; // dominated whatever the exact work is
                     }
                     stats.cost_calls += 1;
-                    let (work, out_rows) = coster.work_out(op, &le.sc, &re.sc, right_index_scan);
-                    if cur.dominates(work, orders) {
-                        continue;
+                    let (work, out_rows) = coster.work_out(op, &le.sc, &re.sc, re.index_scan);
+                    if thresh <= work {
+                        continue; // dominated: `thresh` is exact
                     }
-                    let sorted_on = match sources[i] {
-                        OrderSource::Empty => Vec::new(),
-                        OrderSource::LeftInput => le.sc.sorted_on.clone(),
-                        OrderSource::Pair => coster.pair_sorted_on().to_vec(),
+                    let sorted_on = match class {
+                        NONE => Vec::new(),
+                        LEFT => le.sc.sorted_on.clone(),
+                        _ => coster.pair_sorted_on().to_vec(),
                     };
-                    let plan = Plan::join(op, le.plan.clone(), re.plan.clone());
-                    cur.insert_undominated(Entry {
-                        plan,
+                    let entry = Entry {
+                        node: join(op, li, ri),
                         sc: SubtreeCost {
                             work,
                             out_rows,
                             sorted_on,
                         },
-                        orders,
-                    });
-                    // Inserts are rare; refresh every cached threshold.
-                    thresh_empty = cur.dominance_threshold(OrderMask::EMPTY);
-                    thresh_left = cur.dominance_threshold(le.orders);
-                    if let Some(m) = pair_mask {
-                        thresh_pair = cur.dominance_threshold(m);
+                        index_scan: false,
+                    };
+                    cur.insert_undominated(orders, entry);
+                    for t in &mut th {
+                        t.admit(work, orders);
                     }
                 }
             }
@@ -878,20 +1053,27 @@ fn combine(
     // Fallback for models without a pair session: per-candidate summary
     // with the union cardinality pinned.
     let pinned = PinnedCard::new(memo, query, lmask.union(rmask));
-    for le in &left.entries {
-        for re in &right.entries {
-            debug_assert!(space.allows_join(&le.plan, &re.plan));
-            for &op in space.join_ops() {
-                let sc =
-                    cost.join_summary_parts(query, op, &le.plan, &le.sc, &re.plan, &re.sc, &pinned);
-                stats.candidates += 1;
+    for (li, le) in left.entries.iter().enumerate() {
+        for (ri, re) in right.entries.iter().enumerate() {
+            debug_assert!(space.allows_join(le.plan(), re.plan()));
+            for &op in ops {
+                let sc = cost.join_summary_parts(
+                    query,
+                    op,
+                    le.plan(),
+                    &le.sc,
+                    re.plan(),
+                    &re.sc,
+                    &pinned,
+                );
                 stats.cost_calls += 1;
                 let orders = interner.mask_of_cost(&sc);
-                if cur.dominates(sc.work, orders) {
-                    continue;
-                }
-                let plan = Plan::join(op, le.plan.clone(), re.plan.clone());
-                cur.insert_undominated(Entry { plan, sc, orders });
+                let entry = Entry {
+                    node: join(op, li, ri),
+                    sc,
+                    index_scan: false,
+                };
+                cur.insert(orders, entry);
             }
         }
     }
@@ -1158,8 +1340,8 @@ impl Planner for SubmaskDpPlanner<'_> {
 mod tests {
     use super::*;
     use balsa_card::HistogramEstimator;
-    use balsa_cost::{CoutModel, ExpertCostModel, OpWeights};
-    use balsa_query::workloads::job_workload;
+    use balsa_cost::{CmmModel, CoutModel, ExpertCostModel, OpWeights};
+    use balsa_query::workloads::{ext_job_workload, job_workload};
     use balsa_query::ScanOp;
     use balsa_storage::{mini_imdb, DataGenConfig};
 
@@ -1170,6 +1352,34 @@ mod tests {
         }));
         let w = job_workload(db.catalog(), 7);
         (db, w)
+    }
+
+    /// Serial `cost_calls` — the one DP counter the submask oracle does
+    /// not check — summed over the 137 JOB + Ext-JOB queries in both
+    /// modes, per cost model (expert, `C_out`, `C_mm`). The early
+    /// rejects skip only candidates they prove dominated, so an exact
+    /// change to the inner loop leaves every sum where it is.
+    #[test]
+    fn serial_cost_calls_are_pinned() {
+        let (db, job) = fixture();
+        let ext = ext_job_workload(db.catalog(), 7);
+        let est = HistogramEstimator::new(&db);
+        let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        let models: [&dyn CostModel; 3] = [&expert, &CoutModel, &CmmModel];
+        let sums: Vec<usize> = models
+            .into_iter()
+            .map(|model| {
+                let mut calls = 0;
+                for q in job.queries.iter().chain(&ext.queries) {
+                    for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                        let planner = DpPlanner::new(&db, model, &est, mode);
+                        calls += planner.plan(q).stats.cost_calls;
+                    }
+                }
+                calls
+            })
+            .collect();
+        assert_eq!(sums, [1_006_502, 197_692, 333_505]);
     }
 
     #[test]
@@ -1333,31 +1543,224 @@ mod tests {
     #[test]
     fn pareto_insert_dominance() {
         let mut interner = OrderInterner::new();
-        let mut mk = |work: f64, orders: &[(usize, usize)]| Entry {
-            plan: Plan::scan(0, ScanOp::Seq),
-            sc: SubtreeCost {
+        let mut v = ParetoSet::default();
+        let mut insert = |v: &mut ParetoSet, work: f64, orders: &[(usize, usize)]| {
+            let sc = SubtreeCost {
                 work,
                 out_rows: 1.0,
                 sorted_on: orders.to_vec(),
-            },
-            orders: interner.intern(orders),
+            };
+            v.insert(interner.intern(orders), scan_entry(sc))
         };
-        let mut v = ParetoSet::default();
-        assert!(v.insert(mk(10.0, &[])));
+        assert!(insert(&mut v, 10.0, &[]));
         // Cheaper, same orders: replaces.
-        assert!(v.insert(mk(8.0, &[])));
+        assert!(insert(&mut v, 8.0, &[]));
         assert_eq!(v.len(), 1);
         // More expensive but more orders: kept.
-        assert!(v.insert(mk(9.0, &[(0, 1)])));
+        assert!(insert(&mut v, 9.0, &[(0, 1)]));
         assert_eq!(v.len(), 2);
         // More expensive, no orders: dominated.
-        assert!(!v.insert(mk(8.5, &[])));
+        assert!(!insert(&mut v, 8.5, &[]));
         // Cheaper with the same orders as the ordered entry: replaces it
         // AND dominates the plain one.
-        assert!(v.insert(mk(7.0, &[(0, 1)])));
+        assert!(insert(&mut v, 7.0, &[(0, 1)]));
         assert_eq!(v.len(), 1);
-        // The parallel key array stays in lockstep.
-        assert_eq!(v.keys.len(), v.entries.len());
-        assert_eq!(v.keys[0].0, 7.0);
+        // The key columns stay in lockstep with the entries.
+        assert_eq!(v.works.len(), v.entries.len());
+        assert_eq!(v.masks.len(), v.entries.len());
+        assert_eq!(v.works[0], 7.0);
+    }
+
+    fn scan_entry(sc: SubtreeCost) -> Entry {
+        Entry::scan(Plan::scan(0, ScanOp::Seq), sc)
+    }
+
+    /// `ClassThreshold::admit` keeps every cached class threshold equal,
+    /// bit for bit, to a fresh `dominance_threshold` scan across random
+    /// insert sequences: works drawn from a few values (ties), masks
+    /// over 3 order bits (equal, nested, disjoint and empty classes).
+    #[test]
+    fn class_thresholds_track_fresh_scans() {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let classes: Vec<OrderMask> = (0..8u128).map(OrderMask).collect();
+        let mut rng = SmallRng::seed_from_u64(0xD0);
+        let mut inserts = 0;
+        for _ in 0..200 {
+            let mut set = ParetoSet::default();
+            let mut cached: Vec<ClassThreshold> = classes
+                .iter()
+                .map(|&m| ClassThreshold::of(&set, m))
+                .collect();
+            for _ in 0..40 {
+                let work = f64::from(rng.random_range(1..6u32)) * 0.5;
+                let orders = OrderMask(u128::from(rng.random_range(0..8u8)));
+                let sc = SubtreeCost {
+                    work,
+                    ..Default::default()
+                };
+                if !set.insert(orders, scan_entry(sc)) {
+                    continue;
+                }
+                inserts += 1;
+                for (t, &m) in cached.iter_mut().zip(&classes) {
+                    t.admit(work, orders);
+                    let fresh = set.dominance_threshold(m);
+                    assert_eq!(t.work.to_bits(), fresh.to_bits(), "class {m:?}");
+                }
+            }
+        }
+        assert!(inserts > 1000, "only {inserts} inserts exercised");
+    }
+
+    /// The floor microbenchmark: `combine` over every level input of the
+    /// largest fixture query (expert model, bushy; the closed lower
+    /// levels the planner left in its scratch, each target set built
+    /// afresh), beside a hand-written floor that sweeps the same columns
+    /// with the same rejects against the *final* class thresholds —
+    /// the best any insert order could reach — and calls `work_out`
+    /// for what is left, with no inserts at all. Run with
+    /// `cargo test --release -p balsa-search --lib dp_kernel_floor -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn dp_kernel_floor() {
+        const REPS: usize = 60;
+        let (db, job) = fixture();
+        let ext = ext_job_workload(db.catalog(), 7);
+        let q = job
+            .queries
+            .iter()
+            .chain(&ext.queries)
+            .max_by_key(|q| (q.num_tables(), q.joins.len()))
+            .unwrap();
+        let est = HistogramEstimator::new(&db);
+        let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        let planner = DpPlanner::new(&db, &model, &est, SearchMode::Bushy);
+        let planned = planner.plan(q);
+        let s = planner.scratch.lock();
+        let space = CandidateSpace::new(&db, q, SearchMode::Bushy);
+        let memo = MemoEstimator::new(&est);
+
+        // Both orientations of every csg–cmp pair, with the dense index
+        // of its target among the level outputs and that target's slot.
+        let mut targets: HashMap<u32, usize> = HashMap::new();
+        let mut target_slots = Vec::new();
+        let mut items = Vec::new();
+        for &(a, b) in s.pair_buckets.iter().flatten() {
+            let t = *targets.entry(a | b).or_insert_with(|| {
+                target_slots.push(s.slot_of[&(a | b)] as usize);
+                target_slots.len() - 1
+            });
+            let (sa, sb) = (s.slot_of[&a] as usize, s.slot_of[&b] as usize);
+            items.push((t, sa, sb, TableMask(a), TableMask(b)));
+            items.push((t, sb, sa, TableMask(b), TableMask(a)));
+        }
+        let kernel = |stats: &mut SearchStats| -> Vec<ParetoSet> {
+            let mut outs: Vec<ParetoSet> =
+                target_slots.iter().map(|_| Default::default()).collect();
+            for &(t, l, r, lm, rm) in &items {
+                combine(
+                    &space,
+                    &model,
+                    q,
+                    &memo,
+                    lm,
+                    rm,
+                    &s.entries,
+                    l,
+                    r,
+                    &mut outs[t],
+                    &s.interner,
+                    stats,
+                );
+            }
+            outs
+        };
+        // The kernel rebuilds the memo's level outputs exactly.
+        let mut stats = SearchStats::default();
+        for (out, &slot) in kernel(&mut stats).iter().zip(&target_slots) {
+            let bits = |set: &ParetoSet| set.works.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(out), bits(&s.entries[slot]));
+            assert_eq!(out.masks, s.entries[slot].masks);
+        }
+        let scans: usize = (0..q.num_tables())
+            .map(|qt| s.entries[s.slot_of[&(1u32 << qt)] as usize].len())
+            .sum();
+        assert_eq!(stats.candidates + scans, planned.stats.candidates);
+
+        // The floor, written for the expert model's order sources.
+        let probe = model.pair_coster(q, items[0].3, items[0].4, &memo).unwrap();
+        assert_eq!(
+            JoinOp::ALL.map(|op| probe.order_source(op)),
+            [
+                OrderSource::Empty,
+                OrderSource::Pair,
+                OrderSource::LeftInput
+            ]
+        );
+        let floor = |sink: &mut f64| -> usize {
+            let mut calls = 0;
+            for &(t, l, r, lm, rm) in &items {
+                let (left, right) = (&s.entries[l], &s.entries[r]);
+                let fin = &s.entries[target_slots[t]];
+                let coster = model.pair_coster(q, lm, rm, &memo).unwrap();
+                let pair = s.interner.mask_of(coster.pair_sorted_on());
+                let (t_none, t_pair) = (
+                    fin.dominance_threshold(OrderMask::EMPTY),
+                    fin.dominance_threshold(pair),
+                );
+                let min_right = right.works.iter().copied().fold(f64::INFINITY, f64::min);
+                for ((&lw, &lo), le) in left.works.iter().zip(&left.masks).zip(&left.entries) {
+                    let th = [t_none, t_pair, fin.dominance_threshold(lo)];
+                    if th[0].max(th[1]).max(th[2]) <= lw + min_right {
+                        continue;
+                    }
+                    for (&rw, re) in right.works.iter().zip(&right.entries) {
+                        let base = lw + rw;
+                        for (&op, &thresh) in JoinOp::ALL.iter().zip(&th) {
+                            if thresh <= base {
+                                continue;
+                            }
+                            calls += 1;
+                            *sink += coster.work_out(op, &le.sc, &re.sc, re.index_scan).0;
+                        }
+                    }
+                }
+            }
+            calls
+        };
+
+        // Interleave the two sides per repetition and report medians, so
+        // load from other processes hits both alike.
+        let (mut kernel_ns, mut floor_ns) = (Vec::new(), Vec::new());
+        let mut sink = 0.0;
+        let mut floor_calls = 0;
+        for _ in 0..REPS {
+            let mut stats = SearchStats::default();
+            let t = Instant::now();
+            let outs = kernel(&mut stats);
+            kernel_ns.push(t.elapsed().as_nanos());
+            drop(std::hint::black_box(outs));
+            let t = Instant::now();
+            floor_calls = floor(&mut sink);
+            floor_ns.push(t.elapsed().as_nanos());
+        }
+        let cands = stats.candidates as f64;
+        let per_candidate = |mut ns: Vec<u128>| {
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64 / cands
+        };
+        let (k, f) = (per_candidate(kernel_ns), per_candidate(floor_ns));
+        println!(
+            "{} ({} tables, {} pair orientations, {} candidates): combine {k:.2} ns/candidate \
+             ({} work_out calls), floor {f:.2} ns/candidate ({floor_calls} work_out calls), \
+             ratio {:.2} (sink {sink:.3e})",
+            q.name,
+            q.num_tables(),
+            items.len(),
+            stats.candidates,
+            stats.cost_calls,
+            k / f
+        );
     }
 }
