@@ -2,8 +2,11 @@
 //!
 //! [`train_loop`] can be killed at any moment — process crash, OOM,
 //! preemption — and must restart without losing its run or breaking
-//! bit-reproducibility. The checkpoint captures **everything** phase 2
-//! threads through an iteration boundary:
+//! bit-reproducibility. A checkpoint is the loop's private per-iteration
+//! state, converted field for field: into [`CheckpointData`] after a due
+//! iteration, and back (restoring the env's plan cache too) on resume.
+//! That state is **everything** phase 2 threads through an iteration
+//! boundary:
 //!
 //! * the fine-tuning model's full internal state
 //!   ([`ValueModel::state_vec`], which — unlike `params` — round-trips
@@ -12,10 +15,10 @@
 //! * the master RNG's mid-stream state (the vendored xoshiro256++
 //!   exposes its four words), so post-resume fits consume exactly the
 //!   draws the uninterrupted run would have;
-//! * the experience buffer, as `(query, plan, label)` triples with
-//!   plans in [`Plan::encode_compact`] form — features are a pure
-//!   function of `(query, plan)` and are recomputed at load, keeping
-//!   checkpoints small;
+//! * the experience buffer, as `(query, plan, label)` triples
+//!   ([`BufferEntry`]) with plans in [`Plan::encode_compact`] form —
+//!   features are a pure function of `(query, plan)` and are recomputed
+//!   at load, keeping checkpoints small;
 //! * the execution environment's plan cache and hit/miss counters
 //!   ([`balsa_engine::EnvSnapshot`]);
 //! * per-query best latencies (timeout budgets), the trajectory so
@@ -44,13 +47,14 @@
 //! [`ValueModel::state_vec`]: crate::ValueModel::state_vec
 //! [`Plan::encode_compact`]: balsa_query::Plan::encode_compact
 
-use crate::buffer::LabelSource;
+use crate::buffer::{Experience, LabelSource};
 use crate::train::IterationStats;
 use balsa_engine::{EnvSnapshot, ResilienceStats};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::str::FromStr;
 
 /// One serialized experience-buffer entry. The feature vector is *not*
 /// stored: it is recomputed from the plan at load time.
@@ -68,6 +72,19 @@ pub struct BufferEntry {
     pub censored: bool,
     /// Label provenance.
     pub source: LabelSource,
+}
+
+impl From<&Experience> for BufferEntry {
+    fn from(e: &Experience) -> Self {
+        BufferEntry {
+            query_key: e.query_key,
+            fingerprint: e.fingerprint,
+            plan: e.plan.encode_compact(),
+            label_secs: e.label_secs,
+            censored: e.censored,
+            source: e.source,
+        }
+    }
 }
 
 /// A complete phase-2 iteration boundary of [`crate::train_loop`].
@@ -115,18 +132,103 @@ fn hx(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-fn parse_f64(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad f64 bits {s:?}"))
+type Parsed<T> = Result<T, String>;
+
+/// The space-separated words of one line's body, taken in order.
+struct Words<'a>(Option<&'a str>);
+
+impl<'a> Words<'a> {
+    fn word(&mut self) -> Parsed<&'a str> {
+        let rest = self.0.ok_or("missing field")?;
+        let (word, tail) = rest
+            .split_once(' ')
+            .map_or((rest, None), |(w, t)| (w, Some(t)));
+        self.0 = tail;
+        Ok(word)
+    }
+
+    /// Everything left on the line, spaces included.
+    fn rest(&mut self) -> Parsed<&'a str> {
+        self.0.take().ok_or_else(|| "missing field".into())
+    }
+
+    fn num<T: FromStr>(&mut self) -> Parsed<T> {
+        let w = self.word()?;
+        w.parse().map_err(|_| format!("bad number {w:?}"))
+    }
+
+    fn hex(&mut self) -> Parsed<u64> {
+        let w = self.word()?;
+        u64::from_str_radix(w, 16).map_err(|_| format!("bad hex word {w:?}"))
+    }
+
+    fn f64(&mut self) -> Parsed<f64> {
+        self.hex().map(f64::from_bits)
+    }
+
+    fn flag(&mut self) -> Parsed<bool> {
+        Ok(self.word()? == "1")
+    }
+
+    /// A count, then that many floats.
+    fn floats(&mut self) -> Parsed<Vec<f64>> {
+        let n: usize = self.num()?;
+        let mut v = Vec::new();
+        for _ in 0..n {
+            v.push(self.f64()?);
+        }
+        Ok(v)
+    }
 }
 
-fn parse_u64(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad u64 {s:?}"))
-}
+/// The tagged lines of an encoded checkpoint, taken in order.
+struct Lines<'a>(std::str::Lines<'a>);
 
-fn parse_usize(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("bad usize {s:?}"))
+impl<'a> Lines<'a> {
+    fn next(&mut self, what: &str) -> Parsed<&'a str> {
+        self.0.next().ok_or_else(|| format!("truncated at {what}"))
+    }
+
+    /// The next line, which must be `tag` and then exactly the words
+    /// `parse` takes.
+    fn line<T>(&mut self, tag: &str, parse: impl FnOnce(&mut Words<'a>) -> Parsed<T>) -> Parsed<T> {
+        let line = self.next(tag)?;
+        let mut words = Words(line.strip_prefix(tag).and_then(|r| r.strip_prefix(' ')));
+        if words.0.is_none() {
+            return Err(format!("expected {tag:?}, got {line:?}"));
+        }
+        let value = parse(&mut words)?;
+        match words.0 {
+            None => Ok(value),
+            Some(extra) => Err(format!("{tag}: unexpected {extra:?}")),
+        }
+    }
+
+    /// A `head` line holding a count, then that many `tag` lines.
+    fn list<T>(
+        &mut self,
+        head: &str,
+        tag: &str,
+        parse: impl Fn(&mut Words<'a>) -> Parsed<T>,
+    ) -> Parsed<Vec<T>> {
+        let n = self.line(head, Words::num)?;
+        self.repeat(n, tag, parse)
+    }
+
+    /// `n` lines tagged `tag`. Grows as lines arrive, so a corrupt count
+    /// cannot over-allocate.
+    fn repeat<T>(
+        &mut self,
+        n: usize,
+        tag: &str,
+        parse: impl Fn(&mut Words<'a>) -> Parsed<T>,
+    ) -> Parsed<Vec<T>> {
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(self.line(tag, &parse)?);
+        }
+        Ok(out)
+    }
 }
 
 impl CheckpointData {
@@ -136,54 +238,39 @@ impl CheckpointData {
         let _ = writeln!(s, "{MAGIC}");
         let _ = writeln!(s, "cfg {:016x}", self.cfg_fingerprint);
         let _ = writeln!(s, "iteration {}", self.iteration);
-        let _ = writeln!(
-            s,
-            "rng {:016x} {:016x} {:016x} {:016x}",
-            self.rng_state[0], self.rng_state[1], self.rng_state[2], self.rng_state[3]
-        );
-        for (tag, vec) in [
-            ("model", &self.model_state),
-            ("best", &self.best_model_state),
-        ] {
-            let _ = write!(s, "{tag} {}", vec.len());
-            for v in vec {
-                let _ = write!(s, " {}", hx(*v));
+        let [a, b, c, d] = self.rng_state;
+        let _ = writeln!(s, "rng {a:016x} {b:016x} {c:016x} {d:016x}");
+        let floats = |s: &mut String, tag: &str, v: &[f64]| {
+            let _ = write!(s, "{tag} {}", v.len());
+            for x in v {
+                let _ = write!(s, " {}", hx(*x));
             }
-            let _ = writeln!(s);
-        }
+            s.push('\n');
+        };
+        floats(&mut s, "model", &self.model_state);
+        floats(&mut s, "best", &self.best_model_state);
         let _ = writeln!(s, "best_is_residual {}", self.best_is_residual as u8);
         let _ = writeln!(s, "best_val {}", hx(self.best_val));
         let _ = writeln!(s, "best_lat {}", self.best_lat.len());
         for (qi, lat) in &self.best_lat {
             let _ = writeln!(s, "bl {qi} {}", hx(*lat));
         }
-        let _ = write!(s, "window {}", self.fallback_window.len());
-        for r in &self.fallback_window {
-            let _ = write!(s, " {}", hx(*r));
-        }
-        let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "env {} {} {}",
-            self.env.hits,
-            self.env.misses,
-            self.env.entries.len()
-        );
-        for (qk, fp, lat, work) in &self.env.entries {
+        floats(&mut s, "window", &self.fallback_window);
+        let env = &self.env;
+        let _ = writeln!(s, "env {} {} {}", env.hits, env.misses, env.entries.len());
+        for (qk, fp, lat, work) in &env.entries {
             let _ = writeln!(s, "ce {qk} {fp} {} {}", hx(*lat), hx(*work));
         }
         let _ = writeln!(s, "buffer {}", self.buffer.len());
         for e in &self.buffer {
+            let source = match e.source {
+                LabelSource::Simulated => "sim",
+                LabelSource::Real => "real",
+            };
+            let (qk, fp, censored) = (e.query_key, e.fingerprint, e.censored as u8);
             let _ = writeln!(
                 s,
-                "be {} {} {} {} {} {}",
-                e.query_key,
-                e.fingerprint,
-                match e.source {
-                    LabelSource::Simulated => "sim",
-                    LabelSource::Real => "real",
-                },
-                e.censored as u8,
+                "be {qk} {fp} {source} {censored} {} {}",
                 hx(e.label_secs),
                 e.plan
             );
@@ -232,163 +319,91 @@ impl CheckpointData {
 
     /// Parses [`CheckpointData::encode`] output.
     pub fn decode(text: &str) -> Result<CheckpointData, String> {
-        let mut lines = text.lines();
-        let mut next = |what: &str| -> Result<&str, String> {
-            lines.next().ok_or_else(|| format!("truncated at {what}"))
-        };
-        if next("magic")? != MAGIC {
+        let mut r = Lines(text.lines());
+        if r.next("magic")? != MAGIC {
             return Err("not a balsa checkpoint (bad magic)".into());
         }
-        let field = |line: &str, tag: &str| -> Result<String, String> {
-            line.strip_prefix(tag)
-                .and_then(|r| r.strip_prefix(' '))
-                .map(str::to_string)
-                .ok_or_else(|| format!("expected {tag:?}, got {line:?}"))
+        // Fields are evaluated in the order written, which is the file's
+        // line order.
+        let data = CheckpointData {
+            cfg_fingerprint: r.line("cfg", Words::hex)?,
+            iteration: r.line("iteration", Words::num)?,
+            rng_state: r.line("rng", |w| Ok([w.hex()?, w.hex()?, w.hex()?, w.hex()?]))?,
+            model_state: r.line("model", Words::floats)?,
+            best_model_state: r.line("best", Words::floats)?,
+            best_is_residual: r.line("best_is_residual", Words::flag)?,
+            best_val: r.line("best_val", Words::f64)?,
+            best_lat: r.list("best_lat", "bl", |w| Ok((w.num()?, w.f64()?)))?,
+            fallback_window: r.line("window", Words::floats)?,
+            env: {
+                let (hits, misses, n) = r.line("env", |w| Ok((w.num()?, w.num()?, w.num()?)))?;
+                let entries =
+                    r.repeat(n, "ce", |w| Ok((w.num()?, w.num()?, w.f64()?, w.f64()?)))?;
+                // The clock is wall-derived and never serialized; resume
+                // pins it to the live env's reading.
+                let clock_secs = 0.0;
+                EnvSnapshot {
+                    entries,
+                    hits,
+                    misses,
+                    clock_secs,
+                }
+            },
+            buffer: r.list("buffer", "be", |w| {
+                Ok(BufferEntry {
+                    query_key: w.num()?,
+                    fingerprint: w.num()?,
+                    source: match w.word()? {
+                        "sim" => LabelSource::Simulated,
+                        "real" => LabelSource::Real,
+                        other => return Err(format!("bad source {other:?}")),
+                    },
+                    censored: w.flag()?,
+                    label_secs: w.f64()?,
+                    plan: w.rest()?.to_string(),
+                })
+            })?,
+            trajectory: r.list("trajectory", "ts", |w| {
+                Ok(IterationStats {
+                    iteration: w.num()?,
+                    // Wall-derived, not serialized (see module docs).
+                    sim_hours: f64::NAN,
+                    train_median_secs: w.f64()?,
+                    test_median_secs: w.f64()?,
+                    timeouts: w.num()?,
+                    buffer_real: w.num()?,
+                    buffer_sim: w.num()?,
+                    fit_mse: w.f64()?,
+                    val_median_secs: w.f64()?,
+                    val_geo_mean_secs: w.f64()?,
+                    faults: w.num()?,
+                    retries: w.num()?,
+                    abandoned: w.num()?,
+                    fallback: w.flag()?,
+                })
+            })?,
+            resilience: r.line("resilience", |w| {
+                Ok(ResilienceStats {
+                    faults_injected: w.num()?,
+                    transients: w.num()?,
+                    crashes: w.num()?,
+                    spikes: w.num()?,
+                    hangs: w.num()?,
+                    retries: w.num()?,
+                    abandoned: w.num()?,
+                    exhausted_censored: w.num()?,
+                    fallback_iterations: w.num()?,
+                    backoff_secs_charged: w.f64()?,
+                    planner_errors: w.num()?,
+                    planner_degraded: w.num()?,
+                    planner_exhausted: w.num()?,
+                })
+            })?,
         };
-        let cfg_fingerprint = u64::from_str_radix(&field(next("cfg")?, "cfg")?, 16)
-            .map_err(|_| "bad cfg fingerprint".to_string())?;
-        let iteration = parse_usize(&field(next("iteration")?, "iteration")?)?;
-        let rng_words: Vec<u64> = field(next("rng")?, "rng")?
-            .split(' ')
-            .map(|w| u64::from_str_radix(w, 16).map_err(|_| format!("bad rng word {w:?}")))
-            .collect::<Result<_, _>>()?;
-        let rng_state: [u64; 4] = rng_words
-            .try_into()
-            .map_err(|_| "rng needs 4 words".to_string())?;
-        let read_vec = |tag: &str, line: &str| -> Result<Vec<f64>, String> {
-            let body = field(line, tag)?;
-            let mut parts = body.split(' ');
-            let n = parse_usize(parts.next().ok_or("missing count")?)?;
-            let vec: Vec<f64> = parts.map(parse_f64).collect::<Result<_, _>>()?;
-            if vec.len() != n {
-                return Err(format!("{tag}: expected {n} values, got {}", vec.len()));
-            }
-            Ok(vec)
-        };
-        let model_state = read_vec("model", next("model")?)?;
-        let best_model_state = read_vec("best", next("best")?)?;
-        let best_is_residual = field(next("best_is_residual")?, "best_is_residual")? == "1";
-        let best_val = parse_f64(&field(next("best_val")?, "best_val")?)?;
-        let n_bl = parse_usize(&field(next("best_lat")?, "best_lat")?)?;
-        let mut best_lat = Vec::with_capacity(n_bl);
-        for _ in 0..n_bl {
-            let body = field(next("bl")?, "bl")?;
-            let (qi, lat) = body.split_once(' ').ok_or("bad bl line")?;
-            best_lat.push((parse_usize(qi)?, parse_f64(lat)?));
-        }
-        let fallback_window = read_vec("window", next("window")?)?;
-        let env_head = field(next("env")?, "env")?;
-        let mut env_parts = env_head.split(' ');
-        let hits = parse_u64(env_parts.next().ok_or("env hits")?)?;
-        let misses = parse_u64(env_parts.next().ok_or("env misses")?)?;
-        let n_entries = parse_usize(env_parts.next().ok_or("env count")?)?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let body = field(next("ce")?, "ce")?;
-            let p: Vec<&str> = body.split(' ').collect();
-            if p.len() != 4 {
-                return Err(format!("bad ce line {body:?}"));
-            }
-            entries.push((
-                parse_u64(p[0])?,
-                parse_u64(p[1])?,
-                parse_f64(p[2])?,
-                parse_f64(p[3])?,
-            ));
-        }
-        // Clock is wall-derived, never serialized: the resume path sets
-        // it to the live env's current reading so restore charges zero.
-        let env = EnvSnapshot {
-            entries,
-            hits,
-            misses,
-            clock_secs: 0.0,
-        };
-        let n_buf = parse_usize(&field(next("buffer")?, "buffer")?)?;
-        let mut buffer = Vec::with_capacity(n_buf);
-        for _ in 0..n_buf {
-            let body = field(next("be")?, "be")?;
-            let p: Vec<&str> = body.splitn(6, ' ').collect();
-            if p.len() != 6 {
-                return Err(format!("bad be line {body:?}"));
-            }
-            buffer.push(BufferEntry {
-                query_key: parse_u64(p[0])?,
-                fingerprint: parse_u64(p[1])?,
-                source: match p[2] {
-                    "sim" => LabelSource::Simulated,
-                    "real" => LabelSource::Real,
-                    other => return Err(format!("bad source {other:?}")),
-                },
-                censored: p[3] == "1",
-                label_secs: parse_f64(p[4])?,
-                plan: p[5].to_string(),
-            });
-        }
-        let n_traj = parse_usize(&field(next("trajectory")?, "trajectory")?)?;
-        let mut trajectory = Vec::with_capacity(n_traj);
-        for _ in 0..n_traj {
-            let body = field(next("ts")?, "ts")?;
-            let p: Vec<&str> = body.split(' ').collect();
-            if p.len() != 13 {
-                return Err(format!("bad ts line {body:?}"));
-            }
-            trajectory.push(IterationStats {
-                iteration: parse_usize(p[0])?,
-                // Wall-derived, not serialized (see module docs).
-                sim_hours: f64::NAN,
-                train_median_secs: parse_f64(p[1])?,
-                test_median_secs: parse_f64(p[2])?,
-                timeouts: parse_usize(p[3])?,
-                buffer_real: parse_usize(p[4])?,
-                buffer_sim: parse_usize(p[5])?,
-                fit_mse: parse_f64(p[6])?,
-                val_median_secs: parse_f64(p[7])?,
-                val_geo_mean_secs: parse_f64(p[8])?,
-                faults: parse_u64(p[9])?,
-                retries: parse_u64(p[10])?,
-                abandoned: parse_u64(p[11])?,
-                fallback: p[12] == "1",
-            });
-        }
-        let body = field(next("resilience")?, "resilience")?;
-        let p: Vec<&str> = body.split(' ').collect();
-        if p.len() != 13 {
-            return Err(format!("bad resilience line {body:?}"));
-        }
-        let resilience = ResilienceStats {
-            faults_injected: parse_u64(p[0])?,
-            transients: parse_u64(p[1])?,
-            crashes: parse_u64(p[2])?,
-            spikes: parse_u64(p[3])?,
-            hangs: parse_u64(p[4])?,
-            retries: parse_u64(p[5])?,
-            abandoned: parse_u64(p[6])?,
-            exhausted_censored: parse_u64(p[7])?,
-            fallback_iterations: parse_u64(p[8])?,
-            backoff_secs_charged: parse_f64(p[9])?,
-            planner_errors: parse_u64(p[10])?,
-            planner_degraded: parse_u64(p[11])?,
-            planner_exhausted: parse_u64(p[12])?,
-        };
-        if next("end")? != "end" {
+        if r.next("end")? != "end" {
             return Err("missing end marker".into());
         }
-        Ok(CheckpointData {
-            cfg_fingerprint,
-            iteration,
-            rng_state,
-            model_state,
-            best_is_residual,
-            best_model_state,
-            best_val,
-            best_lat,
-            fallback_window,
-            buffer,
-            env,
-            trajectory,
-            resilience,
-        })
+        Ok(data)
     }
 
     /// Writes the checkpoint atomically: serialize to `<path>.tmp` in
@@ -519,6 +534,16 @@ mod tests {
         assert!(CheckpointData::decode(&cut).is_err());
         // A corrupted float field is detected.
         let bad = text.replace("best_val ", "best_val zz");
+        assert!(CheckpointData::decode(&bad).is_err());
+        // A count no file could hold is an error, not an allocation.
+        for head in ["best_lat 2", "buffer 1", "trajectory 1", "env 4 9 2"] {
+            let huge = head.rsplit_once(' ').unwrap().0.to_string() + " 18446744073709551615";
+            let bad = text.replace(&format!("\n{head}\n"), &format!("\n{huge}\n"));
+            assert_ne!(bad, text, "{head}");
+            assert!(CheckpointData::decode(&bad).is_err(), "{head}");
+        }
+        // Extra words on a line are detected.
+        let bad = text.replace("\niteration 2\n", "\niteration 2 7\n");
         assert!(CheckpointData::decode(&bad).is_err());
     }
 }

@@ -22,7 +22,8 @@
 //!   classical cost models (§5).
 //! * [`train_loop`] — the two-phase driver: simulation pretraining, then
 //!   real-execution fine-tuning with epsilon-greedy exploration, all
-//!   charged to the environment's simulated clock (§4–§6).
+//!   charged to the environment's simulated clock (§4–§6);
+//!   [`try_train_loop`] returns its failures as a [`TrainError`].
 //! * [`CheckpointData`] — crash-safe atomic training checkpoints:
 //!   kill-at-iteration-k + resume reproduces the uninterrupted run's
 //!   remaining iterations and final checkpoint bit-for-bit.
@@ -45,7 +46,7 @@ pub use model::{
 pub use scorer::LearnedScorer;
 pub use train::{
     evaluate_expert_baseline, evaluate_learned, geo_mean, make_model, median, train_loop,
-    IterationStats, TrainBreakdown, TrainConfig, TrainOutcome,
+    try_train_loop, IterationStats, TrainBreakdown, TrainConfig, TrainError, TrainOutcome,
 };
 pub use treeconv::{TreeConvConfig, TreeConvValueModel};
 
