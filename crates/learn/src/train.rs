@@ -33,7 +33,9 @@
 //!
 //! Held-out queries are evaluated each iteration with greedy (ε = 0)
 //! inference on a *separate* environment, so evaluation neither warms
-//! the training plan cache nor advances the training clock.
+//! the training plan cache nor advances the training clock. The
+//! training queries' greedy validation plans are kept until the next
+//! iteration, whose exploration sweep takes them when its ε is 0.
 
 use crate::buffer::{Experience, ExperienceBuffer, LabelSource, PackedFeatures};
 use crate::checkpoint::{BufferEntry, CheckpointData};
@@ -403,23 +405,26 @@ type PlannedOrErr = Result<PlannedQuery, PlanError>;
 
 /// The one evaluation body: plans `idxs` on `pool` (one planner per
 /// worker, built by `planner`), then executes every plan uncharged on
-/// `eval_env`, returning the latencies in `idxs` order.
+/// `eval_env`, returning the latencies and the plans in `idxs` order.
 fn eval_latencies<P: Planner>(
     eval_env: &ExecutionEnv,
     workload: &Workload,
     idxs: &[usize],
     pool: &WorkerPool,
     planner: impl Fn() -> P + Sync,
-) -> Result<Vec<f64>, TrainError> {
+) -> Result<(Vec<f64>, Vec<PlannedQuery>), TrainError> {
     let planned: Vec<PlannedOrErr> =
         pool.map_init(idxs, planner, |p, _, &i| p.try_plan(&workload.queries[i]));
     let planned = planned.into_iter().collect::<Result<Vec<_>, _>>();
-    let run = pool.map(&planned.map_err(TrainError::Planning)?, |j, out| {
+    let planned = planned.map_err(TrainError::Planning)?;
+    let run = pool.map(&planned, |j, out| {
         eval_env.execute_uncharged(&workload.queries[idxs[j]], &out.plan, None)
     });
-    run.into_iter()
+    let lats = run
+        .into_iter()
         .map(|r| r.map(|o| o.latency_secs).map_err(TrainError::Unexecutable))
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((lats, planned))
 }
 
 /// The public evaluators' error: a plan their own planner made that the
@@ -463,6 +468,7 @@ pub fn evaluate_learned(
     eval_latencies(eval_env, workload, idxs, pool, || {
         BeamPlanner::new(db, &scorer, mode, beam_width).with_budget(budget)
     })
+    .map(|(lats, _)| lats)
     .map_err(plan_error)
 }
 
@@ -485,6 +491,7 @@ pub fn evaluate_expert_baseline(
     eval_latencies(eval_env, workload, idxs, pool, || {
         DpPlanner::new(db, &model, &est, mode).with_budget(budget)
     })
+    .map(|(lats, _)| lats)
     .map_err(plan_error)
 }
 
@@ -638,6 +645,11 @@ struct LoopState {
     /// pretraining.
     iteration: usize,
     breakdown: TrainBreakdown,
+    /// The last validation sweep's greedy plans of `split.train` by
+    /// `model`, in split order: exactly what an ε = 0 exploration sweep
+    /// would plan again, so `plan_batch` takes them instead. Derived, so
+    /// never checkpointed; a resumed run re-plans to the same bits.
+    val_plans: Option<Vec<PlannedQuery>>,
 }
 
 /// One iteration's execution facts for its trajectory point (all empty
@@ -732,6 +744,7 @@ impl<'a> Ctx<'a> {
             stats: ResilienceStats::default(),
             iteration: 0,
             breakdown: TrainBreakdown::default(),
+            val_plans: None,
         };
         // Plan collection stays serial: random plans consume the master
         // RNG, whose stream is part of the reproducibility contract. The
@@ -782,6 +795,8 @@ impl<'a> Ctx<'a> {
         // stable counterpart of the paper's sim-to-real transfer.
         let pre = std::mem::replace(&mut st.model, self.new_model());
         st.model = Box::new(ResidualValueModel::new(pre, self.new_model()));
+        // The swap changed the model the validation plans came from.
+        st.val_plans = None;
         Ok(st)
     }
 
@@ -829,9 +844,19 @@ impl<'a> Ctx<'a> {
     /// is bit-identical to the serial loop for any thread count — and
     /// neither planner consumes the master RNG stream. A query with no
     /// plan at all is dropped from this iteration (see `fold_planned`);
-    /// the rest come back with their split index, in split order.
-    fn plan_batch(&self, st: &LoopState, ex: &mut Executed) -> Vec<(usize, PlannedQuery)> {
+    /// the rest come back with their split index, in split order. At
+    /// ε = 0 the beam is exactly greedy, so the last validation sweep's
+    /// plans (same model, queries, width and budget) are taken instead of
+    /// planned again; only the wall-measured `planning_secs` differ.
+    fn plan_batch(&self, st: &mut LoopState, ex: &mut Executed) -> Vec<(usize, PlannedQuery)> {
         let (cfg, db, iter, train) = (self.cfg, self.db, st.iteration, &self.split.train);
+        // Linear epsilon decay: full exploration early, pure greed last.
+        let epsilon = if cfg.iterations > 1 {
+            cfg.epsilon * (1.0 - (iter - 1) as f64 / (cfg.iterations - 1) as f64)
+        } else {
+            cfg.epsilon
+        };
+        let val_plans = st.val_plans.take();
         let planned: Vec<PlannedOrErr> = if ex.fallback {
             let expert = ExpertCostModel::new(db.clone(), self.env.profile().weights);
             self.pool.map_init(
@@ -839,13 +864,9 @@ impl<'a> Ctx<'a> {
                 || DpPlanner::new(db, &expert, &self.est, cfg.mode).with_budget(cfg.plan_budget),
                 |planner, _, &qi| planner.try_plan(&self.workload.queries[qi]),
             )
+        } else if let Some(plans) = val_plans.filter(|_| epsilon == 0.0) {
+            plans.into_iter().map(Ok).collect()
         } else {
-            // Linear epsilon decay: full exploration early, pure greed last.
-            let epsilon = if cfg.iterations > 1 {
-                cfg.epsilon * (1.0 - (iter - 1) as f64 / (cfg.iterations - 1) as f64)
-            } else {
-                cfg.epsilon
-            };
             let model = &*st.model;
             self.pool.map(train, |_, &qi| {
                 let scorer = LearnedScorer::new(&self.featurizer, model, &self.est);
@@ -988,7 +1009,9 @@ impl<'a> Ctx<'a> {
                     .with_budget(cfg.plan_budget)
             })
         };
-        let (test, val) = (run(&self.split.test)?, run(&self.split.train)?);
+        let (test, _) = run(&self.split.test)?;
+        let (val, val_plans) = run(&self.split.train)?;
+        st.val_plans = Some(val_plans);
         let val_geo = geo_mean(&val);
         if val_geo < st.best_val || st.best_val.is_nan() {
             st.best_val = val_geo;
@@ -1093,6 +1116,7 @@ impl LoopState {
             stats: data.resilience,
             iteration: data.iteration,
             breakdown: TrainBreakdown::default(),
+            val_plans: None,
         };
         // The clock is wall-derived state and is not checkpointed; pin
         // the snapshot's clock to the live reading so the restore
@@ -1420,6 +1444,14 @@ mod tests {
         let fp = Plan::parse_compact("q30").unwrap().canonical_hash();
         let rogue = with_line("be", &|w| {
             format!("{} {fp} {} q30", w[0], w[2..5].join(" "))
+        });
+        let e = resume_from(&rogue);
+        assert!(matches!(e, Some(TrainError::BadPlan(_))), "{e:?}");
+        // Matches the fingerprint its scan would have, but no table mask
+        // holds table 33.
+        let fp = Plan::scan(33, balsa_query::ScanOp::Seq).canonical_hash();
+        let rogue = with_line("be", &|w| {
+            format!("{} {fp} {} q33", w[0], w[2..5].join(" "))
         });
         let e = resume_from(&rogue);
         assert!(matches!(e, Some(TrainError::BadPlan(_))), "{e:?}");

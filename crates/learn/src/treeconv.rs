@@ -28,6 +28,22 @@
 //! are functions of one child subtree alone, so each subtree computes
 //! them once, the first time it is a join input, and every candidate it
 //! feeds reuses them: per candidate only the node term `Wn·x` remains.
+//!
+//! Kernel layout. The weights are stored row-major (`out × in`), which
+//! is the parameter and checkpoint layout and what the per-sample
+//! reference `forward` / `backward` read. Every layer also carries its
+//! filters transposed (`in × out`), derived from the row-major copy by
+//! the only writers of the weights (`set_params`, `init_weights`) and
+//! never serialized. The batched and incremental forward kernels read
+//! the transposes: each window term is an output-vectorized mat-vec, one
+//! accumulator per output channel stepping through the inputs together.
+//! Each output still sums its own row left to right from `-0.0`, and the
+//! terms are added to the bias in `ConvLayer::pre`'s order (`b + n`,
+//! `+ l`, `+ r`), so the bits are the reference's while the serial add
+//! chains become independent vector lanes. The batched backward skips
+//! the gradient wrt the node encodings, which nothing reads. The ignored
+//! tests `treeconv_kernel_floor` and `treeconv_fit_floor` time both
+//! kernels beside hand-written floors and assert them bit-equal.
 
 use crate::model::{
     shuffle_epoch_order, FeatureEncoding, FitReport, JoinStateItem, ModelState, Optimizer,
@@ -191,6 +207,49 @@ fn matvec_acc(w: &[f64], x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// `out = W·x` over `wt`, the transpose of a row-major `W`
+/// (`x.len() × out.len()`, input-major). Every output is its own
+/// accumulator summing its row left to right from `-0.0`, exactly as
+/// `row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>()` does; but the
+/// outputs step through the inputs together, a block of [`LANES`] at a
+/// time held in registers, so they are independent vector lanes rather
+/// than one serial add chain each.
+#[inline]
+fn matvec_ov(wt: &[f64], x: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    debug_assert_eq!(wt.len(), n * x.len());
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (k, block) in (&mut blocks).enumerate() {
+        let mut acc = [-0.0; LANES];
+        for (&xi, col) in x.iter().zip(wt.chunks_exact(n)) {
+            let w: &[f64; LANES] = col[k * LANES..][..LANES].try_into().expect("block");
+            for (a, w) in acc.iter_mut().zip(w) {
+                *a += w * xi;
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    let tail = blocks.into_remainder();
+    let at = n - tail.len();
+    tail.fill(-0.0);
+    for (&xi, col) in x.iter().zip(wt.chunks_exact(n)) {
+        for (a, w) in tail.iter_mut().zip(&col[at..]) {
+            *a += w * xi;
+        }
+    }
+}
+
+/// Output block width of [`matvec_ov`]: eight `f64` accumulators.
+const LANES: usize = 8;
+
+/// The transpose of row-major `w` (`w.len() / in_dim` rows of `in_dim`).
+fn transpose(w: &[f64], in_dim: usize) -> Vec<f64> {
+    let out_dim = w.len() / in_dim;
+    (0..in_dim)
+        .flat_map(|i| (0..out_dim).map(move |o| w[o * in_dim + i]))
+        .collect()
+}
+
 /// `dx += Wᵀ·dy` for the same `W` layout.
 #[inline]
 fn matvec_t_acc(w: &[f64], dy: &[f64], dx: &mut [f64]) {
@@ -225,17 +284,51 @@ struct ConvLayer {
     wr: Vec<f64>,
     /// Bias.
     b: Vec<f64>,
+    /// `wn`, `wl`, `wr` transposed (`in_dim × out_dim`) for the
+    /// output-vectorized kernels. Derived from the filters by
+    /// `derive_transposed`, never serialized.
+    wn_t: Vec<f64>,
+    wl_t: Vec<f64>,
+    wr_t: Vec<f64>,
 }
 
 impl ConvLayer {
     fn new(in_dim: usize, out_dim: usize) -> Self {
+        let zeros = vec![0.0; in_dim * out_dim];
         Self {
             in_dim,
             out_dim,
-            wn: vec![0.0; in_dim * out_dim],
-            wl: vec![0.0; in_dim * out_dim],
-            wr: vec![0.0; in_dim * out_dim],
+            wn: zeros.clone(),
+            wl: zeros.clone(),
+            wr: zeros.clone(),
             b: vec![0.0; out_dim],
+            wn_t: zeros.clone(),
+            wl_t: zeros.clone(),
+            wr_t: zeros,
+        }
+    }
+
+    fn derive_transposed(&mut self) {
+        self.wn_t = transpose(&self.wn, self.in_dim);
+        self.wl_t = transpose(&self.wl, self.in_dim);
+        self.wr_t = transpose(&self.wr, self.in_dim);
+    }
+
+    /// [`ConvLayer::pre`] into `z` through the transposed filters, bit
+    /// for bit: `b + Wn·x`, then `+ Wl·xl`, then `+ Wr·xr`, each product
+    /// summed on its own (`t` is `out_dim` scratch).
+    fn pre_ov(&self, x: &[f64], kids: Option<(&[f64], &[f64])>, z: &mut [f64], t: &mut [f64]) {
+        matvec_ov(&self.wn_t, x, z);
+        for (z, b) in z.iter_mut().zip(&self.b) {
+            *z += b;
+        }
+        if let Some((xl, xr)) = kids {
+            for (wt, xc) in [(&self.wl_t, xl), (&self.wr_t, xr)] {
+                matvec_ov(wt, xc, t);
+                for (z, t) in z.iter_mut().zip(&*t) {
+                    *z += t;
+                }
+            }
         }
     }
 
@@ -259,6 +352,8 @@ struct Dense {
     in_dim: usize,
     w: Vec<f64>,
     b: Vec<f64>,
+    /// `w` transposed, derived as in [`ConvLayer`].
+    w_t: Vec<f64>,
 }
 
 impl Dense {
@@ -267,6 +362,21 @@ impl Dense {
             in_dim,
             w: vec![0.0; in_dim * out_dim],
             b: vec![0.0; out_dim],
+            w_t: vec![0.0; in_dim * out_dim],
+        }
+    }
+
+    /// `lrelu(b + W·x)` into `h` through the transposed weights, bit for
+    /// bit the activation of [`Dense::pre`]; `z`, when given, receives
+    /// the pre-activation.
+    fn act_ov(&self, x: &[f64], h: &mut [f64], mut z: Option<&mut [f64]>) {
+        matvec_ov(&self.w_t, x, h);
+        for (o, (h, b)) in h.iter_mut().zip(&self.b).enumerate() {
+            let pre = b + *h;
+            if let Some(z) = z.as_deref_mut() {
+                z[o] = pre;
+            }
+            *h = lrelu(pre);
         }
     }
 
@@ -333,6 +443,8 @@ struct BatchScratch {
     d_z: Vec<f64>,
     d_pooled: Vec<f64>,
     d_h_pre: Vec<f64>,
+    /// One window term (`out_dim`) of the forward's `ConvLayer::pre_ov`.
+    term: Vec<f64>,
 }
 
 /// Incremental per-subtree inference state (the [`ModelState`] payload).
@@ -424,7 +536,20 @@ impl TreeConvValueModel {
         take(&mut self.head1.b);
         take(&mut self.head2.w);
         take(&mut self.head2.b);
+        self.derive_transposed();
         self.fitted = true;
+    }
+
+    /// Re-derives every transposed weight copy from the row-major
+    /// weights. The writers of the weights (`set_params`,
+    /// `init_weights`) end with it, so the copies are never stale.
+    fn derive_transposed(&mut self) {
+        for c in &mut self.conv {
+            c.derive_transposed();
+        }
+        for d in [&mut self.head1, &mut self.head2] {
+            d.w_t = transpose(&d.w, d.in_dim);
+        }
     }
 
     fn init_weights(&mut self, label_mean: f64, rng: &mut SmallRng) {
@@ -443,6 +568,7 @@ impl TreeConvValueModel {
         // Bias the output at the label mean so first predictions land in
         // range, mirroring the linear model's init.
         self.head2.b[0] = label_mean;
+        self.derive_transposed();
         self.fitted = true;
     }
 
@@ -627,21 +753,13 @@ impl TreeConvValueModel {
     }
 
     /// Batched training forward over one minibatch of trees, every node
-    /// of every sample. Within a tile of node windows each filter row
-    /// sweeps the gathered inputs while the weights stay cached — a
-    /// tiled filters × batch matrix product. Per-window arithmetic
-    /// (`b + wn·x + wl·xl + wr·xr`, dots accumulated left to right), the
-    /// strict-`>` pool over nodes in post-order, and the MLP head all
+    /// of every sample, each window an output-vectorized mat-vec over
+    /// the transposed filters. Per-window arithmetic
+    /// (`b + wn·x + wl·xl + wr·xr`, each dot accumulated left to right),
+    /// the strict-`>` pool over nodes in post-order, and the MLP head all
     /// replay [`TreeConvValueModel::forward`] exactly, so batched outputs
     /// are bit-identical to the per-sample path at any batch geometry.
-    // Filters × tile wants plain index loops over several parallel slice
-    // views; iterator chains over zipped row views would obscure the
-    // blocking.
-    #[allow(clippy::needless_range_loop)]
     fn batch_forward(&self, arena: &TreeArena, chunk: &[usize], s: &mut BatchScratch) {
-        /// Node windows per tile: 3 input slices × ≤ 34 channels × 8 B
-        /// × 32 ≈ 26 KB — sized to L1.
-        const TILE: usize = 32;
         // Assemble the batch: gather arena nodes, rebase child links.
         s.node.clear();
         s.kids.clear();
@@ -680,8 +798,9 @@ impl TreeConvValueModel {
         }
 
         // Convolution stack. A layer only reads same-level activations,
-        // which are complete before the next level runs, so tiles can
-        // sweep nodes in any grouping without ordering hazards.
+        // which are complete before the next level runs. Each window is
+        // one `ConvLayer::pre_ov` while the layer's transposed filters
+        // stay in L1.
         for (li, layer) in self.conv.iter().enumerate() {
             let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
             let (lower, upper) = s.acts.split_at_mut(li + 1);
@@ -689,30 +808,17 @@ impl TreeConvValueModel {
             let z_all = &mut s.pre[li];
             z_all.clear();
             z_all.resize(nodes * out_dim, 0.0);
-            let mut lo = 0;
-            while lo < nodes {
-                let hi = (lo + TILE).min(nodes);
-                for o in 0..out_dim {
-                    let wn_row = &layer.wn[o * in_dim..(o + 1) * in_dim];
-                    let wl_row = &layer.wl[o * in_dim..(o + 1) * in_dim];
-                    let wr_row = &layer.wr[o * in_dim..(o + 1) * in_dim];
-                    let b = layer.b[o];
-                    for p in lo..hi {
-                        let x = &x_all[p * in_dim..(p + 1) * in_dim];
-                        let mut z = b;
-                        z += wn_row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>();
-                        let (lk, rk) = s.kids[p];
-                        if lk != 0 {
-                            let (a, c) = (lk as usize - 1, rk as usize - 1);
-                            let xl = &x_all[a * in_dim..(a + 1) * in_dim];
-                            let xr = &x_all[c * in_dim..(c + 1) * in_dim];
-                            z += wl_row.iter().zip(xl).map(|(w, x)| w * x).sum::<f64>();
-                            z += wr_row.iter().zip(xr).map(|(w, x)| w * x).sum::<f64>();
-                        }
-                        z_all[p * out_dim + o] = z;
-                    }
-                }
-                lo = hi;
+            s.term.resize(out_dim, 0.0);
+            let windows = z_all
+                .chunks_exact_mut(out_dim)
+                .zip(x_all.chunks_exact(in_dim));
+            for ((z, x), &(lk, rk)) in windows.zip(&s.kids) {
+                let kids = (lk != 0).then(|| {
+                    let (a, c) = (lk as usize - 1, rk as usize - 1);
+                    let xl = &x_all[a * in_dim..(a + 1) * in_dim];
+                    (xl, &x_all[c * in_dim..(c + 1) * in_dim])
+                });
+                layer.pre_ov(x, kids, z, &mut s.term);
             }
             let a_out = &mut upper[0];
             a_out.clear();
@@ -749,23 +855,25 @@ impl TreeConvValueModel {
         s.h_act.resize(nsamples * hd, 0.0);
         s.outs.clear();
         s.outs.resize(nsamples, 0.0);
-        for si in 0..nsamples {
-            let pooled = &s.pooled[si * c_dim..(si + 1) * c_dim];
-            for o in 0..hd {
-                let row = &self.head1.w[o * c_dim..(o + 1) * c_dim];
-                let z = self.head1.b[o] + row.iter().zip(pooled).map(|(w, x)| w * x).sum::<f64>();
-                s.h_pre[si * hd + o] = z;
-                s.h_act[si * hd + o] = lrelu(z);
-            }
-            let h_act = &s.h_act[si * hd..(si + 1) * hd];
-            s.outs[si] = self.head2.b[0]
-                + self
-                    .head2
-                    .w
-                    .iter()
-                    .zip(h_act)
-                    .map(|(w, x)| w * x)
-                    .sum::<f64>();
+        let rows = s
+            .h_act
+            .chunks_exact_mut(hd)
+            .zip(s.h_pre.chunks_exact_mut(hd));
+        for ((out, pooled), (h_act, h_pre)) in s
+            .outs
+            .iter_mut()
+            .zip(s.pooled.chunks_exact(c_dim))
+            .zip(rows)
+        {
+            self.head1.act_ov(pooled, h_act, Some(h_pre));
+            let z = self
+                .head2
+                .w
+                .iter()
+                .zip(&*h_act)
+                .map(|(w, x)| w * x)
+                .sum::<f64>();
+            *out = self.head2.b[0] + z;
         }
     }
 
@@ -847,12 +955,16 @@ impl TreeConvValueModel {
 
         // Conv stack, top layer down; within a level, samples in
         // minibatch order and nodes in post-order, per-node op sequence
-        // identical to `backward`.
+        // identical to `backward`, except that level 0 skips the
+        // gradient wrt the node encodings, which nothing reads.
         for l in (0..levels).rev() {
             let layer = &self.conv[l];
             let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+            let below = l > 0;
             s.d_below.clear();
-            s.d_below.resize(nodes * in_dim, 0.0);
+            if below {
+                s.d_below.resize(nodes * in_dim, 0.0);
+            }
             let x_all = s.acts[l].as_slice();
             let z_all = s.pre[l].as_slice();
             for si in 0..nsamples {
@@ -869,11 +981,13 @@ impl TreeConvValueModel {
                     );
                     let x = &x_all[p * in_dim..(p + 1) * in_dim];
                     outer_acc(conv_parts[4 * l], &s.d_z, x);
-                    matvec_t_acc(
-                        &layer.wn,
-                        &s.d_z,
-                        &mut s.d_below[p * in_dim..(p + 1) * in_dim],
-                    );
+                    if below {
+                        matvec_t_acc(
+                            &layer.wn,
+                            &s.d_z,
+                            &mut s.d_below[p * in_dim..(p + 1) * in_dim],
+                        );
+                    }
                     let (lk, rk) = s.kids[p];
                     if lk != 0 {
                         let (a, c) = (lk as usize - 1, rk as usize - 1);
@@ -887,16 +1001,18 @@ impl TreeConvValueModel {
                             &s.d_z,
                             &x_all[c * in_dim..(c + 1) * in_dim],
                         );
-                        matvec_t_acc(
-                            &layer.wl,
-                            &s.d_z,
-                            &mut s.d_below[a * in_dim..(a + 1) * in_dim],
-                        );
-                        matvec_t_acc(
-                            &layer.wr,
-                            &s.d_z,
-                            &mut s.d_below[c * in_dim..(c + 1) * in_dim],
-                        );
+                        if below {
+                            matvec_t_acc(
+                                &layer.wl,
+                                &s.d_z,
+                                &mut s.d_below[a * in_dim..(a + 1) * in_dim],
+                            );
+                            matvec_t_acc(
+                                &layer.wr,
+                                &s.d_z,
+                                &mut s.d_below[c * in_dim..(c + 1) * in_dim],
+                            );
+                        }
                     }
                     for (g, d) in conv_parts[4 * l + 3].iter_mut().zip(&s.d_z) {
                         *g += d;
@@ -941,24 +1057,23 @@ impl TreeConvValueModel {
 
     /// The child-side window terms of `s` ([`TcState::proj`]), computed
     /// on first use. Each is the same left-to-right dot product the
-    /// uncached window (`ConvLayer::pre`) takes, so adding it later in
-    /// the same order reproduces that window bit for bit.
+    /// uncached window (`ConvLayer::pre`) takes, output-vectorized, so
+    /// adding it later in the same order reproduces that window bit for
+    /// bit.
     fn child_proj<'s>(&self, s: &'s TcState) -> &'s [f64] {
         s.proj.get_or_init(|| {
             let len = self.conv.iter().map(|c| 2 * c.out_dim).sum();
-            let mut p = Vec::with_capacity(len);
-            let mut at = 0;
+            let mut p = vec![0.0; len].into_boxed_slice();
+            let (mut at, mut p_at) = (0, 0);
             for layer in &self.conv {
                 let h = &s.buf[at..at + layer.in_dim];
-                for w in [&layer.wl, &layer.wr] {
-                    p.extend(
-                        w.chunks_exact(layer.in_dim)
-                            .map(|row| row.iter().zip(h).map(|(w, x)| w * x).sum::<f64>()),
-                    );
+                for wt in [&layer.wl_t, &layer.wr_t] {
+                    matvec_ov(wt, h, &mut p[p_at..p_at + layer.out_dim]);
+                    p_at += layer.out_dim;
                 }
                 at += layer.in_dim;
             }
-            p.into_boxed_slice()
+            p
         })
     }
 }
@@ -994,8 +1109,8 @@ impl ValueModel for TreeConvValueModel {
 
     /// Minibatched censored-hinge SGD: the whole minibatch runs through
     /// `TreeConvValueModel::batch_forward` /
-    /// `TreeConvValueModel::batch_backward` as filters × batch matrix
-    /// products instead of one tree at a time. The batched kernels
+    /// `TreeConvValueModel::batch_backward` instead of one tree at a
+    /// time. The batched kernels
     /// replay the per-sample arithmetic exactly, so at any fixed batch
     /// geometry checkpoints are bit-identical across runs, and a batch
     /// size of 1 reproduces [`ValueModel::fit_per_sample`] bit for bit.
@@ -1214,16 +1329,20 @@ impl ValueModel for TreeConvValueModel {
     fn leaf_state(&self, node_x: &[f64]) -> Option<ModelState> {
         assert_eq!(node_x.len(), self.node_dim, "node encoding mismatch");
         let c_dim = self.conv.last().expect("at least one layer").out_dim;
-        let mut buf = Vec::with_capacity(self.pooled_ofs() + c_dim);
-        buf.extend_from_slice(node_x);
+        let mut buf = vec![0.0; self.pooled_ofs() + c_dim].into_boxed_slice();
+        buf[..self.node_dim].copy_from_slice(node_x);
+        let mut at = 0;
         for layer in &self.conv {
-            let z = layer.pre(&buf[buf.len() - layer.in_dim..], None, None);
-            buf.extend(z.into_iter().map(lrelu));
+            let (x, out) = buf[at..].split_at_mut(layer.in_dim);
+            let z = &mut out[..layer.out_dim];
+            layer.pre_ov(x, None, z, &mut []);
+            z.iter_mut().for_each(|z| *z = lrelu(*z));
+            at += layer.in_dim;
         }
         // A leaf's pooled maxima are its own final-layer activation,
         // already in place at the end of the buffer.
         Some(Arc::new(TcState {
-            buf: buf.into_boxed_slice(),
+            buf,
             proj: OnceLock::new(),
         }))
     }
@@ -1257,14 +1376,12 @@ impl ValueModel for TreeConvValueModel {
                     let (x, out) = buf[at..].split_at_mut(in_dim);
                     let wl_h = &pl[p_at..p_at + out_dim];
                     let wr_h = &pr[p_at + out_dim..p_at + 2 * out_dim];
-                    for (o, (row, &b)) in layer.wn.chunks_exact(in_dim).zip(&layer.b).enumerate() {
-                        let mut z = b;
-                        z += row.iter().zip(&*x).map(|(w, x)| w * x).sum::<f64>();
-                        z += wl_h[o];
-                        z += wr_h[o];
-                        let h = lrelu(z);
+                    let out = &mut out[..out_dim];
+                    matvec_ov(&layer.wn_t, x, out);
+                    for (o, z) in out.iter_mut().enumerate() {
+                        let h = lrelu(layer.b[o] + *z + wl_h[o] + wr_h[o]);
                         // The last layer's activation only feeds the pool.
-                        out[o] = if li == top {
+                        *z = if li == top {
                             h.max(l_pool[o].max(r_pool[o]))
                         } else {
                             h
@@ -1285,16 +1402,12 @@ impl ValueModel for TreeConvValueModel {
     /// arithmetic is `forward`'s head.
     fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {
         let pooled_ofs = self.pooled_ofs();
-        let in_dim = self.head1.in_dim;
         let mut h = vec![0.0; self.head1.b.len()];
         states
             .iter()
             .map(|s| {
                 let pooled = &s.downcast_ref::<TcState>()?.buf[pooled_ofs..];
-                let rows = self.head1.w.chunks_exact(in_dim).zip(&self.head1.b);
-                for (h, (row, b)) in h.iter_mut().zip(rows) {
-                    *h = lrelu(b + row.iter().zip(pooled).map(|(w, x)| w * x).sum::<f64>());
-                }
+                self.head1.act_ov(pooled, &mut h, None);
                 Some(self.head2.b[0] + self.head2.w.iter().zip(&h).map(|(w, x)| w * x).sum::<f64>())
             })
             .collect()
@@ -1687,6 +1800,80 @@ mod tests {
         }
     }
 
+    /// Every output-vectorized path of `m` — `predict_batch` over all of
+    /// `xs`, `predict_batch` of each tree alone (a batch of one through
+    /// `batch_forward`), and `join_state_batch` + `state_value_batch`
+    /// composed bottom-up — equals the per-sample `forward` of
+    /// `reference` bit for bit.
+    fn assert_kernels_match_forward(
+        reference: &TreeConvValueModel,
+        m: &dyn ValueModel,
+        xs: &[Vec<f64>],
+        what: &str,
+    ) {
+        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        let batch = m.predict_batch(&refs);
+        for (i, (x, b)) in xs.iter().zip(&batch).enumerate() {
+            let t = decode_tree(x);
+            let want = reference.forward(&t).out.to_bits();
+            assert_eq!(b.to_bits(), want, "{what}: tree {i}, batched");
+            let one = m.predict_batch(&[x.as_slice()])[0];
+            assert_eq!(one.to_bits(), want, "{what}: tree {i}, batch of one");
+            let mut states: Vec<ModelState> = Vec::with_capacity(t.feats.len());
+            for (f, kids) in t.feats.iter().zip(&t.children) {
+                let s = match *kids {
+                    None => m.leaf_state(f),
+                    Some((a, b)) => m.join_state(f, &states[a], &states[b]),
+                };
+                states.push(s.expect("tree-conv state"));
+            }
+            let v = m.state_value(states.last().expect("non-empty")).unwrap();
+            assert_eq!(v.to_bits(), want, "{what}: tree {i}, incremental");
+        }
+    }
+
+    /// The transposed weights are derived, never stale: after the first
+    /// fit (the `init_weights` path), `set_params`, `load_state` of a
+    /// fitted state, `load_state` of an unfitted state into a fitted
+    /// model, and `clone_box`, every output-vectorized path still equals
+    /// the per-sample `forward` over the row-major weights.
+    #[test]
+    fn derived_weights_never_go_stale() {
+        let mut rng = SmallRng::seed_from_u64(0x57A1E);
+        let xs: Vec<Vec<f64>> = (0..12)
+            .map(|i| random_tree(1 + i % 6, 5, &mut rng))
+            .collect();
+        let arch = || TreeConvConfig {
+            conv_channels: vec![9, 4],
+            mlp_hidden: 5,
+        };
+        let mut m = TreeConvValueModel::new(5, arch());
+        let cfg = SgdConfig {
+            epochs: 3,
+            batch: 4,
+            ..SgdConfig::default()
+        };
+        m.fit(fd_set_large(&mut rng), &cfg, &mut rng);
+        assert_kernels_match_forward(&m, &m, &xs, "first fit");
+
+        let moved: Vec<f64> = m.params().iter().map(|p| 0.5 - 1.5 * p).collect();
+        m.set_params(&moved);
+        assert_kernels_match_forward(&m, &m, &xs, "set_params");
+
+        let mut loaded = TreeConvValueModel::new(5, arch());
+        loaded.load_state(&m.state_vec()).unwrap();
+        assert_eq!(loaded.params(), moved);
+        assert_kernels_match_forward(&loaded, &loaded, &xs, "load_state, fitted");
+
+        let unfitted = TreeConvValueModel::new(5, arch()).state_vec();
+        loaded.load_state(&unfitted).unwrap();
+        assert!(!loaded.is_fitted());
+        assert_kernels_match_forward(&loaded, &loaded, &xs, "load_state, unfitted");
+
+        let boxed = m.clone_box();
+        assert_kernels_match_forward(&m, &*boxed, &xs, "clone_box");
+    }
+
     /// A three-layer network, so the kernel tests cover an interior
     /// level whose input is neither the node encoding nor the pool.
     fn deep_model(rng: &mut SmallRng) -> TreeConvValueModel {
@@ -1819,32 +2006,67 @@ mod tests {
         }
     }
 
-    /// The floor microbenchmark: `join_state_batch` + `state_value_batch`
-    /// on 420 candidates over 40 children at the `mini_imdb` node
-    /// dimension and the default architecture, beside a hand-written
-    /// loop doing only each candidate's `Wn·x` products, the additions,
-    /// the pool and the head into preallocated buffers, and the
-    /// pre-caching reference kernel. Children are fresh each repetition,
-    /// so the kernel's time includes each child's first-use projection.
-    /// Run with
-    /// `cargo test --release -p balsa-learn treeconv_kernel_floor -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
+    /// `W·x` with compile-time output width `O` over the transposed `wt`
+    /// (`x.len() × O`): one accumulator per output from `-0.0`, inputs
+    /// in order. The floors' hand-written mat-vec.
     #[allow(clippy::needless_range_loop)]
-    fn treeconv_kernel_floor() {
+    fn floor_mv<const O: usize>(wt: &[f64], x: &[f64]) -> [f64; O] {
+        let mut acc = [-0.0; O];
+        for (col, &xi) in wt.chunks_exact(O).zip(x) {
+            for o in 0..O {
+                acc[o] += col[o] * xi;
+            }
+        }
+        acc
+    }
+
+    /// The default architecture at the `mini_imdb` node dimension, as
+    /// compile-time shapes for the floors.
+    const FLOOR_D: usize = 34;
+    const FLOOR_O0: usize = 24;
+    const FLOOR_O1: usize = 16;
+    const FLOOR_HD: usize = 16;
+
+    /// A default-architecture model at the `mini_imdb` node dimension,
+    /// with random weights.
+    fn floor_model(rng: &mut SmallRng) -> TreeConvValueModel {
         use balsa_cost::OpWeights;
         use balsa_storage::{mini_imdb, DataGenConfig};
-        const CANDS: usize = 420;
-        const KIDS: usize = 40;
-        const REPS: usize = 400;
         let db = Arc::new(mini_imdb(DataGenConfig {
             scale: 0.02,
             ..Default::default()
         }));
         let d = crate::Featurizer::new(db, OpWeights::postgres_like(), true).node_dim();
         let mut model = TreeConvValueModel::new(d, TreeConvConfig::default());
+        model.init_weights(0.0, rng);
+        let (c0, c1) = (&model.conv[0], &model.conv[1]);
+        let shape = (d, c0.out_dim, c1.out_dim, model.head1.b.len());
+        assert_eq!(shape, (FLOOR_D, FLOOR_O0, FLOOR_O1, FLOOR_HD));
+        model
+    }
+
+    /// The floor microbenchmark: `join_state_batch` + `state_value_batch`
+    /// on 420 candidates over 40 children at the `mini_imdb` node
+    /// dimension and the default architecture, beside a hand-written
+    /// loop with compile-time shapes doing only each candidate's `Wn·x`
+    /// products (output-vectorized, over transposes derived here), the
+    /// additions, the pool and the head into stack buffers, and the
+    /// pre-caching reference kernel. Children are fresh each repetition,
+    /// so the kernel's time includes each child's first-use projection.
+    /// Kernel and floor values must be bit-equal. Run with
+    /// `cargo test --release -p balsa-learn floor -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    #[allow(clippy::needless_range_loop)]
+    fn treeconv_kernel_floor() {
+        const CANDS: usize = 420;
+        const KIDS: usize = 40;
+        const REPS: usize = 400;
+        const O0: usize = FLOOR_O0;
+        const O1: usize = FLOOR_O1;
         let mut rng = SmallRng::seed_from_u64(0xF100);
-        model.init_weights(0.0, &mut rng);
+        let model = floor_model(&mut rng);
+        let d = model.node_dim;
         let feat = |rng: &mut SmallRng| -> Vec<f64> {
             (0..d).map(|_| rng.random_normal(0.0, 1.0)).collect()
         };
@@ -1854,10 +2076,13 @@ mod tests {
             .map(|_| (rng.random_range(0..KIDS), rng.random_range(0..KIDS)))
             .collect();
 
-        // The floor: the child terms and pooled maxima are given, every
-        // output buffer is preallocated, and per candidate only the node
-        // products, the additions, the pool and the head run.
-        let (c0, c1) = (&model.conv[0], &model.conv[1]);
+        // The floor: the child terms and pooled maxima are given, and per
+        // candidate only the node products, the additions, the pool and
+        // the head run.
+        let (c0, c1, head1) = (&model.conv[0], &model.conv[1], &model.head1);
+        let wn0 = transpose(&c0.wn, d);
+        let wn1 = transpose(&c1.wn, O0);
+        let w1 = transpose(&head1.w, O1);
         let proj: Vec<(Vec<f64>, Vec<f64>)> = kid_xs
             .iter()
             .map(|x| {
@@ -1867,35 +2092,24 @@ mod tests {
                 (model.child_proj(s).to_vec(), pooled)
             })
             .collect();
-        let (o0, o1, hd) = (c0.out_dim, c1.out_dim, model.head1.b.len());
-        let (mut h0, mut pooled, mut h) = (vec![0.0; o0], vec![0.0; o1], vec![0.0; hd]);
-        let mut floor = |out: &mut [f64]| {
+        let floor = |out: &mut [f64]| {
             for ((x, &(l, r)), y) in xs.iter().zip(&pairs).zip(out.iter_mut()) {
                 let ((pl, lp), (pr, rp)) = (&proj[l], &proj[r]);
-                for o in 0..o0 {
-                    let row = &c0.wn[o * d..(o + 1) * d];
-                    let z = c0.b[o] + row.iter().zip(x).map(|(w, x)| w * x).sum::<f64>();
-                    h0[o] = lrelu(z + pl[o] + pr[o0 + o]);
+                let mut h0 = floor_mv::<O0>(&wn0, x);
+                for o in 0..O0 {
+                    h0[o] = lrelu(c0.b[o] + h0[o] + pl[o] + pr[O0 + o]);
                 }
-                let p = 2 * o0;
-                for o in 0..o1 {
-                    let row = &c1.wn[o * o0..(o + 1) * o0];
-                    let z = c1.b[o] + row.iter().zip(&h0).map(|(w, x)| w * x).sum::<f64>();
-                    let v = lrelu(z + pl[p + o] + pr[p + o1 + o]);
+                let mut pooled = floor_mv::<O1>(&wn1, &h0);
+                let p = 2 * O0;
+                for o in 0..O1 {
+                    let v = lrelu(c1.b[o] + pooled[o] + pl[p + o] + pr[p + O1 + o]);
                     pooled[o] = v.max(lp[o].max(rp[o]));
                 }
-                for o in 0..hd {
-                    let row = &model.head1.w[o * o1..(o + 1) * o1];
-                    let z = row.iter().zip(&pooled).map(|(w, x)| w * x).sum::<f64>();
-                    h[o] = lrelu(model.head1.b[o] + z);
+                let h = floor_mv::<FLOOR_HD>(&w1, &pooled);
+                let mut z = -0.0;
+                for o in 0..FLOOR_HD {
+                    z += model.head2.w[o] * lrelu(head1.b[o] + h[o]);
                 }
-                let z = model
-                    .head2
-                    .w
-                    .iter()
-                    .zip(&h)
-                    .map(|(w, x)| w * x)
-                    .sum::<f64>();
                 *y = model.head2.b[0] + z;
             }
         };
@@ -1928,6 +2142,13 @@ mod tests {
             floor(&mut out);
             floor_ns.push(t.elapsed().as_nanos());
             sink += std::hint::black_box(&out)[0];
+            for (c, (k, f)) in values.iter().zip(&out).enumerate() {
+                assert_eq!(
+                    k.to_bits(),
+                    f.to_bits(),
+                    "candidate {c}: kernel {k} vs floor {f}"
+                );
+            }
             let t = Instant::now();
             let states = model.join_state_batch_uncached(&items).unwrap();
             let values = model.state_value_batch(&states).unwrap();
@@ -1941,9 +2162,295 @@ mod tests {
         let (k, f) = (per_candidate(kernel_ns), per_candidate(floor_ns));
         let u = per_candidate(uncached_ns);
         println!(
-            "node_dim {d}, conv {o0} -> {o1}, head {hd}: kernel {k:.0} ns/candidate, \
+            "node_dim {d}, conv {O0} -> {O1}, head {FLOOR_HD}: kernel {k:.0} ns/candidate, \
              floor {f:.0} ns/candidate, ratio {:.2}; uncached reference {u:.0} ns/candidate \
              (sink {sink:.3})",
+            k / f
+        );
+    }
+
+    /// One conv window of the fit floor: `b + Wn·x`, then `+ Wl·xl`,
+    /// then `+ Wr·xr` over the transposed filters `wt`.
+    #[allow(clippy::needless_range_loop)]
+    fn floor_window<const O: usize>(
+        wt: [&[f64]; 3],
+        b: &[f64],
+        x: &[f64],
+        kids: Option<(&[f64], &[f64])>,
+    ) -> [f64; O] {
+        let mut z = floor_mv::<O>(wt[0], x);
+        for o in 0..O {
+            z[o] += b[o];
+        }
+        if let Some((xl, xr)) = kids {
+            let (l, r) = (floor_mv::<O>(wt[1], xl), floor_mv::<O>(wt[2], xr));
+            for o in 0..O {
+                z[o] = z[o] + l[o] + r[o];
+            }
+        }
+        z
+    }
+
+    /// `g += dz ⊗ x` for a row-major `O × I` gradient.
+    #[allow(clippy::needless_range_loop)]
+    fn floor_outer<const O: usize, const I: usize>(g: &mut [f64], dz: &[f64; O], x: &[f64]) {
+        for o in 0..O {
+            let row = &mut g[o * I..(o + 1) * I];
+            for i in 0..I {
+                row[i] += dz[o] * x[i];
+            }
+        }
+    }
+
+    /// `dx += Wᵀ·dz` for a row-major `O × I` filter.
+    #[allow(clippy::needless_range_loop)]
+    fn floor_mv_t<const O: usize, const I: usize>(w: &[f64], dz: &[f64; O], dx: &mut [f64]) {
+        for o in 0..O {
+            let row = &w[o * I..(o + 1) * I];
+            for i in 0..I {
+                dx[i] += row[i] * dz[o];
+            }
+        }
+    }
+
+    /// A minibatch gathered for the fit floor: node features
+    /// (`nodes × D`), batch-local children + 1, sample offsets, labels.
+    struct FloorBatch {
+        feats: Vec<f64>,
+        kids: Vec<(u32, u32)>,
+        ofs: Vec<usize>,
+        ys: Vec<f64>,
+    }
+
+    /// The fit floor's forward of one conv level into preallocated
+    /// `pre` / `act` (`nodes × O`).
+    fn floor_level_fwd<const O: usize>(
+        c: &ConvLayer,
+        wt: [&[f64]; 3],
+        x_all: &[f64],
+        kids: &[(u32, u32)],
+        pre: &mut [f64],
+        act: &mut [f64],
+    ) {
+        let i_dim = c.in_dim;
+        let row = |p: u32| &x_all[(p as usize - 1) * i_dim..p as usize * i_dim];
+        for (p, &(l, r)) in kids.iter().enumerate() {
+            let x = &x_all[p * i_dim..(p + 1) * i_dim];
+            let z = floor_window::<O>(wt, &c.b, x, (l != 0).then(|| (row(l), row(r))));
+            pre[p * O..(p + 1) * O].copy_from_slice(&z);
+            for (a, z) in act[p * O..(p + 1) * O].iter_mut().zip(z) {
+                *a = lrelu(z);
+            }
+        }
+    }
+
+    /// The fit floor's backward of one conv level: `g` is the level's
+    /// `[wn | wl | wr | b]` gradient; `d_below` (`nodes × I`) is filled
+    /// only when `Some`.
+    #[allow(clippy::too_many_arguments)]
+    fn floor_level_bwd<const O: usize, const I: usize>(
+        c: &ConvLayer,
+        x_all: &[f64],
+        kids: &[(u32, u32)],
+        pre: &[f64],
+        d_act: &[f64],
+        g: &mut [f64],
+        mut d_below: Option<&mut [f64]>,
+    ) {
+        let (gn, rest) = g.split_at_mut(O * I);
+        let (gl, rest) = rest.split_at_mut(O * I);
+        let (gr, gb) = rest.split_at_mut(O * I);
+        for (p, &(l, r)) in kids.iter().enumerate() {
+            let mut dz = [0.0; O];
+            for (o, d) in dz.iter_mut().enumerate() {
+                *d = d_act[p * O + o] * lrelu_grad(pre[p * O + o]);
+            }
+            floor_outer::<O, I>(gn, &dz, &x_all[p * I..(p + 1) * I]);
+            if let Some(db) = d_below.as_deref_mut() {
+                floor_mv_t::<O, I>(&c.wn, &dz, &mut db[p * I..(p + 1) * I]);
+            }
+            if l != 0 {
+                let (a, b) = (l as usize - 1, r as usize - 1);
+                floor_outer::<O, I>(gl, &dz, &x_all[a * I..(a + 1) * I]);
+                floor_outer::<O, I>(gr, &dz, &x_all[b * I..(b + 1) * I]);
+                if let Some(db) = d_below.as_deref_mut() {
+                    floor_mv_t::<O, I>(&c.wl, &dz, &mut db[a * I..(a + 1) * I]);
+                    floor_mv_t::<O, I>(&c.wr, &dz, &mut db[b * I..(b + 1) * I]);
+                }
+            }
+            for (g, d) in gb.iter_mut().zip(dz) {
+                *g += d;
+            }
+        }
+    }
+
+    /// The training-kernel floor: pretraining-shaped minibatches (64
+    /// trees of 1–5 leaves, so ≈ 5 nodes and 2 joins each, at the
+    /// `mini_imdb` node dimension and the default architecture) through
+    /// `batch_forward` + `batch_backward`, beside a hand-written loop
+    /// with compile-time shapes doing the same multiply-adds over
+    /// minibatches gathered ahead of time into preallocated buffers. The
+    /// summed gradients must be bit-equal. Run with
+    /// `cargo test --release -p balsa-learn floor -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    #[allow(clippy::needless_range_loop)]
+    fn treeconv_fit_floor() {
+        const BATCH: usize = 64;
+        const BATCHES: usize = 16;
+        const REPS: usize = 40;
+        const D: usize = FLOOR_D;
+        const O0: usize = FLOOR_O0;
+        const O1: usize = FLOOR_O1;
+        const HD: usize = FLOOR_HD;
+        let mut rng = SmallRng::seed_from_u64(0xF17F);
+        let model = floor_model(&mut rng);
+        let n = BATCH * BATCHES;
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|i| random_tree(1 + i % 5, D, &mut rng))
+            .collect();
+        let ys: Vec<f64> = (0..n).map(|_| rng.random_normal(0.0, 1.0)).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        shuffle_epoch_order(&mut order, &mut rng);
+        let arena = TreeArena::build(&xs, D);
+
+        let mut scratch = BatchScratch::default();
+        let mut kernel = |grad: &mut [f64]| {
+            for chunk in order.chunks(BATCH) {
+                model.batch_forward(&arena, chunk, &mut scratch);
+                scratch.d_outs.clear();
+                scratch.active.clear();
+                for (bs, &i) in chunk.iter().enumerate() {
+                    scratch.d_outs.push(scratch.outs[bs] - ys[i]);
+                    scratch.active.push(true);
+                }
+                model.batch_backward(&mut scratch, grad);
+            }
+        };
+
+        // The floor's inputs: every minibatch gathered up front, the
+        // forward's transposes derived here, every buffer preallocated.
+        let batches: Vec<FloorBatch> = order
+            .chunks(BATCH)
+            .map(|chunk| {
+                let mut b = FloorBatch {
+                    feats: vec![],
+                    kids: vec![],
+                    ofs: vec![0],
+                    ys: vec![],
+                };
+                for &i in chunk {
+                    let t = decode_tree(&xs[i]);
+                    let base = b.kids.len() as u32;
+                    for (f, k) in t.feats.iter().zip(&t.children) {
+                        b.feats.extend_from_slice(f);
+                        b.kids.push(
+                            k.map_or((0, 0), |(l, r)| (base + l as u32 + 1, base + r as u32 + 1)),
+                        );
+                    }
+                    b.ofs.push(b.kids.len());
+                    b.ys.push(ys[i]);
+                }
+                b
+            })
+            .collect();
+        let (c0, c1, head1, head2) = (&model.conv[0], &model.conv[1], &model.head1, &model.head2);
+        let t0 = [&c0.wn, &c0.wl, &c0.wr].map(|w| transpose(w, D));
+        let t1 = [&c1.wn, &c1.wl, &c1.wr].map(|w| transpose(w, O0));
+        let w1 = transpose(&head1.w, O1);
+        let max_nodes = batches.iter().map(|b| b.kids.len()).max().unwrap();
+        let mut pre0 = vec![0.0; max_nodes * O0];
+        let mut act0 = pre0.clone();
+        let mut d_act0 = pre0.clone();
+        let mut pre1 = vec![0.0; max_nodes * O1];
+        let mut act1 = pre1.clone();
+        let mut d_act1 = pre1.clone();
+        let mut floor = |grad: &mut [f64]| {
+            let (g0, rest) = grad.split_at_mut(3 * O0 * D + O0);
+            let (g1, rest) = rest.split_at_mut(3 * O1 * O0 + O1);
+            let (gh1, gh2) = rest.split_at_mut(HD * O1 + HD);
+            let (gh1w, gh1b) = gh1.split_at_mut(HD * O1);
+            let (gh2w, gh2b) = gh2.split_at_mut(HD);
+            for b in &batches {
+                let nodes = b.kids.len();
+                let t0 = [&t0[0][..], &t0[1], &t0[2]];
+                let t1 = [&t1[0][..], &t1[1], &t1[2]];
+                floor_level_fwd::<O0>(c0, t0, &b.feats, &b.kids, &mut pre0, &mut act0);
+                floor_level_fwd::<O1>(c1, t1, &act0, &b.kids, &mut pre1, &mut act1);
+                d_act1[..nodes * O1].fill(0.0);
+                for (s, &y) in b.ys.iter().enumerate() {
+                    // Pool, head, and the head's backward.
+                    let (mut pooled, mut argmax) = ([f64::NEG_INFINITY; O1], [0usize; O1]);
+                    for p in b.ofs[s]..b.ofs[s + 1] {
+                        for ch in 0..O1 {
+                            if act1[p * O1 + ch] > pooled[ch] {
+                                pooled[ch] = act1[p * O1 + ch];
+                                argmax[ch] = p;
+                            }
+                        }
+                    }
+                    let mut h_pre = floor_mv::<HD>(&w1, &pooled);
+                    let mut h_act = [0.0; HD];
+                    let mut out = -0.0;
+                    for k in 0..HD {
+                        h_pre[k] += head1.b[k];
+                        h_act[k] = lrelu(h_pre[k]);
+                        out += head2.w[k] * h_act[k];
+                    }
+                    let d_out = (head2.b[0] + out) - y;
+                    let mut d_h_pre = [0.0; HD];
+                    for k in 0..HD {
+                        d_h_pre[k] = head2.w[k] * d_out * lrelu_grad(h_pre[k]);
+                        gh2w[k] += d_out * h_act[k];
+                    }
+                    gh2b[0] += d_out;
+                    floor_outer::<HD, O1>(gh1w, &d_h_pre, &pooled);
+                    for k in 0..HD {
+                        gh1b[k] += d_h_pre[k];
+                    }
+                    let mut d_pooled = [0.0; O1];
+                    floor_mv_t::<HD, O1>(&head1.w, &d_h_pre, &mut d_pooled);
+                    for ch in 0..O1 {
+                        d_act1[argmax[ch] * O1 + ch] += d_pooled[ch];
+                    }
+                }
+                d_act0[..nodes * O0].fill(0.0);
+                let (kids, d_below) = (&b.kids, Some(&mut d_act0[..]));
+                floor_level_bwd::<O1, O0>(c1, &act0, kids, &pre1, &d_act1, g1, d_below);
+                floor_level_bwd::<O0, D>(c0, &b.feats, kids, &pre0, &d_act0, g0, None);
+            }
+        };
+
+        // Interleave the two sides per repetition and report medians.
+        let (mut kernel_ns, mut floor_ns) = (Vec::new(), Vec::new());
+        let (mut gk, mut gf) = (vec![0.0; model.num_params()], vec![0.0; model.num_params()]);
+        for _ in 0..REPS {
+            gk.fill(0.0);
+            let t = Instant::now();
+            kernel(&mut gk);
+            kernel_ns.push(t.elapsed().as_nanos());
+            gf.fill(0.0);
+            let t = Instant::now();
+            floor(std::hint::black_box(&mut gf));
+            floor_ns.push(t.elapsed().as_nanos());
+            for (j, (k, f)) in gk.iter().zip(&gf).enumerate() {
+                assert_eq!(
+                    k.to_bits(),
+                    f.to_bits(),
+                    "param {j}: kernel {k} vs floor {f}"
+                );
+            }
+        }
+        let median = |mut ns: Vec<u128>| {
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64 * 1e-9
+        };
+        let (k, f) = (median(kernel_ns), median(floor_ns));
+        println!(
+            "node_dim {D}, conv {O0} -> {O1}, head {HD}, batch {BATCH}: kernel {:.0} samples/s, \
+             floor {:.0} samples/s, ratio {:.2}",
+            n as f64 / k,
+            n as f64 / f,
             k / f
         );
     }

@@ -20,6 +20,9 @@ impl TableMask {
     /// The empty set.
     pub const EMPTY: TableMask = TableMask(0);
 
+    /// How many query tables a mask can hold.
+    pub const WIDTH: usize = u32::BITS as usize;
+
     /// Mask containing only query-table `i`.
     #[inline]
     pub fn single(i: usize) -> Self {

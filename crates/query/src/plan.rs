@@ -462,6 +462,10 @@ impl Plan {
                     let qt: usize = digits
                         .parse()
                         .map_err(|_| format!("bad scan index {digits:?}"))?;
+                    // A plan's mask has one bit per query table.
+                    if qt >= TableMask::WIDTH {
+                        return Err(format!("scan index {qt} is past the table mask"));
+                    }
                     Ok(Plan::scan(
                         qt,
                         if c == 'q' { ScanOp::Seq } else { ScanOp::Index },
@@ -701,6 +705,17 @@ mod tests {
         assert_eq!(left_deep_3().encode_compact(), "(h (n q0 i1) q2)");
         for bad in ["", "q", "x0", "(h q0 q1", "(z q0 q1)", "(h q0 q0)", "q0 "] {
             assert!(Plan::parse_compact(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    /// A scan index the table mask cannot hold is refused, not parsed
+    /// into a scan whose mask shift overflows.
+    #[test]
+    fn compact_scan_index_past_mask_is_refused() {
+        assert!(Plan::parse_compact("q31").is_ok());
+        for bad in ["q32", "q33", "q300", "(h q0 i33)"] {
+            let e = Plan::parse_compact(bad).unwrap_err();
+            assert!(e.contains("past the table mask"), "{bad:?}: {e}");
         }
     }
 }
