@@ -14,6 +14,8 @@
 //! engine's true-cardinality oracle, so cost models can run on either
 //! estimated or true cardinalities.
 
+#![forbid(unsafe_code)]
+
 pub mod estimator;
 pub mod histogram;
 

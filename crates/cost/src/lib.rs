@@ -26,6 +26,8 @@
 //! `CostModel` to it, and `balsa-learn` plugs its learned value model
 //! into the same slot.
 
+#![forbid(unsafe_code)]
+
 pub mod cmm;
 pub mod cout;
 pub mod expert;

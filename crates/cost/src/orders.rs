@@ -102,11 +102,10 @@ impl OrderInterner {
 
     /// Read-only mask lookup for orders interned ahead of time.
     ///
-    /// Enumerators that pre-intern a query's whole order universe (so
-    /// the interner can be shared immutably across worker threads) use
+    /// Enumerators that pre-intern a query's whole order universe use
     /// this on their hot path; bit assignments are then fixed by the
-    /// pre-interning pass, so masks are identical no matter which
-    /// thread — or how many — performs the lookup.
+    /// pre-interning pass, so a mask never depends on the order in
+    /// which lookups happen.
     ///
     /// # Panics
     /// Panics if `orders` contains an order that was never interned —
@@ -197,8 +196,7 @@ mod tests {
     fn mask_of_matches_intern_after_universe_preinterning() {
         // Pre-intern a universe, then check the read-only lookup agrees
         // with mutable interning for every subset — the contract the
-        // parallel DP relies on when sharing one interner across
-        // workers.
+        // DP relies on once it has pre-interned a query's universe.
         let universe: Vec<(usize, usize)> = (0..5).flat_map(|t| [(t, 0), (t, 3)]).collect();
         let mut it = OrderInterner::new();
         it.intern(&universe);

@@ -81,9 +81,9 @@ pub struct JoinCandidate<'a> {
     pub rc: &'a ScoredTree,
 }
 
-/// A per-query scoring session. `Sync` so one session can score
-/// candidate batches across worker threads (the beam's intra-query
-/// parallel expansion); implementations guard their per-query caches.
+/// A per-query scoring session. `Sync`, so a session may be shared by
+/// reference across threads; implementations guard their per-query
+/// caches.
 ///
 /// Implementors write [`QueryScorer::score_scan`] and
 /// [`QueryScorer::score_join_batch`]; [`QueryScorer::score_join`] is a

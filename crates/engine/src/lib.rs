@@ -39,6 +39,8 @@
 //!    point so the learning loop can be hardened against all of them
 //!    without losing bit-reproducibility.
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod exec;
 pub mod faults;

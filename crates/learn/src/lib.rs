@@ -28,6 +28,8 @@
 //!   kill-at-iteration-k + resume reproduces the uninterrupted run's
 //!   remaining iterations and final checkpoint bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod checkpoint;
 pub mod featurize;

@@ -559,7 +559,6 @@ pub fn try_train_loop(
         return Err(TrainError::BadConfig("beam_width must be at least 1"));
     }
     let featurizer = Featurizer::new(db.clone(), profile.weights, profile.bushy_hints);
-    let pool = WorkerPool::new(cfg.planning_threads);
     let ctx = Ctx {
         db,
         env,
@@ -577,15 +576,8 @@ pub fn try_train_loop(
         // joins twice. Faults are never armed on it: evaluation measures
         // plans, not luck.
         eval_env: ExecutionEnv::with_truth(env.truth_arc(), *profile, SimClock::paper_default()),
-        // The pool is persistent: when the two phases are configured to
-        // the same width, share one set of parked workers instead of
-        // spawning a second pool (clones share workers).
-        exec_pool: if cfg.training_threads == cfg.planning_threads {
-            pool.clone()
-        } else {
-            WorkerPool::new(cfg.training_threads)
-        },
-        pool,
+        pool: WorkerPool::new(cfg.planning_threads),
+        exec_pool: WorkerPool::new(cfg.training_threads),
     };
     let mut st = match ctx.resume()? {
         Some(st) => st,

@@ -12,10 +12,8 @@
 //! unfitted** states, and assert the chosen plans and their scores are
 //! bit-identical.
 //!
-//! Also covered here: the intra-query parallel expansion
-//! ([`BeamPlanner::with_pool`]) must be bit-identical across thread
-//! counts, and the raw model batch hooks must equal their batch-of-one
-//! forms on random plans.
+//! Also covered here: the raw model batch hooks must equal their
+//! batch-of-one forms on random plans.
 
 use balsa_card::HistogramEstimator;
 use balsa_cost::{JoinCandidate, OpWeights, PlanScorer, QueryScorer, ScoredTree};
@@ -25,7 +23,7 @@ use balsa_learn::{
 };
 use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::{Plan, Query};
-use balsa_search::{random_plan, BeamPlanner, Planner, SearchMode, WorkerPool};
+use balsa_search::{random_plan, BeamPlanner, Planner, SearchMode};
 use balsa_storage::{mini_imdb, DataGenConfig, Database};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -158,51 +156,6 @@ fn batched_scoring_is_bit_identical_to_per_candidate() {
     }
 }
 
-/// Intra-query parallel expansion (pools of 1 and 4 via
-/// [`BeamPlanner::with_pool`]) is bit-identical to serial for both
-/// model kinds, widths 1 and 20, with and without exploration.
-#[test]
-fn beam_plans_are_bit_identical_across_thread_counts() {
-    let (db, queries) = fixture();
-    let est = HistogramEstimator::new(&db);
-    let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
-    for kind in [ModelKind::Linear, ModelKind::TreeConv] {
-        let model = fitted_model(kind, &db, &queries, &featurizer);
-        let scorer = LearnedScorer::new(&featurizer, &*model, &est);
-        for q in queries.iter().step_by(17) {
-            for width in [1usize, 20] {
-                let serial = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, width)
-                    .with_pool(WorkerPool::new(1))
-                    .plan(q);
-                let parallel = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, width)
-                    .with_pool(WorkerPool::new(4))
-                    .plan(q);
-                assert_eq!(
-                    serial.plan.fingerprint(),
-                    parallel.plan.fingerprint(),
-                    "{} [{:?} width={width}]: thread count changed the plan",
-                    q.name,
-                    kind
-                );
-                assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
-                assert_eq!(serial.stats.states, parallel.stats.states);
-                assert_eq!(serial.stats.candidates, parallel.stats.candidates);
-            }
-            // Exploration consumes its RNG in the serial selection
-            // phase, so thread counts cannot perturb the stream.
-            let a = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, 5)
-                .with_exploration(0.5, 77)
-                .with_pool(WorkerPool::new(1))
-                .plan(q);
-            let b = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, 5)
-                .with_exploration(0.5, 77)
-                .with_pool(WorkerPool::new(4))
-                .plan(q);
-            assert_eq!(a.plan.fingerprint(), b.plan.fingerprint(), "{}", q.name);
-        }
-    }
-}
-
 /// The raw batch hooks equal their batch-of-one forms (the provided
 /// `predict`) on random candidate sets (direct unit-level check,
 /// independent of the beam).
@@ -304,37 +257,33 @@ const PRE_SHARING_PIN: [(ModelKind, u64); 2] = [
 ];
 
 #[test]
-fn learned_beam_matches_the_pre_sharing_pin_on_pools_1_and_4() {
+fn learned_beam_matches_the_pre_sharing_pin() {
     let (db, queries) = fixture();
     let est = HistogramEstimator::new(&db);
     let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
     for (kind, pinned) in PRE_SHARING_PIN {
         let model = fitted_model(kind, &db, &queries, &featurizer);
         let scorer = LearnedScorer::new(&featurizer, &*model, &est);
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::new(threads);
-            let mut sum = 0xcbf2_9ce4_8422_2325u64;
-            for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-                for width in [1usize, 8, 20] {
-                    for eps in [0.0, 0.5] {
-                        for q in queries.iter().step_by(4) {
-                            let out = BeamPlanner::new(&db, &scorer, mode, width)
-                                .with_exploration(eps, 11)
-                                .with_pool(pool.clone())
-                                .plan(q);
-                            for v in [
-                                out.plan.canonical_hash(),
-                                out.cost.to_bits(),
-                                out.stats.states as u64,
-                                out.stats.candidates as u64,
-                            ] {
-                                sum = fold(sum, v);
-                            }
+        let mut sum = 0xcbf2_9ce4_8422_2325u64;
+        for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+            for width in [1usize, 8, 20] {
+                for eps in [0.0, 0.5] {
+                    for q in queries.iter().step_by(4) {
+                        let out = BeamPlanner::new(&db, &scorer, mode, width)
+                            .with_exploration(eps, 11)
+                            .plan(q);
+                        for v in [
+                            out.plan.canonical_hash(),
+                            out.cost.to_bits(),
+                            out.stats.states as u64,
+                            out.stats.candidates as u64,
+                        ] {
+                            sum = fold(sum, v);
                         }
                     }
                 }
             }
-            assert_eq!(sum, pinned, "{kind:?} pool={threads}: actual {sum:#x}");
         }
+        assert_eq!(sum, pinned, "{kind:?}: actual {sum:#x}");
     }
 }

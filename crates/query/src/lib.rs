@@ -17,6 +17,8 @@
 //!   with the paper's random and slow-template train/test splits, and a
 //!   24-query out-of-distribution Ext-JOB-like workload.
 
+#![forbid(unsafe_code)]
+
 pub mod ir;
 pub mod plan;
 pub mod verify;

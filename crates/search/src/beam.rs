@@ -22,8 +22,8 @@
 //! surviving candidate instead of the next-best one — the epsilon-greedy
 //! policy the training loop uses to diversify the plans it executes.
 //! Sampling is deterministic given the seed and query id, and the RNG
-//! stream is consumed only by the slot-filling step, so neither batched
-//! scoring nor parallel expansion perturbs it.
+//! stream is consumed only by the slot-filling step, so batched scoring
+//! never perturbs it.
 //!
 //! **The inference hot path.** Each level runs in three phases:
 //!
@@ -43,17 +43,13 @@
 //!    re-derive the same `(A ⋈ B, op)` — and every one whose join was
 //!    scored at the level before shares that slot. The table is
 //!    generational: a join no candidate named for one level is dropped.
-//! 2. *Score* (batched, optionally parallel): the queued slots — the
-//!    distinct joins nobody has scored yet, in generation order — are
-//!    scored through [`balsa_cost::QueryScorer::score_join_batch`],
-//!    spread across a [`WorkerPool`] by deterministic work-stealing
-//!    spans ([`WorkerPool::steal_map_spans`]; [`BeamPlanner::with_pool`]).
-//!    Batch scoring is bit-identical to per-candidate scoring by
-//!    contract (span layout is never a math change), a join's score is
-//!    a pure function of the join plan by the same contract (so sharing
-//!    it is never a math change either), and every span's results land
-//!    at their input index, so any thread count — and any steal
-//!    schedule — produces bit-identical plans.
+//! 2. *Score* (batched): the queued slots — the distinct joins nobody
+//!    has scored yet, in generation order — are scored in one
+//!    [`balsa_cost::QueryScorer::score_join_batch`] call. Batch scoring
+//!    is bit-identical to per-candidate scoring by contract (batch
+//!    layout is never a math change), and a join's score is a pure
+//!    function of the join plan by the same contract, so sharing it is
+//!    never a math change either.
 //! 3. *Assemble + select* (serial): survivors are ranked on totals read
 //!    through their slots, epsilon-filled, and truncated to the beam
 //!    width; only the kept states are materialized.
@@ -61,7 +57,6 @@
 use crate::budget::verify_emitted;
 use crate::candidates::CandidateSpace;
 use crate::greedy::GreedyLeftDeepPlanner;
-use crate::pool::WorkerPool;
 use crate::scratch::SharedScratch;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
@@ -322,15 +317,13 @@ pub struct BeamPlanner<'a> {
     mode: SearchMode,
     width: usize,
     exploration: Option<Exploration>,
-    pool: WorkerPool,
     budget: PlanBudget,
     scratch: SharedScratch<BeamScratch>,
 }
 
 impl<'a> BeamPlanner<'a> {
     /// Creates a beam planner with beam width `width` (≥ 1), ranking
-    /// candidates by `scorer`. Expansion is serial until
-    /// [`BeamPlanner::with_pool`] hands it a worker pool.
+    /// candidates by `scorer`.
     pub fn new(
         db: &'a Database,
         scorer: &'a dyn PlanScorer,
@@ -344,7 +337,6 @@ impl<'a> BeamPlanner<'a> {
             mode,
             width,
             exploration: None,
-            pool: WorkerPool::new(1),
             budget: PlanBudget::UNLIMITED,
             scratch: SharedScratch::new(),
         }
@@ -352,22 +344,13 @@ impl<'a> BeamPlanner<'a> {
 
     /// Arms a [`PlanBudget`]. Work (candidates generated) and memo
     /// (dedup-surviving states) are checked once per level, between the
-    /// dedup and scoring phases — both counters come from the serial
-    /// generate phase, so the decision is bit-reproducible and
-    /// independent of pool width. The exploration RNG stream is
-    /// untouched: budget checks are pure comparisons, and an exhausted
-    /// level aborts before the slot-filling step that consumes it.
+    /// dedup and scoring phases — both counters come from the generate
+    /// phase, so the decision is bit-reproducible. The exploration RNG
+    /// stream is untouched: budget checks are pure comparisons, and an
+    /// exhausted level aborts before the slot-filling step that
+    /// consumes it.
     pub fn with_budget(mut self, budget: PlanBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Spreads each level's candidate scoring across `pool` —
-    /// intra-query parallelism for serving a single query. Scoring
-    /// spans are work-stolen but every result lands at its input index,
-    /// so every thread count yields bit-identical plans (tested).
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -475,12 +458,18 @@ impl BeamPlanner<'_> {
             })
             .collect();
 
+        // A diverged model scores NaN, which no ranking can order.
+        if scan_variants.iter().flatten().any(|t| t.st.score.is_nan()) {
+            return Err(PlanError::NonFiniteScore {
+                query: query.name.clone(),
+            });
+        }
         // Initial forest: each table as its best-scoring scan candidate.
         let leaves: Vec<Tree> = scan_variants
             .iter()
             .map(|vs| {
                 vs.iter()
-                    .min_by(|a, b| a.st.score.partial_cmp(&b.st.score).expect("finite"))
+                    .min_by(|a, b| a.st.score.partial_cmp(&b.st.score).expect("not NaN"))
                     .expect("at least one scan candidate")
                     .clone()
             })
@@ -564,40 +553,33 @@ impl BeamPlanner<'_> {
             stats.dedup_secs += t_gen.elapsed().as_secs_f64();
 
             // Budget boundary: candidates generated (work) and dedup
-            // survivors (memo) both come from the serial generate
-            // phase, so the check is bit-reproducible for any pool
-            // width — and it runs before scoring *and* before the
-            // slot-filling step, leaving the exploration RNG stream
-            // untouched on the abort path.
+            // survivors (memo) both come from the generate phase, so
+            // the check is bit-reproducible — and it runs before
+            // scoring *and* before the slot-filling step, leaving the
+            // exploration RNG stream untouched on the abort path.
             if !self.budget.is_unlimited() {
                 self.budget
                     .check("beam", query, stats.candidates as u64, pending.len())?;
             }
 
-            // Phase 2: score the fresh slots — one batched call per
-            // work-stolen span, every result published at its input
-            // index (bit-identical for any thread count and steal
-            // schedule, since batch layout is never a math change).
-            // Spans are sized so a level fans out finely enough to
-            // re-balance skew without claim-lock churn on cheap items.
+            // Phase 2: score the fresh slots in one batched call.
             let t_score = Instant::now();
-            let span = (queue.len() / (self.pool.threads().max(1) * 8)).max(32);
-            let scored: Vec<ScoredTree> =
-                self.pool.steal_map_spans(queue.len(), span, |lo, hi, out| {
-                    let cands: Vec<JoinCandidate<'_>> = queue[lo..hi]
-                        .iter()
-                        .map(|q| {
-                            let p = &pending[q.cand];
-                            let trees = &beam[p.si].trees;
-                            JoinCandidate {
-                                join: &joins.slot(p.slot).plan,
-                                lc: &self.variants(&scan_variants, &trees[p.i])[q.lv].st,
-                                rc: &self.variants(&scan_variants, &trees[p.j])[q.rv].st,
-                            }
-                        })
-                        .collect();
-                    session.score_join_batch(&cands, out);
-                });
+            let mut scored: Vec<ScoredTree> = Vec::with_capacity(queue.len());
+            if !queue.is_empty() {
+                let cands: Vec<JoinCandidate<'_>> = queue
+                    .iter()
+                    .map(|q| {
+                        let p = &pending[q.cand];
+                        let trees = &beam[p.si].trees;
+                        JoinCandidate {
+                            join: &joins.slot(p.slot).plan,
+                            lc: &self.variants(&scan_variants, &trees[p.i])[q.lv].st,
+                            rc: &self.variants(&scan_variants, &trees[p.j])[q.rv].st,
+                        }
+                    })
+                    .collect();
+                session.score_join_batch(&cands, &mut scored);
+            }
             for (q, st) in queue.iter().zip(scored) {
                 joins.set_score(pending[q.cand].slot, st);
             }
@@ -633,11 +615,16 @@ impl BeamPlanner<'_> {
                     total + joins.slot(p.slot).st.score
                 })
                 .collect();
+            if totals.iter().any(|t| t.is_nan()) {
+                return Err(PlanError::NonFiniteScore {
+                    query: query.name.clone(),
+                });
+            }
             let mut order: Vec<u32> = (0..pending.len() as u32).collect();
             order.sort_by(|&a, &b| {
                 totals[a as usize]
                     .partial_cmp(&totals[b as usize])
-                    .expect("finite scores")
+                    .expect("not NaN")
             });
             stats.states += order.len();
             // Epsilon-greedy slot filling: slot s takes the next-best
@@ -699,7 +686,7 @@ mod tests {
     use super::*;
     use crate::DpPlanner;
     use balsa_card::HistogramEstimator;
-    use balsa_cost::{CostModel, CostScorer, ExpertCostModel, OpWeights};
+    use balsa_cost::{CostModel, CostScorer, ExpertCostModel, OpWeights, QueryScorer};
     use balsa_query::workloads::job_workload;
     use balsa_storage::{mini_imdb, DataGenConfig};
 
@@ -716,6 +703,71 @@ mod tests {
         ScoredTree {
             score,
             ..ScoredTree::default()
+        }
+    }
+
+    /// A diverged model: every join scores NaN, and so does every scan
+    /// when `scans` is set.
+    struct NanScorer<'a> {
+        inner: CostScorer<'a>,
+        scans: bool,
+    }
+
+    struct NanSession<'q> {
+        inner: Box<dyn QueryScorer + 'q>,
+        scans: bool,
+    }
+
+    impl PlanScorer for NanScorer<'_> {
+        fn name(&self) -> String {
+            "nan".into()
+        }
+
+        fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
+            Box::new(NanSession {
+                inner: self.inner.for_query(query),
+                scans: self.scans,
+            })
+        }
+    }
+
+    impl QueryScorer for NanSession<'_> {
+        fn score_scan(&self, scan: &Plan) -> ScoredTree {
+            if self.scans {
+                scored(f64::NAN)
+            } else {
+                self.inner.score_scan(scan)
+            }
+        }
+
+        fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+            out.extend(cands.iter().map(|_| scored(f64::NAN)));
+        }
+    }
+
+    /// NaN scores are a typed error, not a comparator panic, whether
+    /// they reach the beam through the scans or through the joins.
+    #[test]
+    fn nan_scores_are_a_typed_error() {
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        let q = &w.queries[0];
+        for scans in [false, true] {
+            let scorer = NanScorer {
+                inner: CostScorer::new(&model, &est),
+                scans,
+            };
+            for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                let got = BeamPlanner::new(&db, &scorer, mode, 4).try_plan(q);
+                assert_eq!(
+                    got.map(|p| p.cost),
+                    Err(PlanError::NonFiniteScore {
+                        query: q.name.clone()
+                    }),
+                    "scans NaN: {scans}, {mode:?}"
+                );
+            }
         }
     }
 
@@ -877,10 +929,10 @@ mod tests {
     /// Pins the epsilon-greedy exploration stream: the PR 2 behavior
     /// policy consumes its RNG only in the slot-filling step (one
     /// `random_bool` per kept slot, one `random_range` per hit), so
-    /// neither batched scoring nor dedup-before-score nor parallel
-    /// expansion may shift which candidates get explored. If this test
-    /// breaks, previously recorded learning curves are no longer
-    /// reproducible — treat that as a regression, not a re-pin.
+    /// neither batched scoring nor dedup-before-score may shift which
+    /// candidates get explored. If this test breaks, previously
+    /// recorded learning curves are no longer reproducible — treat that
+    /// as a regression, not a re-pin.
     #[test]
     fn exploration_stream_is_pinned() {
         let (db, w) = fixture();
@@ -904,12 +956,6 @@ mod tests {
                 *want,
                 "seed {seed}: explored-candidate sequence shifted"
             );
-            // The pinned sequence holds for any pool width too.
-            let pooled = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, 5)
-                .with_exploration(0.7, seed as u64)
-                .with_pool(WorkerPool::new(4))
-                .plan(q);
-            assert_eq!(pooled.plan.to_string(), *want, "seed {seed} (pooled)");
         }
     }
 

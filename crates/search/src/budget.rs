@@ -4,13 +4,11 @@
 //! A [`PlanBudget`] bounds a single planning call in two dimensions:
 //!
 //! * **work** — a deadline in *planner-work units*: candidates examined
-//!   plus csg–cmp pairs enumerated. Both counters are thread-invariant
-//!   (unlike `cost_calls`, which deliberately depends on how a level
-//!   was partitioned across workers), and planners check them only at
-//!   deterministic boundaries (DP level starts/ends, beam level
-//!   starts, submask-DP mask ends) — so whether a budget fires, and
-//!   where, is bit-reproducible and independent of thread count or
-//!   wall clock.
+//!   plus csg–cmp pairs enumerated. Both counters are functions of the
+//!   query alone, and planners check them only at deterministic
+//!   boundaries (DP level starts/ends, beam level starts, submask-DP
+//!   mask ends) — so whether a budget fires, and where, is
+//!   bit-reproducible and independent of wall clock.
 //! * **memo** — a cap on live memo entries / Pareto slots (DP memo
 //!   slots for connected subsets, Pareto entries per level, beam
 //!   states per level).
@@ -56,6 +54,12 @@ pub enum PlanError {
         /// The budget in force.
         budget: PlanBudget,
     },
+    /// The scorer returned NaN for a candidate (a diverged value
+    /// model), so the beam cannot rank it.
+    NonFiniteScore {
+        /// Name of the query being planned.
+        query: String,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -75,6 +79,9 @@ impl fmt::Display for PlanError {
                 "{stage} budget exhausted planning {query}: work {work}/{}, memo {memo}/{}",
                 budget.work, budget.memo
             ),
+            PlanError::NonFiniteScore { query } => {
+                write!(f, "no plan for {query}: the scorer returned NaN")
+            }
         }
     }
 }
@@ -112,8 +119,8 @@ impl PlanBudget {
     }
 
     /// Boundary check: errors when the charged counters exceed the
-    /// budget. `work`/`memo` must be thread-invariant quantities (see
-    /// module docs) so the decision is deterministic.
+    /// budget. `work`/`memo` must be deterministic counters (see module
+    /// docs) so the decision is bit-reproducible.
     pub(crate) fn check(
         &self,
         stage: &'static str,

@@ -27,6 +27,12 @@
 //! Both search modes of the paper's two engines are supported:
 //! [`SearchMode::Bushy`] (PostgresSim hints) and [`SearchMode::LeftDeep`]
 //! (CommDbSim's ~1000x smaller hint space, §8.2).
+//!
+//! Each planner plans one query on the calling thread. Parallelism is
+//! across queries: [`WorkerPool`] maps a planning (or execution) call
+//! over a batch of queries on scoped threads, results in input order.
+
+#![forbid(unsafe_code)]
 
 pub mod beam;
 pub mod budget;
@@ -91,13 +97,7 @@ pub struct SearchStats {
     /// duplicate states and candidates that shared the score of a join
     /// another state — or the level before — had already paid for. So
     /// `candidates - cost_calls` is the costing saved (and, for the
-    /// beam, joins scored vs. `states - 1` is the sharing alone). For
-    /// the intra-parallel DP the count depends on how the level was
-    /// partitioned (workers prune against pair-local frontiers, so
-    /// they cost somewhat more than one serial sweep) — it is
-    /// deterministic for a fixed thread count but, by design, not part
-    /// of the parallel-vs-serial bit-identity contract; the beam's is
-    /// the same for every thread count.
+    /// beam, joins scored vs. `states - 1` is the sharing alone).
     pub cost_calls: usize,
     /// Seconds spent enumerating pairs (adjacency build + DPccp walk);
     /// 0 where enumeration and costing interleave unmeasurably.
@@ -105,9 +105,8 @@ pub struct SearchStats {
     /// Seconds spent in the costing/Pareto inner loop.
     pub cost_secs: f64,
     /// Seconds the beam spent scoring candidates (the batched
-    /// value-model / cost-model calls; the scoring phase's wall-clock
-    /// makespan when intra-query expansion runs on a pool). 0 for DP,
-    /// whose analogous figure is `cost_secs`.
+    /// value-model / cost-model calls). 0 for DP, whose analogous
+    /// figure is `cost_secs`.
     pub score_secs: f64,
     /// Seconds the beam spent generating candidates, computing state
     /// signatures, deduplicating against the seen-table, mapping

@@ -2,8 +2,8 @@
 //!
 //! Both planners reuse expensive per-planner scratch (the DP's memo and
 //! buckets, the beam's dedup seen-table) across queries, but a planner
-//! may also be *shared* across a [`crate::WorkerPool`]'s workers, with
-//! several `plan` calls in flight at once. Blocking on the scratch
+//! may also be *shared* by the participants of one [`crate::WorkerPool`]
+//! map, with several `plan` calls (one query each) in flight at once. Blocking on the scratch
 //! mutex would serialize those calls and charge lock-wait to
 //! `planning_secs`; instead, a call that finds the scratch busy runs on
 //! a fresh local instance — scratch identity never affects results, so

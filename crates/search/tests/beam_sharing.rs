@@ -4,7 +4,7 @@
 //!
 //! * **No repeated scoring** — a counting [`PlanScorer`] decorator
 //!   records the fingerprint of every join it is handed, batch by
-//!   batch. Under the serial pool one batch is one beam level, so the
+//!   batch. One batch is one beam level, so the
 //!   record shows directly that no join is scored twice within a level
 //!   or in two consecutive levels, `SearchStats::cost_calls` counts
 //!   exactly the calls the decorator saw, and bushy beam-20 sends under
@@ -27,7 +27,7 @@ use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::{Plan, Query};
 use balsa_search::{
     BeamPlanner, DpPlanner, GreedyLeftDeepPlanner, PlanBudget, PlannedQuery, Planner, SearchMode,
-    WorkerPool, FALLBACK_BEAM_WIDTH,
+    FALLBACK_BEAM_WIDTH,
 };
 use balsa_storage::{mini_imdb, DataGenConfig, Database};
 use std::collections::HashSet;
@@ -64,7 +64,6 @@ fn for_each_cell(
                 for q in queries {
                     let out = BeamPlanner::new(db, scorer, mode, width)
                         .with_exploration(eps, EXPLORATION_SEED)
-                        .with_pool(WorkerPool::new(1))
                         .plan(q);
                     visit(q, mode, width, eps, out);
                 }
@@ -153,7 +152,7 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
             beam20_candidates += out.stats.candidates;
         }
         let batches = std::mem::take(&mut *counting.batches.lock().unwrap());
-        // Serial pool: one batch per level that scored anything. A
+        // One batch per level that scored anything. A
         // level whose joins were all scored before sends none, so only
         // a full count of `n - 1` batches places each batch at a level;
         // the few cells short of it are checked within batches only.

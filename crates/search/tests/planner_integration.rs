@@ -370,130 +370,6 @@ fn dpccp_matches_submask_dp_on_cout_and_cmm() {
     }
 }
 
-/// Tentpole property test: the **intra-query parallel** DP (heavy
-/// levels fanned across a worker pool, pair-local Pareto sets replayed
-/// in enumeration order) is bit-identical to the serial DP on every
-/// JOB-like and ext-JOB query — plan fingerprint, best cost bits, full
-/// Pareto frontier, retained states, candidates, and pair counts — for
-/// pools of 2 and 4 workers, in both search modes. `cost_calls` is the
-/// one deliberately partition-dependent stat and is only sanity-checked.
-/// The cutoff is forced to 0 so even small queries exercise the
-/// parallel path rather than falling back to the serial sweep.
-#[test]
-fn parallel_dp_is_bit_identical_to_serial_dp_on_all_workload_queries() {
-    let db = small_db();
-    let est = balsa_card::HistogramEstimator::new(&db);
-    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
-    let job = job_workload(db.catalog(), 7);
-    let ext = ext_job_workload(db.catalog(), 7);
-    assert_eq!(job.queries.len() + ext.queries.len(), 137);
-    for q in job.queries.iter().chain(&ext.queries) {
-        for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-            let (serial, sf) = DpPlanner::new(&db, &model, &est, mode).plan_with_frontier(q);
-            for threads in [2usize, 4] {
-                let (par, pf) = DpPlanner::new(&db, &model, &est, mode)
-                    .with_pool(WorkerPool::new(threads))
-                    .with_parallel_cutoff(0)
-                    .plan_with_frontier(q);
-                assert_eq!(
-                    par.cost.to_bits(),
-                    serial.cost.to_bits(),
-                    "{} ({mode:?}, {threads} threads): parallel cost {} != serial {}",
-                    q.name,
-                    par.cost,
-                    serial.cost
-                );
-                assert_eq!(
-                    par.plan.fingerprint(),
-                    serial.plan.fingerprint(),
-                    "{} ({mode:?}, {threads} threads): plans diverge",
-                    q.name
-                );
-                assert_eq!(pf, sf, "{} ({mode:?}, {threads} threads): frontier", q.name);
-                assert_eq!(par.stats.states, serial.stats.states, "{} states", q.name);
-                assert_eq!(par.stats.pairs, serial.stats.pairs, "{} pairs", q.name);
-                assert_eq!(
-                    par.stats.candidates, serial.stats.candidates,
-                    "{} candidates",
-                    q.name
-                );
-                assert!(
-                    par.stats.cost_calls >= serial.stats.cost_calls,
-                    "{}: pair-local pruning can only add cost calls",
-                    q.name
-                );
-            }
-        }
-    }
-}
-
-/// The same parallel-vs-serial contract under the default cutoff (the
-/// production configuration: only genuinely heavy levels fan out) and
-/// under a non-monotone cost model (`C_mm`, pruning opt-out) with the
-/// forced-parallel cutoff. Strided to keep the debug-profile runtime
-/// proportionate.
-#[test]
-fn parallel_dp_bit_identity_holds_for_default_cutoff_and_cmm() {
-    let db = small_db();
-    let est = balsa_card::HistogramEstimator::new(&db);
-    let job = job_workload(db.catalog(), 7);
-    let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
-    // Default cutoff, biggest queries only (small ones never fan out).
-    let (mut serial_calls, mut par_calls) = (0, 0);
-    for q in job.queries.iter().filter(|q| q.num_tables() >= 10) {
-        for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-            let (serial, sf) = DpPlanner::new(&db, &expert, &est, mode).plan_with_frontier(q);
-            let (par, pf) = DpPlanner::new(&db, &expert, &est, mode)
-                .with_pool(WorkerPool::new(4))
-                .plan_with_frontier(q);
-            serial_calls += serial.stats.cost_calls;
-            par_calls += par.stats.cost_calls;
-            assert_eq!(par.cost.to_bits(), serial.cost.to_bits(), "{}", q.name);
-            assert_eq!(
-                par.plan.fingerprint(),
-                serial.plan.fingerprint(),
-                "{}",
-                q.name
-            );
-            assert_eq!(pf, sf, "{} default-cutoff frontier", q.name);
-            assert_eq!(par.stats.candidates, serial.stats.candidates, "{}", q.name);
-        }
-    }
-    // Levels really did fan out: workers prune against pair-local
-    // frontiers, so a fanned-out level costs more candidates than the
-    // serial sweep; equal counts would mean every level stayed serial.
-    assert!(
-        par_calls > serial_calls,
-        "no DP level crossed the default cutoff: {par_calls} vs {serial_calls} cost calls"
-    );
-    // C_mm: child_monotone() == false disables the pre-cost early
-    // reject, the other costing path through `combine`.
-    let cmm: &dyn CostModel = &balsa_cost::CmmModel;
-    for q in job.queries.iter().step_by(6) {
-        for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-            let (serial, sf) = DpPlanner::new(&db, cmm, &est, mode).plan_with_frontier(q);
-            let (par, pf) = DpPlanner::new(&db, cmm, &est, mode)
-                .with_pool(WorkerPool::new(4))
-                .with_parallel_cutoff(0)
-                .plan_with_frontier(q);
-            assert_eq!(par.cost.to_bits(), serial.cost.to_bits(), "C_mm {}", q.name);
-            assert_eq!(
-                par.plan.fingerprint(),
-                serial.plan.fingerprint(),
-                "C_mm {}",
-                q.name
-            );
-            assert_eq!(pf, sf, "C_mm {} frontier", q.name);
-            assert_eq!(par.stats.states, serial.stats.states, "C_mm {}", q.name);
-            assert_eq!(
-                par.stats.candidates, serial.stats.candidates,
-                "C_mm {}",
-                q.name
-            );
-        }
-    }
-}
-
 /// The worker pool planning queries in parallel produces exactly the
 /// serial results (plans, costs, stats) in input order.
 #[test]
@@ -503,7 +379,7 @@ fn parallel_planning_matches_serial_planning() {
     let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
     let w = job_workload(db.catalog(), 7);
     let queries: Vec<_> = w.queries.iter().take(24).collect();
-    let outs: Vec<Vec<(u64, u64)>> = [1usize, 4]
+    let outs: Vec<Vec<[u64; 6]>> = [1usize, 4]
         .iter()
         .map(|&threads| {
             let pool = WorkerPool::new(threads);
@@ -512,7 +388,14 @@ fn parallel_planning_matches_serial_planning() {
             let planner = DpPlanner::new(&db, &model, &est, SearchMode::Bushy);
             pool.map(&queries, |_, q| {
                 let out = planner.plan(q);
-                (out.plan.fingerprint(), out.cost.to_bits())
+                [
+                    out.plan.fingerprint(),
+                    out.cost.to_bits(),
+                    out.stats.states as u64,
+                    out.stats.candidates as u64,
+                    out.stats.pairs as u64,
+                    out.stats.cost_calls as u64,
+                ]
             })
         })
         .collect();

@@ -18,6 +18,8 @@
 //!
 //! Everything is deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod column;
 pub mod datagen;
