@@ -26,51 +26,23 @@ const TAU: f64 = 0.2;
 pub struct CmmModel;
 
 impl CmmModel {
-    fn rec(&self, q: &Query, p: &Plan, est: &dyn CardEstimator) -> (f64, f64) {
-        match p {
-            Plan::Scan { qt, .. } => {
-                let rows = est.cardinality(q, TableMask::single(*qt as usize));
-                (TAU * rows, rows)
+    /// The summary of `plan` composed bottom-up from the model's own
+    /// scan and join summaries.
+    fn summary(&self, query: &Query, plan: &Plan, est: &dyn CardEstimator) -> SubtreeCost {
+        match plan {
+            Plan::Scan { .. } => self.scan_summary(query, plan, est),
+            Plan::Join { left, right, .. } => {
+                let lc = self.summary(query, left, est);
+                let rc = self.summary(query, right, est);
+                self.join_summary(query, plan, &lc, &rc, est)
             }
-            Plan::Join {
-                op,
-                left,
-                right,
-                mask,
-                ..
-            } => {
-                let (cl, rl) = self.rec(q, left, est);
-                let (cr, rr) = self.rec(q, right, est);
-                let out = est.cardinality(q, *mask);
-                let cost = match op {
-                    JoinOp::Hash => out + cl + cr + rr,
-                    JoinOp::NestLoop => {
-                        // Treated as an index nested loop on the inner.
-                        out + cl + TAU * rl * (rr.max(2.0)).log2().max(1.0)
-                    }
-                    JoinOp::Merge => out + cl + cr + rl + rr,
-                };
-                (cost, out)
-            }
-        }
-    }
-
-    /// The `C_mm` work of one join given its output cardinality and the
-    /// children's summaries — shared by both summary entry points.
-    fn join_work(op: JoinOp, out: f64, lc: &SubtreeCost, rc: &SubtreeCost) -> f64 {
-        match op {
-            JoinOp::Hash => out + lc.work + rc.work + rc.out_rows,
-            JoinOp::NestLoop => {
-                out + lc.work + TAU * lc.out_rows * (rc.out_rows.max(2.0)).log2().max(1.0)
-            }
-            JoinOp::Merge => out + lc.work + rc.work + lc.out_rows + rc.out_rows,
         }
     }
 }
 
 impl CostModel for CmmModel {
     fn plan_cost(&self, query: &Query, plan: &Plan, est: &dyn CardEstimator) -> f64 {
-        self.rec(query, plan, est).0
+        self.summary(query, plan, est).work
     }
 
     fn name(&self) -> &'static str {
@@ -82,46 +54,6 @@ impl CostModel for CmmModel {
         SubtreeCost {
             work: TAU * rows,
             out_rows: rows,
-            sorted_on: Vec::new(),
-        }
-    }
-
-    fn join_summary(
-        &self,
-        query: &Query,
-        join: &Plan,
-        lc: &SubtreeCost,
-        rc: &SubtreeCost,
-        est: &dyn CardEstimator,
-    ) -> SubtreeCost {
-        let out = est.cardinality(query, join.mask()).max(0.0);
-        let work = match join {
-            Plan::Join { op, .. } => Self::join_work(*op, out, lc, rc),
-            Plan::Scan { .. } => TAU * out,
-        };
-        SubtreeCost {
-            work,
-            out_rows: out,
-            sorted_on: Vec::new(),
-        }
-    }
-
-    fn join_summary_parts(
-        &self,
-        query: &Query,
-        op: JoinOp,
-        left: &std::sync::Arc<Plan>,
-        lc: &SubtreeCost,
-        right: &std::sync::Arc<Plan>,
-        rc: &SubtreeCost,
-        est: &dyn CardEstimator,
-    ) -> SubtreeCost {
-        let out = est
-            .cardinality(query, left.mask().union(right.mask()))
-            .max(0.0);
-        SubtreeCost {
-            work: Self::join_work(op, out, lc, rc),
-            out_rows: out,
             sorted_on: Vec::new(),
         }
     }
@@ -152,7 +84,16 @@ impl crate::PairCoster for CmmPairCoster {
         rc: &SubtreeCost,
         _right_index_scan: bool,
     ) -> (f64, f64) {
-        (CmmModel::join_work(op, self.out, lc, rc), self.out)
+        let out = self.out;
+        let work = match op {
+            JoinOp::Hash => out + lc.work + rc.work + rc.out_rows,
+            // Treated as an index nested loop on the inner.
+            JoinOp::NestLoop => {
+                out + lc.work + TAU * lc.out_rows * (rc.out_rows.max(2.0)).log2().max(1.0)
+            }
+            JoinOp::Merge => out + lc.work + rc.work + lc.out_rows + rc.out_rows,
+        };
+        (work, out)
     }
 
     fn order_source(&self, _op: JoinOp) -> crate::OrderSource {

@@ -41,43 +41,6 @@ impl CostModel for CoutModel {
         }
     }
 
-    fn join_summary(
-        &self,
-        query: &Query,
-        join: &Plan,
-        lc: &SubtreeCost,
-        rc: &SubtreeCost,
-        est: &dyn CardEstimator,
-    ) -> SubtreeCost {
-        // C_out(T1 ⋈ T2) = |out| + C_out(T1) + C_out(T2).
-        let out = est.cardinality(query, join.mask()).max(0.0);
-        SubtreeCost {
-            work: out + lc.work + rc.work,
-            out_rows: out,
-            sorted_on: Vec::new(),
-        }
-    }
-
-    fn join_summary_parts(
-        &self,
-        query: &Query,
-        _op: balsa_query::JoinOp,
-        left: &std::sync::Arc<Plan>,
-        lc: &SubtreeCost,
-        right: &std::sync::Arc<Plan>,
-        rc: &SubtreeCost,
-        est: &dyn CardEstimator,
-    ) -> SubtreeCost {
-        let out = est
-            .cardinality(query, left.mask().union(right.mask()))
-            .max(0.0);
-        SubtreeCost {
-            work: out + lc.work + rc.work,
-            out_rows: out,
-            sorted_on: Vec::new(),
-        }
-    }
-
     fn pair_coster<'c>(
         &'c self,
         query: &Query,

@@ -11,10 +11,10 @@
 //! * the **"Expert Simulator"** ablation of §8.3.1, where Balsa
 //!   bootstraps from it instead of `C_out`.
 
-use crate::physical::{join_cost, physical_cost, scan_cost, OpWeights, SubtreeCost};
+use crate::physical::{physical_cost, scan_cost, OpWeights, SubtreeCost};
 use crate::CostModel;
 use balsa_card::CardEstimator;
-use balsa_query::{JoinOp, Plan, Query};
+use balsa_query::{Plan, Query};
 use balsa_storage::Database;
 use std::sync::Arc;
 
@@ -57,45 +57,6 @@ impl CostModel for ExpertCostModel {
                 sorted_on: Vec::new(),
             },
         }
-    }
-
-    fn join_summary(
-        &self,
-        query: &Query,
-        join: &Plan,
-        lc: &SubtreeCost,
-        rc: &SubtreeCost,
-        est: &dyn CardEstimator,
-    ) -> SubtreeCost {
-        match join {
-            Plan::Join {
-                op, left, right, ..
-            } => join_cost(
-                &self.db,
-                query,
-                *op,
-                left,
-                lc,
-                right,
-                rc,
-                est,
-                &self.weights,
-            ),
-            Plan::Scan { .. } => self.scan_summary(query, join, est),
-        }
-    }
-
-    fn join_summary_parts(
-        &self,
-        query: &Query,
-        op: JoinOp,
-        left: &Arc<Plan>,
-        lc: &SubtreeCost,
-        right: &Arc<Plan>,
-        rc: &SubtreeCost,
-        est: &dyn CardEstimator,
-    ) -> SubtreeCost {
-        join_cost(&self.db, query, op, left, lc, right, rc, est, &self.weights)
     }
 
     fn pair_coster<'c>(

@@ -19,7 +19,12 @@
 //!
 //! All models implement [`CostModel`] and are parameterized by a
 //! [`balsa_card::CardEstimator`], so estimated/true/noisy cardinalities
-//! can be swapped freely (used by the §10 noise study).
+//! can be swapped freely (used by the §10 noise study). A model writes
+//! three things: [`CostModel::plan_cost`], [`CostModel::scan_summary`]
+//! and a [`PairCoster`] session ([`CostModel::pair_coster`]), the one
+//! place its join formula lives. [`CostModel::join_summary`] is
+//! provided on top of the session, so planners, scorers and the
+//! engine cannot cost a join two ways.
 //!
 //! The [`scorer`] module defines [`PlanScorer`], the generic scoring
 //! interface the beam search consumes; [`CostScorer`] adapts any
@@ -64,14 +69,18 @@ pub enum OrderSource {
     Pair,
 }
 
-/// A per-orientation join-costing session for planner hot loops.
+/// A per-orientation join-costing session: the one place a model writes
+/// its join formula.
 ///
 /// A DP enumerator costs every `(left entry, right entry, operator)`
 /// candidate of one csg–cmp orientation; everything that depends only
 /// on the two masks (output cardinality, crossing-edge keys,
 /// index-NL eligibility, merge output orders) is resolved once when
 /// [`CostModel::pair_coster`] opens the session, leaving the
-/// per-candidate path allocation-free.
+/// per-candidate path allocation-free. One-shot callers
+/// ([`CostModel::join_summary`], [`crate::physical::join_cost`], the
+/// cost scorer) take the whole [`SubtreeCost`] from
+/// [`PairCoster::summary`].
 pub trait PairCoster {
     /// `(work, out_rows)` of joining children with summaries `lc`/`rc`
     /// under `op` (`work` includes both children). `right_index_scan`:
@@ -96,14 +105,37 @@ pub trait PairCoster {
     }
 
     /// The output-order semantics of `op` under this model. Together
-    /// with [`PairCoster::pair_sorted_on`] this must reproduce exactly
-    /// the `sorted_on` that [`CostModel::join_summary`] reports.
+    /// with [`PairCoster::pair_sorted_on`] it decides the `sorted_on`
+    /// of [`PairCoster::summary`].
     fn order_source(&self, op: JoinOp) -> OrderSource;
 
     /// The session-constant order list of [`OrderSource::Pair`]
     /// operators (for the expert model: the merge keys — left-side
     /// keys then right-side keys, in edge order).
     fn pair_sorted_on(&self) -> &[(usize, usize)];
+
+    /// The summary of joining children `lc`/`rc` under `op`:
+    /// [`PairCoster::work_out`] plus the output orders
+    /// [`PairCoster::order_source`] names.
+    fn summary(
+        &self,
+        op: JoinOp,
+        lc: &SubtreeCost,
+        rc: &SubtreeCost,
+        right_index_scan: bool,
+    ) -> SubtreeCost {
+        let (work, out_rows) = self.work_out(op, lc, rc, right_index_scan);
+        let sorted_on = match self.order_source(op) {
+            OrderSource::Empty => Vec::new(),
+            OrderSource::LeftInput => lc.sorted_on.clone(),
+            OrderSource::Pair => self.pair_sorted_on().to_vec(),
+        };
+        SubtreeCost {
+            work,
+            out_rows,
+            sorted_on,
+        }
+    }
 }
 
 /// A cost model scores a (query, plan) pair given a cardinality source.
@@ -131,10 +163,14 @@ pub trait CostModel: Send + Sync {
     }
 
     /// Costed summary of `join` (a [`Plan::Join`]) given its children's
-    /// summaries `lc`/`rc`. `work` covers the whole subtree. Must agree
-    /// with [`CostModel::plan_cost`] on the same tree; the default
-    /// guarantees that by recomputing from scratch (O(tree) per call),
-    /// while overrides compose in O(1).
+    /// summaries `lc`/`rc`. `work` covers the whole subtree.
+    ///
+    /// Provided: a join is costed in O(1) by the model's
+    /// [`PairCoster`] session for its children's masks; a model with no
+    /// session recomputes [`CostModel::plan_cost`] from scratch (O(tree)
+    /// per call). A [`Plan::Scan`] is its [`CostModel::scan_summary`].
+    /// Either way the result must agree with `plan_cost` on the same
+    /// tree.
     fn join_summary(
         &self,
         query: &Query,
@@ -143,25 +179,29 @@ pub trait CostModel: Send + Sync {
         rc: &SubtreeCost,
         est: &dyn CardEstimator,
     ) -> SubtreeCost {
-        let _ = (lc, rc);
-        SubtreeCost {
-            work: self.plan_cost(query, join, est),
-            out_rows: est.cardinality(query, join.mask()).max(0.0),
-            sorted_on: Vec::new(),
+        let Plan::Join {
+            op, left, right, ..
+        } = join
+        else {
+            return self.scan_summary(query, join, est);
+        };
+        match self.pair_coster(query, left.mask(), right.mask(), est) {
+            Some(coster) => coster.summary(*op, lc, rc, right.is_index_scan()),
+            None => SubtreeCost {
+                work: self.plan_cost(query, join, est),
+                out_rows: est.cardinality(query, join.mask()).max(0.0),
+                sorted_on: Vec::new(),
+            },
         }
     }
 
-    /// Costed summary of joining `left` and `right` under `op`
-    /// **without materializing the join node** — the DP enumerator's
-    /// per-candidate hot path, where the overwhelming majority of
-    /// candidates are Pareto-dominated and their plan nodes would be
-    /// allocated only to be dropped.
+    /// Costed summary of joining `left` and `right` under `op`: builds
+    /// the join node and asks [`CostModel::join_summary`].
     ///
-    /// Must agree bit-for-bit with [`CostModel::join_summary`] on the
-    /// built node. The default guarantees that by building the node;
-    /// the bundled models override it to cost from the children alone.
-    // The argument list is the full join-costing context; bundling it
-    // would force planner hot loops to build a struct per candidate.
+    /// Nothing in the workspace calls it, and no bundled model
+    /// overrides it. The trait keeps it because the reference
+    /// benchmark's tracing decorator (`bench/src/decorate.rs`)
+    /// implements it, with this signature.
     #[allow(clippy::too_many_arguments)]
     fn join_summary_parts(
         &self,
@@ -179,9 +219,11 @@ pub trait CostModel: Send + Sync {
 
     /// Opens a [`PairCoster`] session for candidates joining exactly
     /// `(lmask, rmask)` in that orientation, or `None` when the model
-    /// has no session implementation (enumerators then fall back to
-    /// [`CostModel::join_summary_parts`] per candidate). A session must
-    /// agree bit-for-bit with the per-candidate entry points.
+    /// has no session. Every bundled model has one; without it
+    /// [`CostModel::join_summary`] recomputes `plan_cost` per call and
+    /// the DP planner enumerates with the submask oracle instead of
+    /// DPccp. A session's summaries must agree with
+    /// [`CostModel::plan_cost`] on the same tree.
     fn pair_coster<'c>(
         &'c self,
         query: &Query,

@@ -178,9 +178,10 @@ pub fn scan_cost(
 /// under operator `op`, returning the summary of the combined subtree
 /// (`work` includes both children).
 ///
-/// One-shot convenience over [`JoinPairCost`], which is the same
-/// machinery opened once per `(left-mask, right-mask)` orientation for
-/// planner hot loops.
+/// A one-shot [`JoinPairCost`] session and its
+/// [`crate::PairCoster::summary`]: the expert model's join formula is
+/// written once, in the session that planner hot loops open per
+/// `(left-mask, right-mask)` orientation.
 // The argument list is the full join-costing context; bundling it into a
 // struct would force every planner hot loop to build one per candidate.
 #[allow(clippy::too_many_arguments)]
@@ -195,25 +196,12 @@ pub fn join_cost(
     est: &dyn CardEstimator,
     w: &OpWeights,
 ) -> SubtreeCost {
-    let ctx = JoinPairCost::new(db, q, left.mask(), right.mask(), est, *w);
-    let right_index_scan = matches!(
-        right,
-        Plan::Scan {
-            op: ScanOp::Index,
-            ..
-        }
-    );
-    let (work, out_rows) = ctx.work_out(op, lc, rc, right_index_scan);
-    let sorted_on = match ctx.order_source(op) {
-        crate::OrderSource::Empty => Vec::new(),
-        crate::OrderSource::LeftInput => lc.sorted_on.clone(),
-        crate::OrderSource::Pair => ctx.pair_sorted_on().to_vec(),
-    };
-    SubtreeCost {
-        work,
-        out_rows,
-        sorted_on,
-    }
+    JoinPairCost::new(db, q, left.mask(), right.mask(), est, *w).summary(
+        op,
+        lc,
+        rc,
+        right.is_index_scan(),
+    )
 }
 
 /// Everything about costing the join of one `(left-mask, right-mask)`

@@ -18,9 +18,9 @@
 //! the interface: the beam score is simply the compositional subtree
 //! work, memoizing subset cardinalities per query.
 
-use crate::{CostModel, OrderSource, SubtreeCost};
+use crate::{CostModel, SubtreeCost};
 use balsa_card::{CardEstimator, MemoEstimator};
-use balsa_query::{Plan, Query, ScanOp};
+use balsa_query::{Plan, Query};
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
@@ -173,12 +173,13 @@ impl QueryScorer for CostQueryScorer<'_> {
     /// each run is costed through one [`crate::PairCoster`] session —
     /// the pair's cardinality, join keys, and order semantics are
     /// resolved once per run instead of once per candidate, exactly the
-    /// amortization the DP enumerator already enjoys. Sessions agree
-    /// bit-for-bit with [`CostModel::join_summary`] by contract (tested),
-    /// which is also what models without a pair session are costed by.
+    /// amortization the DP enumerator already enjoys. Each candidate
+    /// takes the session's [`crate::PairCoster::summary`], which is what
+    /// [`CostModel::join_summary`] computes for one join with a session
+    /// of its own; models without a pair session are costed by
+    /// `join_summary`.
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
-        // A scan has no pair: it goes to `join_summary` for the model's
-        // own error.
+        // A scan has no pair: `join_summary` costs it as a scan.
         let pair_of = |c: &JoinCandidate<'_>| match c.join {
             Plan::Join { left, right, .. } => Some((left.mask(), right.mask())),
             Plan::Scan { .. } => None,
@@ -192,25 +193,7 @@ impl QueryScorer for CostQueryScorer<'_> {
             for c in &cands[i..i + run] {
                 let sc = match (&coster, c.join) {
                     (Some(coster), Plan::Join { op, right, .. }) => {
-                        let right_index_scan = matches!(
-                            &**right,
-                            Plan::Scan {
-                                op: ScanOp::Index,
-                                ..
-                            }
-                        );
-                        let (work, out_rows) =
-                            coster.work_out(*op, &c.lc.sc, &c.rc.sc, right_index_scan);
-                        let sorted_on = match coster.order_source(*op) {
-                            OrderSource::Empty => Vec::new(),
-                            OrderSource::LeftInput => c.lc.sc.sorted_on.clone(),
-                            OrderSource::Pair => coster.pair_sorted_on().to_vec(),
-                        };
-                        SubtreeCost {
-                            work,
-                            out_rows,
-                            sorted_on,
-                        }
+                        coster.summary(*op, &c.lc.sc, &c.rc.sc, right.is_index_scan())
                     }
                     _ => self
                         .cost

@@ -26,7 +26,7 @@ use crate::profile::EngineProfile;
 use crate::sim_clock::SimClock;
 use crate::truecard::{query_key, TrueCards};
 use balsa_cost::{join_cost, physical_cost, scan_cost, SubtreeCost};
-use balsa_query::{Plan, Query};
+use balsa_query::{splitmix64, Plan, Query};
 use balsa_storage::Database;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -856,14 +856,8 @@ impl ExecutionEnv {
             return 1.0;
         }
         // Two splitmix64 draws -> Box-Muller standard normal.
-        fn splitmix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E3779B97F4A7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-        let a = splitmix(key.0 ^ key.1.rotate_left(17));
-        let b = splitmix(a ^ key.1);
+        let a = splitmix64(key.0 ^ key.1.rotate_left(17));
+        let b = splitmix64(a ^ key.1);
         let to_unit = |x: u64| ((x >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
         let (u1, u2) = (to_unit(a), to_unit(b));
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();

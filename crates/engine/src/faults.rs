@@ -25,6 +25,8 @@
 //! With every rate at zero the injector draws nothing and every
 //! recorded latency reproduces bit-for-bit — chaos is strictly opt-in.
 
+use balsa_query::splitmix64;
+
 /// One injected fault class.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -154,7 +156,7 @@ impl FaultConfig {
     /// A structural fingerprint of the config (seed + every rate's bit
     /// pattern) for checkpoint/resume validation.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = splitmix(self.seed ^ 0xFA017);
+        let mut h = splitmix64(self.seed ^ 0xFA017);
         for bits in [
             self.transient.to_bits(),
             self.crash.to_bits(),
@@ -163,18 +165,10 @@ impl FaultConfig {
             self.hang.to_bits(),
             self.crash_restart_secs.to_bits(),
         ] {
-            h = splitmix(h ^ bits);
+            h = splitmix64(h ^ bits);
         }
         h
     }
-}
-
-/// SplitMix64 finalizer — the workspace's standard keyed-hash mixer.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// 53-bit uniform in `[0, 1)` from a mixed word.
@@ -205,10 +199,10 @@ impl FaultInjector {
     /// The keyed word stream: draw `n` of the execution keyed by
     /// `(query, plan, attempt)`.
     fn word(&self, query_key: u64, plan_hash: u64, attempt: u32, n: u64) -> u64 {
-        let mut h = splitmix(self.cfg.seed ^ 0xC7A05C0DE);
-        h = splitmix(h ^ query_key);
-        h = splitmix(h ^ plan_hash.rotate_left(17));
-        h = splitmix(h ^ (attempt as u64) ^ (n << 32));
+        let mut h = splitmix64(self.cfg.seed ^ 0xC7A05C0DE);
+        h = splitmix64(h ^ query_key);
+        h = splitmix64(h ^ plan_hash.rotate_left(17));
+        h = splitmix64(h ^ (attempt as u64) ^ (n << 32));
         h
     }
 
@@ -299,24 +293,24 @@ impl RetryPolicy {
     /// by the pinned ±`jitter_frac` stream.
     pub fn backoff_secs(&self, query_key: u64, attempt: u32) -> f64 {
         let raw = self.backoff_base_secs * self.backoff_mult.powi(attempt as i32);
-        let mut h = splitmix(self.seed ^ 0xBACC0FF);
-        h = splitmix(h ^ query_key);
-        h = splitmix(h ^ attempt as u64);
+        let mut h = splitmix64(self.seed ^ 0xBACC0FF);
+        h = splitmix64(h ^ query_key);
+        h = splitmix64(h ^ attempt as u64);
         raw * (1.0 + self.jitter_frac * (2.0 * to_unit(h) - 1.0))
     }
 
     /// A structural fingerprint for checkpoint/resume validation.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = splitmix(self.seed ^ 0x2E742);
-        h = splitmix(h ^ self.max_attempts as u64);
+        let mut h = splitmix64(self.seed ^ 0x2E742);
+        h = splitmix64(h ^ self.max_attempts as u64);
         for bits in [
             self.backoff_base_secs.to_bits(),
             self.backoff_mult.to_bits(),
             self.jitter_frac.to_bits(),
         ] {
-            h = splitmix(h ^ bits);
+            h = splitmix64(h ^ bits);
         }
-        splitmix(h ^ matches!(self.exhausted, ExhaustedPolicy::Drop) as u64)
+        splitmix64(h ^ matches!(self.exhausted, ExhaustedPolicy::Drop) as u64)
     }
 }
 
@@ -420,8 +414,8 @@ mod tests {
         let mut classes = [0usize; 5];
         for qk in 0..400u64 {
             for attempt in 0..2 {
-                let d1 = a.draw(qk, splitmix(qk), attempt);
-                let d2 = b.draw(qk, splitmix(qk), attempt);
+                let d1 = a.draw(qk, splitmix64(qk), attempt);
+                let d2 = b.draw(qk, splitmix64(qk), attempt);
                 assert_eq!(d1, d2, "same key must draw the same fault");
                 match d1 {
                     None => classes[0] += 1,
@@ -440,7 +434,9 @@ mod tests {
         assert!(classes[1] > classes[4], "transient rate 4x hang rate");
         // A different seed draws a different sequence.
         let c = FaultInjector::new(FaultConfig { seed: 8, ..cfg });
-        assert!((0..400u64).any(|qk| c.draw(qk, splitmix(qk), 0) != a.draw(qk, splitmix(qk), 0)));
+        assert!(
+            (0..400u64).any(|qk| c.draw(qk, splitmix64(qk), 0) != a.draw(qk, splitmix64(qk), 0))
+        );
     }
 
     #[test]

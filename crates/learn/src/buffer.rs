@@ -411,7 +411,7 @@ mod tests {
         use balsa_card::HistogramEstimator;
         use balsa_cost::OpWeights;
         use balsa_query::workloads::job_workload;
-        use balsa_search::{random_plan, SearchMode};
+        use balsa_search::{try_random_plan, SearchMode};
         use balsa_storage::{mini_imdb, DataGenConfig};
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
@@ -427,7 +427,8 @@ mod tests {
         for (enc, bound) in [(FeatureEncoding::Flat, 0.15), (FeatureEncoding::Tree, 0.45)] {
             let (mut dense, mut packed) = (0usize, 0usize);
             for q in w.queries.iter().step_by(4) {
-                let plan = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+                let plan =
+                    try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
                 for sub in plan.subplans() {
                     let x = f.featurize_enc(enc, q, &sub, &est);
                     let p = PackedFeatures::pack(&x);

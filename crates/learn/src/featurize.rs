@@ -246,13 +246,7 @@ impl Featurizer {
                     out_rows: rows,
                     sorted_on: Vec::new(),
                 };
-                let right_index_scan = matches!(
-                    **right,
-                    Plan::Scan {
-                        op: ScanOp::Index,
-                        ..
-                    }
-                );
+                let right_index_scan = right.is_index_scan();
                 // `join_cost`'s `work` without the output sort orders it
                 // would build and this channel would drop.
                 let (work, _) = JoinPairCost::new(
@@ -608,7 +602,7 @@ mod tests {
     /// beam's incremental scoring path replace per-candidate re-walks.
     #[test]
     fn composed_flat_features_equal_from_scratch() {
-        use balsa_search::{random_plan, SearchMode};
+        use balsa_search::{try_random_plan, SearchMode};
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let (db, w) = fixture();
@@ -617,7 +611,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(99);
         for q in w.queries.iter().take(12) {
             for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-                let plan = random_plan(&db, q, mode, &mut rng);
+                let plan = try_random_plan(&db, q, mode, &mut rng).expect("connected query");
                 // Compose bottom-up over every subtree and compare each
                 // level against the from-scratch encode.
                 fn check(
@@ -667,19 +661,18 @@ mod tests {
         assert_eq!(x[0] as usize, 3);
         assert_eq!(x[1] as usize, d);
         assert_eq!(x.len(), 2 + 3 * (2 + d));
-        let post = plan.subtrees_post_order();
-        for (i, sub) in post.iter().enumerate() {
+        let mut nodes = Vec::new();
+        plan.visit_tensor(&mut |node, _| nodes.push(f.node_features(q, node, &est)));
+        for (i, node) in nodes.iter().enumerate() {
             let row = &x[2 + i * (2 + d) + 2..2 + i * (2 + d) + 2 + d];
-            assert_eq!(row, &f.node_features(q, sub, &est)[..], "node {i}");
+            assert_eq!(row, &node[..], "node {i}");
             assert!(row.iter().all(|v| v.is_finite()));
         }
         // Root child slots point at the two leaves.
         let root_rec = 2 + 2 * (2 + d);
         assert_eq!((x[root_rec], x[root_rec + 1]), (1.0, 2.0));
         // Operator one-hots distinguish scan kinds and the join.
-        let seq = f.node_features(q, &post[0], &est);
-        let idx = f.node_features(q, &post[1], &est);
-        let join = f.node_features(q, &post[2], &est);
+        let (seq, idx, join) = (&nodes[0], &nodes[1], &nodes[2]);
         assert_eq!((seq[3], seq[4], seq[5]), (1.0, 0.0, 1.0));
         assert_eq!((idx[3], idx[4], idx[5]), (0.0, 1.0, 1.0));
         assert_eq!((join[0], join[5]), (1.0, 0.0));

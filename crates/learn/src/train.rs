@@ -52,7 +52,7 @@ use balsa_engine::{
     query_key, ExecError, ExecutionEnv, ResilienceStats, RetryPolicy, SimClock, SubtreeObs,
 };
 use balsa_query::workloads::Workload;
-use balsa_query::{Plan, Query, Split};
+use balsa_query::{splitmix64, Plan, Query, Split};
 use balsa_search::{
     try_random_plan, BeamPlanner, DpPlanner, PlanBudget, PlanError, PlannedQuery, Planner,
     SearchMode, WorkerPool,
@@ -85,7 +85,8 @@ pub struct TrainConfig {
     /// fine-tuning; decays linearly to 0 across the iterations (§5.2).
     pub epsilon: f64,
     /// Timeout budget as a multiple of the best observed latency per
-    /// query (§4.3); the first execution of a query is unbudgeted.
+    /// query (§4.3); the first execution of a query is unbudgeted. Must
+    /// be finite and > 0.
     pub timeout_factor: f64,
     /// SGD settings for the pretraining fit.
     pub pretrain_sgd: SgdConfig,
@@ -179,16 +180,8 @@ impl Default for TrainConfig {
     }
 }
 
-/// SplitMix64 finalizer — fingerprint mixing.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 fn mix_str(h: u64, s: &str) -> u64 {
-    s.bytes().fold(h, |h, b| mix(h ^ b as u64))
+    s.bytes().fold(h, |h, b| splitmix64(h ^ b as u64))
 }
 
 impl TrainConfig {
@@ -199,7 +192,7 @@ impl TrainConfig {
     /// checkpoint/halt plumbing are deliberately excluded — they do not
     /// change any computed bit.
     pub fn fingerprint(&self, env: &ExecutionEnv) -> u64 {
-        let mut h = mix(0xBA15A ^ self.seed);
+        let mut h = splitmix64(0xBA15A ^ self.seed);
         h = mix_str(h, &format!("{:?}", self.model));
         h = mix_str(h, &format!("{:?}", self.mode));
         for v in [
@@ -211,13 +204,13 @@ impl TrainConfig {
             self.timeout_factor.to_bits(),
             self.fallback_threshold.to_bits(),
         ] {
-            h = mix(h ^ v);
+            h = splitmix64(h ^ v);
         }
         h = mix_str(h, &format!("{:?}", self.pretrain_sgd));
         h = mix_str(h, &format!("{:?}", self.finetune_sgd));
-        h = mix(h ^ self.retry.fingerprint());
-        h = mix(h ^ self.plan_budget.fingerprint());
-        h = mix(h ^ env.fault_injector().map_or(0, |i| i.config().fingerprint()));
+        h = splitmix64(h ^ self.retry.fingerprint());
+        h = splitmix64(h ^ self.plan_budget.fingerprint());
+        h = splitmix64(h ^ env.fault_injector().map_or(0, |i| i.config().fingerprint()));
         h
     }
 }
@@ -234,7 +227,8 @@ pub enum TrainError {
     BushyOnLeftDeep(&'static str),
     /// `checkpoint_every > 0` with no `checkpoint_path`.
     NoCheckpointPath,
-    /// A hyperparameter outside its domain.
+    /// A hyperparameter outside its domain, or a training split that
+    /// lists a query twice.
     BadConfig(&'static str),
     /// `resume_from` exists but could not be read or decoded.
     Resume(PathBuf, String),
@@ -543,6 +537,18 @@ pub fn try_train_loop(
     if let Some(&i) = split.train.iter().chain(&split.test).find(|&&i| i >= n) {
         return Err(TrainError::SplitIndex(i));
     }
+    // An iteration's executions run as one pool batch that must hold
+    // distinct queries: a repeated query plans to the same plan twice,
+    // and whether its second run hits the plan cache would depend on
+    // the thread count.
+    let mut seen = vec![false; n];
+    if split
+        .train
+        .iter()
+        .any(|&i| std::mem::replace(&mut seen[i], true))
+    {
+        return Err(TrainError::BadConfig("split.train lists a query twice"));
+    }
     let profile = env.profile();
     // A left-deep-only engine rejects the bushy plans this loop would
     // go on to make — after minutes of pretraining, inside a worker.
@@ -557,6 +563,11 @@ pub fn try_train_loop(
     }
     if cfg.beam_width == 0 {
         return Err(TrainError::BadConfig("beam_width must be at least 1"));
+    }
+    if !(cfg.timeout_factor.is_finite() && cfg.timeout_factor > 0.0) {
+        return Err(TrainError::BadConfig(
+            "timeout_factor must be finite and > 0",
+        ));
     }
     let featurizer = Featurizer::new(db.clone(), profile.weights, profile.bushy_hints);
     let ctx = Ctx {
@@ -1249,7 +1260,7 @@ mod tests {
                 t.abandoned,
                 t.fallback as u64,
             ] {
-                h = mix(h ^ v);
+                h = splitmix64(h ^ v);
             }
         }
         h
@@ -1290,7 +1301,7 @@ mod tests {
             })
         };
         let read = |p: &PathBuf| std::fs::read_to_string(p).expect("checkpoint written");
-        let mut h = mix(0x5EED);
+        let mut h = splitmix64(0x5EED);
 
         // Linear under chaos, killed after iteration 1, then resumed.
         let (killed, resumed) = (tmp("killed"), tmp("resumed"));
@@ -1327,7 +1338,7 @@ mod tests {
         let o = train_loop(&db, &env, &w, &split, &cfg);
         h = fold_trajectory(h, &o);
         for p in o.model.params() {
-            h = mix(h ^ p.to_bits());
+            h = splitmix64(h ^ p.to_bits());
         }
 
         for p in [killed, resumed, clean] {
@@ -1372,6 +1383,12 @@ mod tests {
             matches!(e, Some(TrainError::SplitIndex(i)) if i == n),
             "{e:?}"
         );
+        let repeated = Split {
+            train: vec![0, 1, 0],
+            test: vec![],
+        };
+        let e = run(pg(), &repeated, &cfg);
+        assert!(matches!(e, Some(TrainError::BadConfig(_))), "{e:?}");
         let e = run(ExecutionEnv::commdb_sim(db.clone()), &split, &cfg);
         assert!(matches!(e, Some(TrainError::BushyOnLeftDeep(_))), "{e:?}");
         let mut no_path = cfg.clone();
@@ -1385,6 +1402,18 @@ mod tests {
             },
             TrainConfig {
                 beam_width: 0,
+                ..cfg.clone()
+            },
+            TrainConfig {
+                timeout_factor: 0.0,
+                ..cfg.clone()
+            },
+            TrainConfig {
+                timeout_factor: -2.0,
+                ..cfg.clone()
+            },
+            TrainConfig {
+                timeout_factor: f64::NAN,
                 ..cfg.clone()
             },
         ] {

@@ -2,7 +2,7 @@
 //!
 //! [`TreeConvValueModel`] is the paper's stronger function class over the
 //! per-node plan encoding: the plan is reshaped into the binary-tree
-//! tensor layout ([`balsa_query::Plan::tree_tensor`]), 2–3 tree
+//! tensor layout ([`balsa_query::Plan::visit_tensor`]), 2–3 tree
 //! convolution layers slide **triple filters** over every
 //! `(node, left child, right child)` window, a **dynamic pooling** step
 //! takes the channel-wise max over all nodes (so plans of any size map

@@ -23,7 +23,7 @@ use balsa_learn::{
 };
 use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::{Plan, Query};
-use balsa_search::{random_plan, BeamPlanner, Planner, SearchMode};
+use balsa_search::{try_random_plan, BeamPlanner, Planner, SearchMode};
 use balsa_storage::{mini_imdb, DataGenConfig, Database};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -87,7 +87,7 @@ fn fitted_model(
         )),
     };
     for (qi, q) in queries.iter().take(6).enumerate() {
-        let plan = random_plan(db, q, SearchMode::Bushy, &mut rng);
+        let plan = try_random_plan(db, q, SearchMode::Bushy, &mut rng).expect("connected query");
         data.xs
             .push(featurizer.featurize_enc(model.encoding(), q, &plan, &est));
         data.ys.push(0.3 * qi as f64 - 0.5);
@@ -170,7 +170,8 @@ fn model_batch_hooks_match_per_item_calls() {
         let q = queries.iter().find(|q| q.num_tables() >= 6).unwrap();
         let xs: Vec<Vec<f64>> = (0..12)
             .map(|_| {
-                let plan = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+                let plan =
+                    try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
                 featurizer.featurize_enc(model.encoding(), q, &plan, &est)
             })
             .collect();

@@ -19,7 +19,7 @@ use balsa_learn::{
 };
 use balsa_query::workloads::job_workload;
 use balsa_query::Split;
-use balsa_search::{random_plan, PlanBudget, SearchMode, WorkerPool};
+use balsa_search::{try_random_plan, PlanBudget, SearchMode, WorkerPool};
 use balsa_storage::{mini_imdb, DataGenConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -132,7 +132,7 @@ fn featurization_invariants_across_workload() {
     let mut saw_bushy = false;
     for q in w.queries.iter().take(20) {
         for mode in [SearchMode::LeftDeep, SearchMode::Bushy] {
-            let plan = random_plan(&db, q, mode, &mut rng);
+            let plan = try_random_plan(&db, q, mode, &mut rng).expect("connected query");
             saw_left_deep |= plan.is_left_deep();
             saw_bushy |= !plan.is_left_deep();
             for sub in plan.subplans() {
@@ -160,7 +160,7 @@ fn experience_buffer_with_real_labeled_executions() {
     let f = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
     let est = HistogramEstimator::new(&db);
     let mut rng = SmallRng::seed_from_u64(3);
-    let plan = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+    let plan = try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
     let full = ExecutionEnv::postgres_sim(db.clone())
         .execute(q, &plan, None)
         .unwrap();
@@ -415,7 +415,7 @@ fn censoring_at_root_vs_interior_subtree() {
     let f = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
     let est = HistogramEstimator::new(&db);
     let mut rng = SmallRng::seed_from_u64(17);
-    let plan = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+    let plan = try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
 
     // Uncensored reference labels for every subtree.
     let (full, reference) = ExecutionEnv::postgres_sim(db.clone())

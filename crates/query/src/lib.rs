@@ -25,6 +25,6 @@ pub mod verify;
 pub mod workloads;
 
 pub use ir::{CmpOp, Filter, JoinEdge, Predicate, Query, QueryId, QueryTable, TableMask};
-pub use plan::{JoinOp, Plan, PlanShape, ScanOp, TreeTensor};
+pub use plan::{splitmix64, JoinOp, Plan, PlanShape, ScanOp};
 pub use verify::{verify_plan, VerifyError};
 pub use workloads::{Split, Workload};

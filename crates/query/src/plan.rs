@@ -52,30 +52,6 @@ pub enum PlanShape {
     Bushy,
 }
 
-/// The binary-tree tensor layout of a plan ([`Plan::tree_tensor`]):
-/// `nodes[i]` is the subtree rooted at slot `i` (post-order, root last)
-/// and `children[i]` its `(left, right)` slot indices (`None` for scan
-/// leaves). Both child indices always precede `i`.
-#[derive(Debug, Clone)]
-pub struct TreeTensor {
-    /// Subtrees in post-order; the last entry is the whole plan.
-    pub nodes: Vec<Arc<Plan>>,
-    /// Child slots per node, parallel to `nodes`.
-    pub children: Vec<Option<(usize, usize)>>,
-}
-
-impl TreeTensor {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// A tensor is never empty, but clippy likes the pair.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
 /// A physical plan node (scan leaf or binary join).
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub enum Plan {
@@ -153,6 +129,19 @@ impl Plan {
         matches!(self, Plan::Scan { .. })
     }
 
+    /// Whether this is an index-scan leaf — the one fact about a join's
+    /// right input that index nested-loop costing needs beyond its
+    /// summary.
+    pub fn is_index_scan(&self) -> bool {
+        matches!(
+            self,
+            Plan::Scan {
+                op: ScanOp::Index,
+                ..
+            }
+        )
+    }
+
     /// Visits every node (pre-order).
     pub fn visit(&self, f: &mut impl FnMut(&Plan)) {
         f(self);
@@ -177,29 +166,13 @@ impl Plan {
         out
     }
 
-    /// All subtrees in post-order (children before parents, left before
-    /// right; the root is last). This is the order compositional cost
-    /// evaluation visits nodes, so per-subtree observations can be
-    /// zipped against it.
-    pub fn subtrees_post_order(self: &Arc<Plan>) -> Vec<Arc<Plan>> {
-        let mut out = Vec::new();
-        fn rec(p: &Arc<Plan>, out: &mut Vec<Arc<Plan>>) {
-            if let Plan::Join { left, right, .. } = &**p {
-                rec(left, out);
-                rec(right, out);
-            }
-            out.push(p.clone());
-        }
-        rec(self, &mut out);
-        out
-    }
-
     /// Walks the plan in the binary-tree tensor order of §6 — post-order,
     /// children before parents, root last — handing each node to `f`
     /// together with its children's slot indices (`None` for leaves). A
     /// node's slot is its visit position; both child slots always precede
-    /// the parent's. This is the traversal primitive behind
-    /// [`Plan::tree_tensor`] and per-node featurization.
+    /// the parent's. This is the traversal behind per-node
+    /// featurization: a consumer attaches feature rows in visit order and
+    /// convolves triple filters over `(node, left, right)` by slot.
     pub fn visit_tensor(&self, f: &mut impl FnMut(&Plan, Option<(usize, usize)>)) {
         fn rec<F: FnMut(&Plan, Option<(usize, usize)>)>(
             p: &Plan,
@@ -220,21 +193,6 @@ impl Plan {
             slot
         }
         rec(self, &mut 0, f);
-    }
-
-    /// Flattens the plan into the binary-tree tensor layout of §6: all
-    /// nodes in post-order (children before parents, root last) plus a
-    /// parallel child-index table. This is the structural half of the
-    /// tree-convolution input — a consumer attaches per-node feature rows
-    /// in the same order and convolves triple filters over
-    /// `(node, left, right)` by indexing `children`.
-    pub fn tree_tensor(self: &Arc<Plan>) -> TreeTensor {
-        let mut children = Vec::new();
-        self.visit_tensor(&mut |_, kids| children.push(kids));
-        TreeTensor {
-            nodes: self.subtrees_post_order(),
-            children,
-        }
     }
 
     /// Counts scan operators by kind: `(seq, index)`. Used as a
@@ -509,6 +467,17 @@ fn fnv_mix_u64(mut h: u64, w: u64) -> u64 {
     h
 }
 
+/// SplitMix64 finalizer — the workspace's standard keyed-hash mixer
+/// (noise and fault streams, budget and training-config digests, the
+/// beam's commutative plan-set signature).
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -595,47 +564,32 @@ mod tests {
         assert_eq!(subs.iter().filter(|s| !s.is_scan()).count(), 3);
     }
 
+    /// `visit_tensor` — the traversal `featurize_tree` uses — gives
+    /// every node a slot after both of its children's, points each
+    /// join's child slots at its own children, ends at the root and
+    /// gives leaves no children.
     #[test]
-    fn post_order_visits_children_before_parents() {
-        let p = bushy_4();
-        let post = p.subtrees_post_order();
-        assert_eq!(post.len(), 7);
-        assert_eq!(
-            post.last().unwrap().fingerprint(),
-            p.fingerprint(),
-            "root is last"
-        );
-        for (i, sub) in post.iter().enumerate() {
-            if let Plan::Join { left, right, .. } = &**sub {
-                let pos = |needle: &Arc<Plan>| {
-                    post.iter()
-                        .position(|x| Arc::ptr_eq(x, needle))
-                        .expect("child present")
-                };
-                assert!(pos(left) < i && pos(right) < i);
-            }
-        }
-    }
-
-    #[test]
-    fn tree_tensor_matches_post_order() {
+    fn visit_tensor_visits_children_before_parents() {
         for p in [left_deep_3(), bushy_4(), Plan::scan(0, ScanOp::Seq)] {
-            let t = p.tree_tensor();
-            let post = p.subtrees_post_order();
-            assert_eq!(t.len(), post.len());
-            assert!(!t.is_empty());
-            for (i, (node, sub)) in t.nodes.iter().zip(&post).enumerate() {
-                assert!(Arc::ptr_eq(node, sub), "slot {i} diverges from post-order");
-                match (&**node, t.children[i]) {
+            let mut slots: Vec<(*const Plan, Option<(usize, usize)>)> = Vec::new();
+            p.visit_tensor(&mut |node, kids| slots.push((node, kids)));
+            assert_eq!(slots.len(), p.subplans().len());
+            assert_eq!(slots.last().unwrap().0, Arc::as_ptr(&p), "root is last");
+            p.visit(&mut |node| {
+                let i = slots
+                    .iter()
+                    .position(|&(n, _)| std::ptr::eq(n, node))
+                    .expect("every node has a slot");
+                match (node, slots[i].1) {
                     (Plan::Scan { .. }, kids) => assert!(kids.is_none()),
                     (Plan::Join { left, right, .. }, Some((l, r))) => {
                         assert!(l < i && r < i, "children precede parents");
-                        assert!(Arc::ptr_eq(&t.nodes[l], left));
-                        assert!(Arc::ptr_eq(&t.nodes[r], right));
+                        assert_eq!(slots[l].0, Arc::as_ptr(left));
+                        assert_eq!(slots[r].0, Arc::as_ptr(right));
                     }
                     (Plan::Join { .. }, None) => panic!("join without child slots"),
                 }
-            }
+            });
         }
     }
 

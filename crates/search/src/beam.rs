@@ -60,7 +60,7 @@ use crate::greedy::GreedyLeftDeepPlanner;
 use crate::scratch::SharedScratch;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
-use balsa_query::{JoinOp, Plan, Query};
+use balsa_query::{splitmix64, JoinOp, Plan, Query};
 use balsa_storage::Database;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -75,14 +75,16 @@ use std::time::Instant;
 struct Tree {
     plan: Arc<Plan>,
     st: ScoredTree,
-    /// The plan's mixed fingerprint ([`mix_fingerprint`]) — the tree's
-    /// contribution to its state's commutative signature.
+    /// The plan's fingerprint through [`splitmix64`] — the tree's
+    /// contribution to its state's commutative signature. Mixing
+    /// decorrelates the fingerprints before they enter the sum, so
+    /// structured fingerprint differences cannot cancel across trees.
     mix: u64,
 }
 
 impl Tree {
     fn new(plan: Arc<Plan>, st: ScoredTree) -> Self {
-        let mix = mix_fingerprint(plan.fingerprint());
+        let mix = splitmix64(plan.fingerprint());
         Self { plan, st, mix }
     }
 }
@@ -97,17 +99,6 @@ struct State {
     /// no allocation, same equivalence classes as comparing the sorted
     /// fingerprint multiset.
     sig: u64,
-}
-
-/// SplitMix64 finalizer: decorrelates plan fingerprints before they
-/// enter the commutative signature sum, so structured fingerprint
-/// differences cannot cancel across trees.
-#[inline]
-fn mix_fingerprint(fp: u64) -> u64 {
-    let mut z = fp.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Pass-through hasher for the seen-table: signatures are already
@@ -522,7 +513,7 @@ impl BeamPlanner<'_> {
                                 for &op in space.join_ops() {
                                     stats.candidates += 1;
                                     let fp = Plan::join_fingerprint(op, lfp, rfp);
-                                    let mix = mix_fingerprint(fp);
+                                    let mix = splitmix64(fp);
                                     let sig = base_sig.wrapping_add(mix);
                                     if !seen.insert(sig) {
                                         continue;

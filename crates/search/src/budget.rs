@@ -20,7 +20,7 @@
 //! escapes when no planner can answer at all (disconnected join
 //! graph), or when a caller opts into the raw, chain-free entry points.
 
-use balsa_query::Query;
+use balsa_query::{splitmix64, Query};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -176,14 +176,8 @@ impl PlanBudget {
     /// fingerprints (a budget changes which plans come out, so resumed
     /// checkpoints must agree on it).
     pub fn fingerprint(&self) -> u64 {
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E3779B97F4A7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-        let h = mix(0xB0D6E7 ^ self.work);
-        mix(h ^ self.memo as u64)
+        let h = splitmix64(0xB0D6E7 ^ self.work);
+        splitmix64(h ^ self.memo as u64)
     }
 }
 

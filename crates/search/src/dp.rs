@@ -42,7 +42,7 @@ use crate::{
 };
 use balsa_card::CardEstimator;
 use balsa_cost::{CostModel, CostScorer, OrderInterner, OrderMask, OrderSource, SubtreeCost};
-use balsa_query::{JoinOp, Plan, Query, ScanOp, TableMask};
+use balsa_query::{JoinOp, Plan, Query, TableMask};
 use balsa_storage::Database;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -78,13 +78,7 @@ struct Entry {
 
 impl Entry {
     fn scan(plan: Arc<Plan>, sc: SubtreeCost) -> Self {
-        let index_scan = matches!(
-            &*plan,
-            Plan::Scan {
-                op: ScanOp::Index,
-                ..
-            }
-        );
+        let index_scan = plan.is_index_scan();
         Self {
             node: Node::Plan(plan),
             sc,
@@ -271,43 +265,6 @@ fn canonical_frontier(
             .then_with(|| a.orders.cmp(&b.orders))
     });
     out
-}
-
-/// A [`CardEstimator`] with one union's cardinality pinned on the stack.
-///
-/// Every candidate generated for one csg–cmp pair asks the estimator for
-/// exactly the same union cardinality; resolving it once per pair turns
-/// the per-candidate lookup (a mutex + hash probe inside
-/// [`MemoEstimator`]) into two word compares. All other masks forward to
-/// the memo unchanged.
-struct PinnedCard<'a> {
-    inner: &'a MemoEstimator<'a>,
-    mask: TableMask,
-    card: f64,
-}
-
-impl<'a> PinnedCard<'a> {
-    fn new(inner: &'a MemoEstimator<'a>, query: &Query, mask: TableMask) -> Self {
-        Self {
-            inner,
-            mask,
-            card: inner.cardinality(query, mask),
-        }
-    }
-}
-
-impl CardEstimator for PinnedCard<'_> {
-    fn cardinality(&self, query: &Query, mask: TableMask) -> f64 {
-        if mask == self.mask {
-            self.card
-        } else {
-            self.inner.cardinality(query, mask)
-        }
-    }
-
-    fn base_rows(&self, query: &Query, qt: usize) -> f64 {
-        self.inner.base_rows(query, qt)
-    }
 }
 
 /// The complete universe of interesting orders `query` can surface,
@@ -507,26 +464,24 @@ impl<'a> DpPlanner<'a> {
         self
     }
 
-    /// Plans `query` and additionally returns the full-mask Pareto
-    /// frontier in canonical form (for cross-enumerator equality tests).
-    ///
-    /// # Panics
-    /// Panics on any [`PlanError`]; adversarial callers use
-    /// [`DpPlanner::try_plan_with_frontier`].
-    pub fn plan_with_frontier(&self, query: &Query) -> (PlannedQuery, Vec<FrontierEntry>) {
-        self.try_plan_with_frontier(query)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
-    }
-
-    /// The raw, chain-free entry point: plans `query` with the frontier
-    /// attached, surfacing [`PlanError::BudgetExhausted`] instead of
-    /// degrading through the fallback chain ([`Planner::try_plan`] does
-    /// that).
+    /// The raw, chain-free entry point: plans `query` and additionally
+    /// returns the full-mask Pareto frontier in canonical form (for
+    /// cross-enumerator equality tests), surfacing
+    /// [`PlanError::BudgetExhausted`] instead of degrading through the
+    /// fallback chain ([`Planner::try_plan`] does that).
     pub fn try_plan_with_frontier(
         &self,
         query: &Query,
     ) -> Result<(PlannedQuery, Vec<FrontierEntry>), PlanError> {
         self.run(query, true)
+    }
+
+    /// Plans `query` with [`SubmaskDpPlanner`] under this planner's
+    /// budget: the route for what DPccp cannot plan.
+    fn submask(&self, query: &Query) -> Result<(PlannedQuery, Vec<FrontierEntry>), PlanError> {
+        SubmaskDpPlanner::new(self.db, self.cost, self.est, self.mode)
+            .with_budget(self.budget)
+            .try_plan_with_frontier(query)
     }
 
     fn run(
@@ -541,20 +496,18 @@ impl<'a> DpPlanner<'a> {
                 query: query.name.clone(),
             });
         }
-        // The interner packs order sets into 128 bits. A query whose
-        // order universe could overflow that (≥ 22 tables of ≥ 6
-        // indexed/edge columns each) routes to the BTreeSet-based
-        // submask enumerator, which has no such cap — exactly the
-        // pre-DPccp behavior for such queries, keeping `plan` total
-        // where it used to be. (A DPccp variant with uncapped set-based
-        // order keys would serve sparse many-column giants better; no
-        // workload query comes near the cap — see the test
+        // Two things route to the submask enumerator, which needs
+        // neither: an order universe that could overflow the interner's
+        // 128 bits (≥ 22 tables of ≥ 6 indexed/edge columns each; its
+        // order sets are BTreeSets), and a cost model without a pair
+        // session (`combine` reports it; the submask planner costs each
+        // join through `join_summary`). (A DPccp variant with uncapped
+        // set-based order keys would serve sparse many-column giants
+        // better; no workload query comes near the cap — see the test
         // `order_universe_bound_covers_all_sorted_on_sources`.)
         let universe = order_universe(self.db, query);
         if universe.len() > 128 {
-            return SubmaskDpPlanner::new(self.db, self.cost, self.est, self.mode)
-                .with_budget(self.budget)
-                .try_plan_with_frontier(query);
+            return self.submask(query);
         }
         let space = CandidateSpace::new(self.db, query, self.mode);
         let memo = MemoEstimator::new(self.est);
@@ -638,7 +591,7 @@ impl<'a> DpPlanner<'a> {
                         let target = s.slot(a | b);
                         let mut cur = std::mem::take(&mut s.entries[target]);
                         for (l, r, lm, rm) in [(sa, sb, a, b), (sb, sa, b, a)] {
-                            combine(
+                            if !combine(
                                 &space,
                                 self.cost,
                                 query,
@@ -651,7 +604,9 @@ impl<'a> DpPlanner<'a> {
                                 &mut cur,
                                 &s.interner,
                                 &mut stats,
-                            );
+                            ) {
+                                return self.submask(query);
+                            }
                         }
                         s.entries[target] = cur;
                     }
@@ -678,7 +633,7 @@ impl<'a> DpPlanner<'a> {
                             }
                             let st = *s.slot_of.get(&(1u32 << t)).expect("scan slot");
                             stats.pairs += 1;
-                            combine(
+                            if !combine(
                                 &space,
                                 self.cost,
                                 query,
@@ -691,7 +646,9 @@ impl<'a> DpPlanner<'a> {
                                 &mut cur,
                                 &s.interner,
                                 &mut stats,
-                            );
+                            ) {
+                                return self.submask(query);
+                            }
                         }
                         s.entries[target] = cur;
                     }
@@ -745,8 +702,10 @@ impl<'a> DpPlanner<'a> {
 /// side is always a single-table slot, so the [`CandidateSpace`] mode
 /// filter is already satisfied.
 ///
-/// The hot path runs through the cost model's [`PairCoster`] session.
-/// A candidate's output orders are fixed by its operator before
+/// Costing runs through the cost model's [`balsa_cost::PairCoster`]
+/// session; `combine` returns `false`, having touched nothing, when the
+/// model opens none (the caller then plans the query with the submask
+/// oracle). A candidate's output orders are fixed by its operator before
 /// costing, so it falls in one of three order classes (no order, the
 /// left input's orders, the session's pair orders), and `combine` keeps
 /// each class's dominance threshold over `cur` exact at all times
@@ -755,9 +714,6 @@ impl<'a> DpPlanner<'a> {
 /// call and a second compare, which *is* the dominance test. Only a
 /// survivor allocates: its order list and an entry recording its
 /// operator and children; its plan node waits for [`close_level`].
-/// Models without a session fall back to
-/// [`CostModel::join_summary_parts`] per candidate (with the union
-/// cardinality pinned).
 ///
 /// The interner is **read-only**: the whole order universe is interned
 /// before costing starts.
@@ -777,7 +733,10 @@ fn combine(
     cur: &mut ParetoSet,
     interner: &OrderInterner,
     stats: &mut SearchStats,
-) {
+) -> bool {
+    let Some(coster) = cost.pair_coster(query, lmask, rmask, memo) else {
+        return false;
+    };
     let (left, right) = (&sets[l], &sets[r]);
     let ops = space.join_ops();
     let join = |op, li: usize, ri: usize| Node::Join {
@@ -786,118 +745,89 @@ fn combine(
         right: (r as u32, ri as u32),
     };
     stats.candidates += left.len() * right.len() * ops.len();
-    if let Some(coster) = cost.pair_coster(query, lmask, rmask, memo) {
-        // Resolve each operator's order class once per orientation; the
-        // session-constant order list is interned at most once.
-        const NONE: usize = 0;
-        const LEFT: usize = 1;
-        const PAIR: usize = 2;
-        let mut class_of = [NONE; 8];
-        assert!(ops.len() <= class_of.len(), "more join ops than expected");
-        let mut pair = None;
-        for (class, &op) in class_of.iter_mut().zip(ops) {
-            *class = match coster.order_source(op) {
-                OrderSource::Empty => NONE,
-                OrderSource::LeftInput => LEFT,
-                OrderSource::Pair => {
-                    pair = Some(interner.mask_of(coster.pair_sorted_on()));
-                    PAIR
-                }
-            };
-        }
-        let class_of = &class_of[..ops.len()];
-        let none = ClassThreshold::of(cur, OrderMask::EMPTY);
-        let mut th = [
-            none,
-            none,
-            pair.map_or(none, |m| ClassThreshold::of(cur, m)),
-        ];
-        // For models that declare work child-monotone, a candidate's
-        // work is at least `lc.work + rc.work`, so a class threshold at
-        // or below that rejects it without the costing call. A whole
-        // left row is rejected when every class threshold it uses is at
-        // or below `le.work + min(right works)`: no candidate of the row
-        // is then inserted, so the thresholds hold for all of it. Its
-        // candidates are counted above and never visited.
-        let monotone = coster.child_monotone();
-        let min_right = right.works.iter().copied().fold(f64::INFINITY, f64::min);
-        for (li, le) in left.entries.iter().enumerate() {
-            th[LEFT] = ClassThreshold::of(cur, left.masks[li]);
-            if monotone {
-                let row_max = class_of
-                    .iter()
-                    .map(|&class| th[class].work)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if row_max <= le.sc.work + min_right {
-                    continue;
-                }
+    // Resolve each operator's order class once per orientation; the
+    // session-constant order list is interned at most once.
+    const NONE: usize = 0;
+    const LEFT: usize = 1;
+    const PAIR: usize = 2;
+    let mut class_of = [NONE; 8];
+    assert!(ops.len() <= class_of.len(), "more join ops than expected");
+    let mut pair = None;
+    for (class, &op) in class_of.iter_mut().zip(ops) {
+        *class = match coster.order_source(op) {
+            OrderSource::Empty => NONE,
+            OrderSource::LeftInput => LEFT,
+            OrderSource::Pair => {
+                pair = Some(interner.mask_of(coster.pair_sorted_on()));
+                PAIR
             }
-            for (ri, re) in right.entries.iter().enumerate() {
-                debug_assert!(space.allows_join(le.plan(), re.plan()));
-                let base = le.sc.work + re.sc.work;
-                for (&op, &class) in ops.iter().zip(class_of) {
-                    let ClassThreshold {
-                        mask: orders,
-                        work: thresh,
-                    } = th[class];
-                    if monotone && thresh <= base {
-                        continue; // dominated whatever the exact work is
-                    }
-                    stats.cost_calls += 1;
-                    let (work, out_rows) = coster.work_out(op, &le.sc, &re.sc, re.index_scan);
-                    if thresh <= work {
-                        continue; // dominated: `thresh` is exact
-                    }
-                    let sorted_on = match class {
-                        NONE => Vec::new(),
-                        LEFT => le.sc.sorted_on.clone(),
-                        _ => coster.pair_sorted_on().to_vec(),
-                    };
-                    let entry = Entry {
-                        node: join(op, li, ri),
-                        sc: SubtreeCost {
-                            work,
-                            out_rows,
-                            sorted_on,
-                        },
-                        index_scan: false,
-                    };
-                    cur.insert_undominated(orders, entry);
-                    for t in &mut th {
-                        t.admit(work, orders);
-                    }
-                }
-            }
-        }
-        return;
+        };
     }
-    // Fallback for models without a pair session: per-candidate summary
-    // with the union cardinality pinned.
-    let pinned = PinnedCard::new(memo, query, lmask.union(rmask));
+    let class_of = &class_of[..ops.len()];
+    let none = ClassThreshold::of(cur, OrderMask::EMPTY);
+    let mut th = [
+        none,
+        none,
+        pair.map_or(none, |m| ClassThreshold::of(cur, m)),
+    ];
+    // For models that declare work child-monotone, a candidate's
+    // work is at least `lc.work + rc.work`, so a class threshold at
+    // or below that rejects it without the costing call. A whole
+    // left row is rejected when every class threshold it uses is at
+    // or below `le.work + min(right works)`: no candidate of the row
+    // is then inserted, so the thresholds hold for all of it. Its
+    // candidates are counted above and never visited.
+    let monotone = coster.child_monotone();
+    let min_right = right.works.iter().copied().fold(f64::INFINITY, f64::min);
     for (li, le) in left.entries.iter().enumerate() {
+        th[LEFT] = ClassThreshold::of(cur, left.masks[li]);
+        if monotone {
+            let row_max = class_of
+                .iter()
+                .map(|&class| th[class].work)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if row_max <= le.sc.work + min_right {
+                continue;
+            }
+        }
         for (ri, re) in right.entries.iter().enumerate() {
             debug_assert!(space.allows_join(le.plan(), re.plan()));
-            for &op in ops {
-                let sc = cost.join_summary_parts(
-                    query,
-                    op,
-                    le.plan(),
-                    &le.sc,
-                    re.plan(),
-                    &re.sc,
-                    &pinned,
-                );
+            let base = le.sc.work + re.sc.work;
+            for (&op, &class) in ops.iter().zip(class_of) {
+                let ClassThreshold {
+                    mask: orders,
+                    work: thresh,
+                } = th[class];
+                if monotone && thresh <= base {
+                    continue; // dominated whatever the exact work is
+                }
                 stats.cost_calls += 1;
-                let orders = interner.mask_of_cost(&sc);
+                let (work, out_rows) = coster.work_out(op, &le.sc, &re.sc, re.index_scan);
+                if thresh <= work {
+                    continue; // dominated: `thresh` is exact
+                }
+                let sorted_on = match class {
+                    NONE => Vec::new(),
+                    LEFT => le.sc.sorted_on.clone(),
+                    _ => coster.pair_sorted_on().to_vec(),
+                };
                 let entry = Entry {
                     node: join(op, li, ri),
-                    sc,
+                    sc: SubtreeCost {
+                        work,
+                        out_rows,
+                        sorted_on,
+                    },
                     index_scan: false,
                 };
-                cur.insert(orders, entry);
+                cur.insert_undominated(orders, entry);
+                for t in &mut th {
+                    t.admit(work, orders);
+                }
             }
         }
     }
+    true
 }
 
 impl Planner for DpPlanner<'_> {
@@ -1442,7 +1372,7 @@ mod tests {
             let mut outs: Vec<ParetoSet> =
                 target_slots.iter().map(|_| Default::default()).collect();
             for &(t, l, r, lm, rm) in &items {
-                combine(
+                assert!(combine(
                     &space,
                     &model,
                     q,
@@ -1455,7 +1385,7 @@ mod tests {
                     &mut outs[t],
                     &s.interner,
                     stats,
-                );
+                ));
             }
             outs
         };

@@ -21,7 +21,7 @@
 //!   inference procedure (§5). Epsilon-greedy exploration
 //!   ([`BeamPlanner::with_exploration`]) supplies the §5.2 behavior
 //!   policy for the training loop.
-//! * [`random_plan`] — uniform random valid plans, the simulation-data
+//! * [`try_random_plan`] — uniform random valid plans, the simulation-data
 //!   and sanity baseline.
 //!
 //! Both search modes of the paper's two engines are supported:
@@ -51,7 +51,7 @@ pub use dp::{DpPlanner, FrontierEntry, SubmaskDpPlanner};
 pub use enumerate::JoinGraph;
 pub use greedy::GreedyLeftDeepPlanner;
 pub use pool::WorkerPool;
-pub use random::{random_plan, try_random_plan};
+pub use random::try_random_plan;
 pub use scratch::{ScratchGuard, SharedScratch};
 
 // Moved to `balsa-card` so the scoring layer (`balsa_cost::PlanScorer`)

@@ -15,20 +15,6 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::sync::Arc;
 
-/// Samples one uniformly random valid plan for `query`.
-///
-/// # Panics
-/// Panics on a disconnected join graph; adversarial callers use
-/// [`try_random_plan`].
-pub fn random_plan(
-    db: &Database,
-    query: &Query,
-    mode: SearchMode,
-    rng: &mut SmallRng,
-) -> Arc<Plan> {
-    try_random_plan(db, query, mode, rng).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Samples one uniformly random valid plan for `query`, or
 /// [`PlanError::DisconnectedGraph`] when the sampler gets stuck with no
 /// connected pair left to merge.
@@ -36,9 +22,9 @@ pub fn random_plan(
 /// In [`SearchMode::Bushy`] the sampler repeatedly merges two random
 /// connected trees; in [`SearchMode::LeftDeep`] it grows a single chain
 /// from a random starting table (the only shape that cannot get stuck
-/// on a connected graph, and the only one the mode admits). On
-/// connected queries the RNG stream consumed is identical to what
-/// [`random_plan`] always drew — the stuck checks run before any draw.
+/// on a connected graph, and the only one the mode admits). The stuck
+/// checks run before any draw, so they never change the RNG stream a
+/// connected query consumes.
 pub fn try_random_plan(
     db: &Database,
     query: &Query,
@@ -128,7 +114,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut fingerprints = std::collections::HashSet::new();
         for _ in 0..20 {
-            let p = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+            let p = try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
             assert_eq!(p.mask(), q.all_mask());
             p.visit(&mut |node| {
                 if let Plan::Join { left, right, .. } = node {
@@ -146,7 +132,8 @@ mod tests {
         let q = w.queries.iter().find(|q| q.num_tables() >= 5).unwrap();
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..10 {
-            let p = random_plan(&db, q, SearchMode::LeftDeep, &mut rng);
+            let p =
+                try_random_plan(&db, q, SearchMode::LeftDeep, &mut rng).expect("connected query");
             assert!(p.is_left_deep());
             assert_eq!(p.mask(), q.all_mask());
         }
@@ -156,8 +143,10 @@ mod tests {
     fn sampler_is_deterministic_given_seed() {
         let (db, w) = fixture();
         let q = &w.queries[0];
-        let p1 = random_plan(&db, q, SearchMode::Bushy, &mut SmallRng::seed_from_u64(9));
-        let p2 = random_plan(&db, q, SearchMode::Bushy, &mut SmallRng::seed_from_u64(9));
+        let p1 = try_random_plan(&db, q, SearchMode::Bushy, &mut SmallRng::seed_from_u64(9))
+            .expect("connected query");
+        let p2 = try_random_plan(&db, q, SearchMode::Bushy, &mut SmallRng::seed_from_u64(9))
+            .expect("connected query");
         assert_eq!(p1.fingerprint(), p2.fingerprint());
     }
 }

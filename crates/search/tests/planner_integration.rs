@@ -18,7 +18,7 @@ use balsa_query::workloads::ext_job_workload;
 use balsa_query::workloads::job_workload;
 use balsa_query::{Plan, Split, TableMask};
 use balsa_search::{
-    random_plan, BeamPlanner, CandidateSpace, DpPlanner, MemoEstimator, Planner, SearchMode,
+    try_random_plan, BeamPlanner, CandidateSpace, DpPlanner, MemoEstimator, Planner, SearchMode,
     SubmaskDpPlanner, WorkerPool,
 };
 use balsa_storage::{mini_imdb, DataGenConfig};
@@ -217,7 +217,7 @@ fn execution_env_timeout_early_terminates() {
     let q = w.queries.iter().find(|q| q.num_tables() >= 5).unwrap();
     // A random (likely disastrous) plan with a microscopic budget.
     let mut rng = SmallRng::seed_from_u64(3);
-    let plan = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+    let plan = try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
     let env = ExecutionEnv::postgres_sim(db.clone());
     let budget = 1e-9;
     let out = env.execute(q, &plan, Some(budget)).unwrap();
@@ -240,7 +240,7 @@ fn commdb_hint_space_round_trip() {
     // Find a bushy plan (right subtree joins) and watch it bounce.
     let mut rng = SmallRng::seed_from_u64(11);
     for _ in 0..50 {
-        let p = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+        let p = try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
         if !p.is_left_deep() {
             assert!(matches!(
                 env.execute(q, &p, None),
@@ -273,7 +273,8 @@ fn dp_plan_beats_median_random_plan_latency() {
         let mut rng = SmallRng::seed_from_u64(0xBA15A ^ q.id as u64);
         let mut latencies: Vec<f64> = (0..20)
             .map(|_| {
-                let p = random_plan(&db, q, SearchMode::Bushy, &mut rng);
+                let p =
+                    try_random_plan(&db, q, SearchMode::Bushy, &mut rng).expect("connected query");
                 env.execute(q, &p, None).unwrap().latency_secs
             })
             .collect();
@@ -305,9 +306,12 @@ fn dpccp_matches_submask_dp_on_all_workload_queries() {
     for q in job.queries.iter().chain(&ext.queries) {
         biggest = biggest.max(q.num_tables());
         for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-            let (new, new_frontier) = DpPlanner::new(&db, &model, &est, mode).plan_with_frontier(q);
-            let (old, old_frontier) =
-                SubmaskDpPlanner::new(&db, &model, &est, mode).plan_with_frontier(q);
+            let (new, new_frontier) = DpPlanner::new(&db, &model, &est, mode)
+                .try_plan_with_frontier(q)
+                .expect("plans");
+            let (old, old_frontier) = SubmaskDpPlanner::new(&db, &model, &est, mode)
+                .try_plan_with_frontier(q)
+                .expect("plans");
             assert_eq!(
                 new.cost.to_bits(),
                 old.cost.to_bits(),
@@ -349,10 +353,12 @@ fn dpccp_matches_submask_dp_on_cout_and_cmm() {
     for model in models {
         for q in job.queries.iter().step_by(4) {
             for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
-                let (new, new_frontier) =
-                    DpPlanner::new(&db, model, &est, mode).plan_with_frontier(q);
-                let (old, old_frontier) =
-                    SubmaskDpPlanner::new(&db, model, &est, mode).plan_with_frontier(q);
+                let (new, new_frontier) = DpPlanner::new(&db, model, &est, mode)
+                    .try_plan_with_frontier(q)
+                    .expect("plans");
+                let (old, old_frontier) = SubmaskDpPlanner::new(&db, model, &est, mode)
+                    .try_plan_with_frontier(q)
+                    .expect("plans");
                 assert_eq!(
                     new.cost.to_bits(),
                     old.cost.to_bits(),
@@ -368,6 +374,88 @@ fn dpccp_matches_submask_dp_on_cout_and_cmm() {
             }
         }
     }
+}
+
+/// The expert model without a pair session: it forwards everything but
+/// `pair_coster`, which keeps the trait's default `None`.
+struct SessionLess(ExpertCostModel);
+
+impl CostModel for SessionLess {
+    fn plan_cost(&self, query: &balsa_query::Query, plan: &Plan, est: &dyn CardEstimator) -> f64 {
+        self.0.plan_cost(query, plan, est)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn scan_summary(
+        &self,
+        query: &balsa_query::Query,
+        scan: &Plan,
+        est: &dyn CardEstimator,
+    ) -> SubtreeCost {
+        self.0.scan_summary(query, scan, est)
+    }
+
+    fn join_summary(
+        &self,
+        query: &balsa_query::Query,
+        join: &Plan,
+        lc: &SubtreeCost,
+        rc: &SubtreeCost,
+        est: &dyn CardEstimator,
+    ) -> SubtreeCost {
+        self.0.join_summary(query, join, lc, rc, est)
+    }
+}
+
+/// `DpPlanner` over a model without a pair session returns the cost
+/// bits, Pareto frontier and counters it returns over the same model
+/// with its session, on every JOB and Ext-JOB query of at most 8 tables
+/// in both modes. The plans may differ only between equal-cost ties
+/// (mirror images of a symmetric join): the session-less route visits
+/// join orientations in another order. Each plan recosts to its
+/// reported bits.
+#[test]
+fn dp_without_a_pair_session_matches_dp_with_one() {
+    let db = small_db();
+    let est = balsa_card::HistogramEstimator::new(&db);
+    let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let session_less = SessionLess(expert.clone());
+    let job = job_workload(db.catalog(), 7);
+    let ext = ext_job_workload(db.catalog(), 7);
+    let mut planned = 0;
+    for q in job.queries.iter().chain(&ext.queries) {
+        if q.num_tables() > 8 {
+            continue;
+        }
+        for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+            let plan = |model: &dyn CostModel| {
+                DpPlanner::new(&db, model, &est, mode)
+                    .try_plan_with_frontier(q)
+                    .expect("plans")
+            };
+            let (with, with_frontier) = plan(&expert);
+            let (without, without_frontier) = plan(&session_less);
+            assert_eq!(
+                without.cost.to_bits(),
+                with.cost.to_bits(),
+                "{} ({mode:?}): {} vs {}",
+                q.name,
+                without.cost,
+                with.cost
+            );
+            assert_eq!(without_frontier, with_frontier, "{} ({mode:?})", q.name);
+            assert_eq!(without.stats.states, with.stats.states, "{}", q.name);
+            assert_eq!(without.stats.candidates, with.stats.candidates);
+            assert_eq!(without.stats.pairs, with.stats.pairs);
+            let recost = expert.plan_cost(q, &without.plan, &est);
+            assert_eq!(recost.to_bits(), without.cost.to_bits(), "{}", q.name);
+            planned += 1;
+        }
+    }
+    assert!(planned >= 100, "only {planned} plans compared");
 }
 
 /// The worker pool planning queries in parallel produces exactly the
