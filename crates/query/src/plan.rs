@@ -564,17 +564,44 @@ mod tests {
         assert_eq!(subs.iter().filter(|s| !s.is_scan()).count(), 3);
     }
 
-    /// `visit_tensor` — the traversal `featurize_tree` uses — gives
-    /// every node a slot after both of its children's, points each
-    /// join's child slots at its own children, ends at the root and
-    /// gives leaves no children.
+    /// Collects `visit_tensor`'s slots: each node with its children's
+    /// slot indices.
+    fn tensor_slots(p: &Plan) -> Vec<(*const Plan, Option<(usize, usize)>)> {
+        let mut slots = Vec::new();
+        p.visit_tensor(&mut |node, kids| slots.push((node as *const Plan, kids)));
+        slots
+    }
+
+    /// `visit_tensor` — the traversal `featurize_tree` uses — visits
+    /// every node once, each after both of its children, and ends at
+    /// the root.
     #[test]
-    fn visit_tensor_visits_children_before_parents() {
+    fn post_order_visits_children_before_parents() {
+        let p = bushy_4();
+        let slots = tensor_slots(&p);
+        assert_eq!(slots.len(), 7);
+        assert_eq!(slots.last().unwrap().0, Arc::as_ptr(&p), "root is last");
+        let pos = |node: *const Plan| {
+            slots
+                .iter()
+                .position(|&(n, _)| n == node)
+                .expect("node present")
+        };
+        p.visit(&mut |node| {
+            if let Plan::Join { left, right, .. } = node {
+                let i = pos(node);
+                assert!(pos(Arc::as_ptr(left)) < i && pos(Arc::as_ptr(right)) < i);
+            }
+        });
+    }
+
+    /// `visit_tensor`'s child slots point at each join's own children,
+    /// and leaves get none.
+    #[test]
+    fn tree_tensor_matches_post_order() {
         for p in [left_deep_3(), bushy_4(), Plan::scan(0, ScanOp::Seq)] {
-            let mut slots: Vec<(*const Plan, Option<(usize, usize)>)> = Vec::new();
-            p.visit_tensor(&mut |node, kids| slots.push((node, kids)));
+            let slots = tensor_slots(&p);
             assert_eq!(slots.len(), p.subplans().len());
-            assert_eq!(slots.last().unwrap().0, Arc::as_ptr(&p), "root is last");
             p.visit(&mut |node| {
                 let i = slots
                     .iter()
