@@ -22,10 +22,11 @@
 //!
 //! Besides the **flat** encoding above (one vector per state, consumed
 //! by the linear model), the featurizer emits the **tree** encoding for
-//! the §6 tree-convolution network: per-node feature rows
-//! ([`Featurizer::node_features`] — operator one-hots, output/input
-//! log-cardinalities, selectivity, own operator work, table coverage)
-//! in the binary-tree tensor layout ([`Featurizer::featurize_tree`]).
+//! the §6 tree-convolution network: per-node feature rows (operator
+//! one-hots, output/input log-cardinalities, selectivity, own operator
+//! work, table coverage) in the binary-tree tensor layout
+//! ([`Featurizer::featurize_tree`]). One function writes a node's row,
+//! for whole trees and for the beam's incremental scorer alike.
 //! [`FlatState`] is the flat encoding's incremental form: scan states
 //! start the chain and [`Featurizer::flat_join_state`] composes a
 //! join's vector from its children in O(tables + edges), bit-identical
@@ -194,25 +195,22 @@ impl Featurizer {
         NODE_SCALAR_CHANNELS + self.num_tables
     }
 
-    /// Featurizes ONE plan node (not its subtree): operator one-hots,
-    /// leaf flag, coverage, log-cardinality and selectivity of the
-    /// node's output, input cardinalities, the node's own estimated
-    /// operator work, and per-catalog-table coverage counts. This is the
-    /// per-node row of the §6 tree-convolution input — everything is
-    /// O(tables + edges) per node, so incremental beam scoring stays
-    /// O(1) in the subtree size.
-    pub fn node_features(&self, query: &Query, node: &Plan, est: &dyn CardEstimator) -> Vec<f64> {
-        let mut x = vec![0.0; self.node_dim()];
-        let sels = query_selectivities(query, est);
-        self.node_features_into(query, node, est, &sels, &mut x);
-        x
-    }
-
-    /// [`Featurizer::node_features`] written into `x` (length
-    /// [`Featurizer::node_dim`]), with `sels[qt]` the query's
-    /// `est.selectivity(query, qt)` for every query table
-    /// ([`query_selectivities`]) so callers featurizing many nodes of one
-    /// query ask the estimator once per table, not once per node.
+    /// Featurizes ONE plan node (not its subtree) into `x` (length
+    /// [`Featurizer::node_dim`]): operator one-hots, leaf flag, coverage,
+    /// log-cardinality and selectivity of the node's output, input
+    /// cardinalities, the node's own estimated operator work, and
+    /// per-catalog-table coverage counts. This is the per-node row of the
+    /// §6 tree-convolution input — everything is O(tables + edges) per
+    /// node, so incremental beam scoring stays O(1) in the subtree size.
+    /// `sels[qt]` is the query's `est.selectivity(query, qt)` for every
+    /// query table ([`query_selectivities`]), so callers featurizing many
+    /// nodes of one query ask the estimator once per table, not once per
+    /// node. Returns the node's estimated output cardinality (clamped at
+    /// zero), the value its log-cardinality channel encodes.
+    ///
+    /// A join's row reads nothing of the join but its operator, both
+    /// input masks and whether the right input is an index scan; the
+    /// learned scorer featurizes each such key once per batch.
     pub(crate) fn node_features_into(
         &self,
         query: &Query,
@@ -220,7 +218,7 @@ impl Featurizer {
         est: &dyn CardEstimator,
         sels: &[f64],
         x: &mut [f64],
-    ) {
+    ) -> f64 {
         debug_assert_eq!(x.len(), self.node_dim());
         x.fill(0.0);
         match node {
@@ -274,8 +272,9 @@ impl Featurizer {
             }
         }
         let mask = node.mask();
+        let out_rows = est.cardinality(query, mask).max(0.0);
         x[6] = node.num_tables() as f64 / query.num_tables().max(1) as f64;
-        x[7] = est.cardinality(query, mask).max(0.0).ln_1p();
+        x[7] = out_rows.ln_1p();
         for (qt, qtab) in query.tables.iter().enumerate() {
             if mask.contains(qt) {
                 x[8] += sels[qt];
@@ -283,6 +282,7 @@ impl Featurizer {
             }
         }
         x[9] = 1.0; // bias channel
+        out_rows
     }
 
     /// Encodes `plan` in the flat binary-tree tensor layout consumed by
@@ -641,9 +641,22 @@ mod tests {
         }
     }
 
+    /// One node's row on its own: `node_features_into` with the query's
+    /// selectivities taken for this call.
+    fn node_features(
+        f: &Featurizer,
+        query: &Query,
+        node: &Plan,
+        est: &dyn CardEstimator,
+    ) -> Vec<f64> {
+        let mut x = vec![0.0; f.node_dim()];
+        let sels = query_selectivities(query, est);
+        f.node_features_into(query, node, est, &sels, &mut x);
+        x
+    }
+
     /// The tree encoding is self-describing, sized `2 + n(2 + d)`, and
-    /// its per-node rows match [`Featurizer::node_features`] in
-    /// post-order.
+    /// its per-node rows match `node_features` in post-order.
     #[test]
     fn tree_encoding_layout_and_node_rows() {
         let (db, w) = fixture();
@@ -662,7 +675,7 @@ mod tests {
         assert_eq!(x[1] as usize, d);
         assert_eq!(x.len(), 2 + 3 * (2 + d));
         let mut nodes = Vec::new();
-        plan.visit_tensor(&mut |node, _| nodes.push(f.node_features(q, node, &est)));
+        plan.visit_tensor(&mut |node, _| nodes.push(node_features(&f, q, node, &est)));
         for (i, node) in nodes.iter().enumerate() {
             let row = &x[2 + i * (2 + d) + 2..2 + i * (2 + d) + 2 + d];
             assert_eq!(row, &node[..], "node {i}");

@@ -29,6 +29,19 @@
 //!   candidate join costs the node term of one convolution window, read
 //!   out by [`ValueModel::state_value_batch`].
 //!
+//! **Grouping contract (tree encoding).** A join's per-node row reads
+//! nothing of the join but its operator, its two input masks and whether
+//! its right input is an index scan — not how either input was built.
+//! A beam batch averages about ten candidates per such *join node*
+//! (the same `A ⋈ B` over differently built inputs), so the batch is
+//! grouped by that key (a multiply-hashed `u128`): each distinct node is
+//! featurized once, in first-use order, every candidate of the group
+//! reads the same row and the same output cardinality, and the model
+//! receives the group as one run of items on one row slice, which lets
+//! it compute the row's layer-0 node product once. Grouping is a layout
+//! change only: every candidate scores bit for bit as it would in a
+//! batch of one, and outputs return in input order.
+//!
 //! A candidate missing a child state (e.g. a model without incremental
 //! support) falls back to the from-scratch encode
 //! ([`Featurizer::featurize_tree`] + a full forward — the reference the
@@ -36,10 +49,12 @@
 //! depends on the hooks.
 
 use crate::featurize::{query_selectivities, Featurizer, FlatState};
-use crate::model::{FeatureEncoding, JoinStateItem, ValueModel};
+use crate::model::{FeatureEncoding, JoinStateItem, ModelState, ValueModel};
 use balsa_card::{CardEstimator, MemoEstimator};
 use balsa_cost::{JoinCandidate, PlanScorer, QueryScorer, ScoredTree, SubtreeCost, SubtreeExt};
 use balsa_query::{Plan, Query};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Cap on predicted log-latency so `exp` stays finite even for a model
@@ -102,50 +117,105 @@ struct LearnedQueryScorer<'q> {
 
 impl LearnedQueryScorer<'_> {
     /// Wraps a log-space prediction and its incremental state into the
-    /// beam's scored-tree currency.
-    fn scored(&self, plan: &Plan, pred: f64, ext: Option<SubtreeExt>) -> ScoredTree {
+    /// beam's scored-tree currency; `out_rows` is the subtree's estimated
+    /// output cardinality through `memo`, clamped at zero.
+    fn scored(&self, pred: f64, out_rows: f64, ext: Option<SubtreeExt>) -> ScoredTree {
         let secs = pred.min(MAX_LOG_PRED).exp();
         ScoredTree {
             score: secs,
             sc: SubtreeCost {
                 work: secs,
-                out_rows: self.memo.cardinality(self.query, plan.mask()).max(0.0),
+                out_rows,
                 sorted_on: Vec::new(),
             },
             ext,
         }
     }
 
+    /// `plan`'s estimated output cardinality, clamped at zero.
+    fn out_rows(&self, plan: &Plan) -> f64 {
+        self.memo.cardinality(self.query, plan.mask()).max(0.0)
+    }
+
     /// From-scratch scoring (leaves, and the fallback when a child state
     /// is missing).
     fn score_full(&self, plan: &Plan) -> ScoredTree {
+        let out_rows = self.out_rows(plan);
         match self.model.encoding() {
             FeatureEncoding::Flat => {
                 let st = self.featurizer.flat_state(self.query, plan, &self.memo);
                 let pred = self.model.predict(&st.x);
-                self.scored(plan, pred, Some(Arc::new(st)))
+                self.scored(pred, out_rows, Some(Arc::new(st)))
             }
             FeatureEncoding::Tree => {
                 let x = self.featurizer.featurize_tree(self.query, plan, &self.memo);
                 let pred = self.model.predict(&x);
-                self.scored(plan, pred, None)
+                self.scored(pred, out_rows, None)
             }
         }
     }
+}
+
+/// Hashes a [`node_key`] with one multiply per 64-bit half, like the
+/// DP's mask hasher: the group map is probed once per candidate, where
+/// SipHash's rounds would cost more than the lookup saves.
+#[derive(Default)]
+struct NodeKeyHasher(u64);
+
+impl Hasher for NodeKeyHasher {
+    fn finish(&self) -> u64 {
+        // The product's high bits are its well-mixed ones; the table
+        // indexes by the low bits.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached for keys other than `u128`.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+}
+
+/// Everything of a node that its [`Featurizer`] per-node row reads,
+/// packed into one integer: for a join, the left and right input masks,
+/// the operator and whether the right input is an index scan; for a
+/// scan, its table and scan operator.
+fn node_key(node: &Plan) -> u128 {
+    let (low, tag) = match node {
+        Plan::Join {
+            op, left, right, ..
+        } => (
+            u128::from(left.mask().0) | u128::from(right.mask().0) << 32,
+            2 * *op as u128 + u128::from(right.is_index_scan()),
+        ),
+        Plan::Scan { qt, op } => (u128::from(*qt), 6 + *op as u128),
+    };
+    low | tag << 64
 }
 
 impl QueryScorer for LearnedQueryScorer<'_> {
     fn score_scan(&self, scan: &Plan) -> ScoredTree {
         if self.model.encoding() == FeatureEncoding::Tree {
             let mut nx = vec![0.0; self.featurizer.node_dim()];
-            self.featurizer
+            let out_rows = self
+                .featurizer
                 .node_features_into(self.query, scan, &self.memo, &self.sels, &mut nx);
             if let Some(state) = self.model.leaf_state(&nx) {
                 let pred = self
                     .model
                     .state_value(&state)
                     .expect("leaf_state implies state_value");
-                return self.scored(scan, pred, Some(state));
+                return self.scored(pred, out_rows, Some(state));
             }
         }
         // A flat leaf from scratch is its composition chain's start
@@ -155,11 +225,12 @@ impl QueryScorer for LearnedQueryScorer<'_> {
 
     /// The inference hot path: one pass composes every candidate's
     /// incremental state, then a single batched model call produces all
-    /// predictions — for the tree convolution, the join nodes' encodings
-    /// in one `k × node_dim` buffer composed over the children's cached
-    /// window terms; for the linear model, a streamed dot-product loop.
-    /// Candidates missing a child state are encoded from scratch in
-    /// place, so the output order always matches the input.
+    /// predictions — for the tree convolution, the batch's distinct join
+    /// nodes encoded once each into one buffer and composed over the
+    /// children's cached window terms; for the linear model, a streamed
+    /// dot-product loop. Candidates missing a child state are encoded
+    /// from scratch in place, so the output order always matches the
+    /// input.
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
         match self.model.encoding() {
             FeatureEncoding::Flat => {
@@ -182,7 +253,7 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                     out.push(match st {
                         Some(st) => {
                             let pred = preds.next().expect("one prediction per state");
-                            self.scored(c.join, pred, Some(Arc::new(st)))
+                            self.scored(pred, self.out_rows(c.join), Some(Arc::new(st)))
                         }
                         None => self.score_full(c.join),
                     });
@@ -192,47 +263,68 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                 fn kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a SubtreeExt, &'a SubtreeExt)> {
                     c.lc.ext.as_ref().zip(c.rc.ext.as_ref())
                 }
+                // Group the composable candidates by join node: each
+                // distinct node is featurized once, in first-use order,
+                // and every candidate of its group reads the same row and
+                // the same output cardinality.
                 let d = self.featurizer.node_dim();
-                let mut nxs = Vec::with_capacity(cands.len() * d);
-                for c in cands.iter().filter(|c| kids(c).is_some()) {
-                    let at = nxs.len();
-                    nxs.resize(at + d, 0.0);
-                    self.featurizer.node_features_into(
-                        self.query,
-                        c.join,
-                        &self.memo,
-                        &self.sels,
-                        &mut nxs[at..],
-                    );
-                }
-                let items: Vec<JoinStateItem<'_>> = cands
+                let mut group_of: HashMap<u128, usize, BuildHasherDefault<NodeKeyHasher>> =
+                    HashMap::default();
+                let mut nxs: Vec<f64> = Vec::new();
+                let mut out_rows: Vec<f64> = Vec::new();
+                let composable: Vec<(usize, &SubtreeExt, &SubtreeExt)> = cands
                     .iter()
-                    .filter_map(kids)
-                    .zip(nxs.chunks_exact(d))
-                    .map(|((left, right), node_x)| JoinStateItem {
-                        node_x,
-                        left,
-                        right,
+                    .filter_map(|c| {
+                        let (left, right) = kids(c)?;
+                        let g = *group_of.entry(node_key(c.join)).or_insert_with(|| {
+                            nxs.resize(nxs.len() + d, 0.0);
+                            let at = nxs.len() - d;
+                            out_rows.push(self.featurizer.node_features_into(
+                                self.query,
+                                c.join,
+                                &self.memo,
+                                &self.sels,
+                                &mut nxs[at..],
+                            ));
+                            out_rows.len() - 1
+                        });
+                        Some((g, left, right))
+                    })
+                    .collect();
+                // The model sees each group as one run of items on one
+                // row, which computes the row's node term once.
+                let mut order: Vec<usize> = (0..composable.len()).collect();
+                order.sort_unstable_by_key(|&i| composable[i].0);
+                let items: Vec<JoinStateItem<'_>> = order
+                    .iter()
+                    .map(|&i| {
+                        let (g, left, right) = composable[i];
+                        JoinStateItem {
+                            node_x: &nxs[g * d..(g + 1) * d],
+                            left,
+                            right,
+                        }
                     })
                     .collect();
                 // `None` (a model without incremental states) leaves
                 // nothing composed: every candidate goes from scratch.
-                let mut composed = self
-                    .model
-                    .join_state_batch(&items)
-                    .map(|states| {
-                        let preds = self
-                            .model
-                            .state_value_batch(&states)
-                            .expect("join_state_batch implies state_value_batch");
-                        states.into_iter().zip(preds)
-                    })
-                    .into_iter()
-                    .flatten();
+                let mut states: Vec<Option<(ModelState, f64)>> = vec![None; composable.len()];
+                if let Some(composed) = self.model.join_state_batch(&items) {
+                    let preds = self
+                        .model
+                        .state_value_batch(&composed)
+                        .expect("join_state_batch implies state_value_batch");
+                    for ((&i, state), pred) in order.iter().zip(composed).zip(preds) {
+                        states[i] = Some((state, pred));
+                    }
+                }
+                let mut composed = states.into_iter().zip(&composable);
                 for c in cands {
                     out.push(match kids(c).and_then(|_| composed.next()) {
-                        Some((state, pred)) => self.scored(c.join, pred, Some(state)),
-                        None => self.score_full(c.join),
+                        Some((Some((state, pred)), &(g, ..))) => {
+                            self.scored(pred, out_rows[g], Some(state))
+                        }
+                        _ => self.score_full(c.join),
                     });
                 }
             }
@@ -277,35 +369,39 @@ mod tests {
         }
     }
 
+    /// A default tree-conv model over `featurizer`'s node encoding, its
+    /// weights randomized by a one-sample fit so activations are
+    /// non-trivial.
+    fn fitted_tree_conv(
+        featurizer: &Featurizer,
+        q: &Query,
+        est: &dyn CardEstimator,
+        seed: u64,
+    ) -> TreeConvValueModel {
+        use crate::model::{SgdConfig, TrainSet};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut model = TreeConvValueModel::new(featurizer.node_dim(), TreeConvConfig::default());
+        let plan = balsa_query::Plan::scan(0, balsa_query::ScanOp::Seq);
+        let data = TrainSet {
+            xs: vec![featurizer.featurize_tree(q, &plan, est)],
+            ys: vec![1.0],
+            censored: vec![false],
+        };
+        let cfg = SgdConfig {
+            epochs: 1,
+            ..SgdConfig::default()
+        };
+        model.fit(data, &cfg, &mut SmallRng::seed_from_u64(seed));
+        model
+    }
+
     #[test]
     fn tree_conv_beam_plans_are_valid_and_match_full_predictions() {
         let (db, w) = fixture();
         let est = HistogramEstimator::new(&db);
         let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
-        let mut model = TreeConvValueModel::new(featurizer.node_dim(), TreeConvConfig::default());
-        // Randomize the weights via a one-sample fit so activations are
-        // non-trivial.
-        {
-            use crate::model::{SgdConfig, TrainSet, ValueModel as _};
-            use rand::rngs::SmallRng;
-            use rand::SeedableRng;
-            let q = &w.queries[0];
-            let plan = balsa_query::Plan::scan(0, balsa_query::ScanOp::Seq);
-            let x = featurizer.featurize_tree(q, &plan, &est);
-            let data = TrainSet {
-                xs: vec![x],
-                ys: vec![1.0],
-                censored: vec![false],
-            };
-            model.fit(
-                data,
-                &SgdConfig {
-                    epochs: 1,
-                    ..SgdConfig::default()
-                },
-                &mut SmallRng::seed_from_u64(5),
-            );
-        }
+        let model = fitted_tree_conv(&featurizer, &w.queries[0], &est, 5);
         let scorer = LearnedScorer::new(&featurizer, &model, &est);
         let planner = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, 5);
         assert!(planner.name().contains("learned-tree_conv"));
@@ -327,6 +423,98 @@ mod tests {
                 out.cost,
                 expect
             );
+        }
+    }
+
+    /// Grouping candidates by join node is a layout change only. One
+    /// batch holds every `(left, right, op)` over three differently built
+    /// left inputs on the same two tables and both scans of a third, so
+    /// each join node — `(op, left mask, right mask, right is an index
+    /// scan)` — has three candidates with different children. Each
+    /// candidate's score, `out_rows` and state value equal, bit for bit,
+    /// the same candidate scored as a batch of one, for a plain and for a
+    /// residual tree-conv model.
+    #[test]
+    fn grouped_join_nodes_score_like_batches_of_one() {
+        use crate::model::ResidualValueModel;
+        use balsa_query::{JoinOp, ScanOp};
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+        let q = w.queries.iter().find(|q| q.num_tables() >= 3).unwrap();
+        // Tables a, b joined by an edge, and c joined to either of them.
+        let (a, b) = (q.joins[0].left_qt, q.joins[0].right_qt);
+        let c = q
+            .joins
+            .iter()
+            .find_map(|e| match (e.left_qt, e.right_qt) {
+                (x, y) if [a, b].contains(&x) && ![a, b].contains(&y) => Some(y),
+                (y, x) if [a, b].contains(&x) && ![a, b].contains(&y) => Some(y),
+                _ => None,
+            })
+            .expect("a table joined to a or b");
+        let plain = fitted_tree_conv(&featurizer, q, &est, 5);
+        let residual = ResidualValueModel::new(
+            Box::new(plain.clone()),
+            Box::new(fitted_tree_conv(&featurizer, q, &est, 6)),
+        );
+        for model in [&plain as &dyn ValueModel, &residual] {
+            let scorer = LearnedScorer::new(&featurizer, model, &est);
+            let session = scorer.for_query(q);
+            let scan = |qt: usize, op: ScanOp| {
+                let p = Plan::scan(qt, op);
+                let st = session.score_scan(&p);
+                (p, st)
+            };
+            let (sa, si, sb) = (
+                scan(a, ScanOp::Seq),
+                scan(a, ScanOp::Index),
+                scan(b, ScanOp::Seq),
+            );
+            let lefts: Vec<(Arc<Plan>, ScoredTree)> = [
+                (JoinOp::Hash, &sa, &sb),
+                (JoinOp::Merge, &si, &sb),
+                (JoinOp::NestLoop, &sb, &sa),
+            ]
+            .into_iter()
+            .map(|(op, l, r)| {
+                let p = Plan::join(op, l.0.clone(), r.0.clone());
+                let st = session.score_join(&p, &l.1, &r.1);
+                (p, st)
+            })
+            .collect();
+            let rights = [scan(c, ScanOp::Seq), scan(c, ScanOp::Index)];
+            let mut joins = Vec::new();
+            for (lp, lst) in &lefts {
+                for (rp, rst) in &rights {
+                    for op in [JoinOp::Hash, JoinOp::Merge, JoinOp::NestLoop] {
+                        joins.push((Plan::join(op, lp.clone(), rp.clone()), lst, rst));
+                    }
+                }
+            }
+            let cands: Vec<JoinCandidate<'_>> = joins
+                .iter()
+                .map(|(p, lc, rc)| JoinCandidate { join: p, lc, rc })
+                .collect();
+            let mut batch = Vec::new();
+            session.score_join_batch(&cands, &mut batch);
+            assert_eq!(batch.len(), cands.len());
+            let value = |t: &ScoredTree| model.state_value(t.ext.as_ref().unwrap()).unwrap();
+            for (i, (c, got)) in cands.iter().zip(&batch).enumerate() {
+                let alone = session.score_join(c.join, c.lc, c.rc);
+                let what = format!("{}: candidate {i} ({})", model.name(), c.join);
+                assert_eq!(got.score.to_bits(), alone.score.to_bits(), "{what}: score");
+                assert_eq!(
+                    got.sc.out_rows.to_bits(),
+                    alone.sc.out_rows.to_bits(),
+                    "{what}: out_rows"
+                );
+                assert_eq!(
+                    value(got).to_bits(),
+                    value(&alone).to_bits(),
+                    "{what}: state value"
+                );
+            }
         }
     }
 }

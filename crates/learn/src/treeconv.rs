@@ -28,6 +28,9 @@
 //! are functions of one child subtree alone, so each subtree computes
 //! them once, the first time it is a join input, and every candidate it
 //! feeds reuses them: per candidate only the node term `Wn·x` remains.
+//! The layer-0 node term is a function of the node encoding alone, so a
+//! run of candidates on one encoding — the learned scorer's batch of a
+//! join node's candidates — computes it once.
 //!
 //! Kernel layout. The weights are stored row-major (`out × in`), which
 //! is the parameter and checkpoint layout and what the per-sample
@@ -1356,16 +1359,33 @@ impl ValueModel for TreeConvValueModel {
     /// is the same left-to-right dot product, so a composed state is
     /// bit-identical to the uncached window's and does not depend on
     /// which batch composed it.
+    ///
+    /// The layer-0 node product `Wn₀·x` reads nothing but the node
+    /// encoding, so a run of consecutive items naming the same `node_x`
+    /// slice — the same address and length, hence the same contents —
+    /// computes it once. The learned scorer hands each join node's
+    /// candidates to the model as one such run; an item on a slice of
+    /// its own pays one pointer compare. Reusing the product is
+    /// bit-exact: every window still adds `b₀ + Wn₀·x`, then `Wl₀·h`,
+    /// then `Wr₀·h`.
     fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
         let pooled_ofs = self.pooled_ofs();
         let top = self.conv.len() - 1;
         let c_dim = self.conv[top].out_dim;
+        let l0 = &self.conv[0];
+        // `Wn₀·x` of the current run of items naming one slice.
+        let mut run: Option<&[f64]> = None;
+        let mut wn0_x = vec![0.0; l0.out_dim];
         items
             .iter()
             .map(|it| {
                 let l = it.left.downcast_ref::<TcState>()?;
                 let r = it.right.downcast_ref::<TcState>()?;
                 assert_eq!(it.node_x.len(), self.node_dim, "node encoding mismatch");
+                if !run.is_some_and(|x| std::ptr::eq(x, it.node_x)) {
+                    matvec_ov(&l0.wn_t, it.node_x, &mut wn0_x);
+                    run = Some(it.node_x);
+                }
                 let (pl, pr) = (self.child_proj(l), self.child_proj(r));
                 let (l_pool, r_pool) = (&l.buf[pooled_ofs..], &r.buf[pooled_ofs..]);
                 let mut buf = vec![0.0; pooled_ofs + c_dim].into_boxed_slice();
@@ -1377,15 +1397,25 @@ impl ValueModel for TreeConvValueModel {
                     let wl_h = &pl[p_at..p_at + out_dim];
                     let wr_h = &pr[p_at + out_dim..p_at + 2 * out_dim];
                     let out = &mut out[..out_dim];
-                    matvec_ov(&layer.wn_t, x, out);
-                    for (o, z) in out.iter_mut().enumerate() {
-                        let h = lrelu(layer.b[o] + *z + wl_h[o] + wr_h[o]);
+                    // One window output from its node product `z`.
+                    let window = |o: usize, z: f64| {
+                        let h = lrelu(layer.b[o] + z + wl_h[o] + wr_h[o]);
                         // The last layer's activation only feeds the pool.
-                        *z = if li == top {
+                        if li == top {
                             h.max(l_pool[o].max(r_pool[o]))
                         } else {
                             h
-                        };
+                        }
+                    };
+                    if li == 0 {
+                        for (o, (y, &z)) in out.iter_mut().zip(&wn0_x).enumerate() {
+                            *y = window(o, z);
+                        }
+                    } else {
+                        matvec_ov(&layer.wn_t, x, out);
+                        for (o, y) in out.iter_mut().enumerate() {
+                            *y = window(o, *y);
+                        }
                     }
                     at += in_dim;
                     p_at += 2 * out_dim;
@@ -1912,12 +1942,15 @@ mod tests {
     /// `n` join items over `kids`, whose children repeat: item `i` joins
     /// `kids[i % k]` with `kids[(i + 1) % k]`, so once `n > k` every
     /// child is a left input in some items and a right input in others.
-    fn join_items<'a>(xs: &'a [Vec<f64>], kids: &'a [ModelState]) -> Vec<JoinStateItem<'a>> {
+    fn join_items<'a, X: AsRef<[f64]>>(
+        xs: &'a [X],
+        kids: &'a [ModelState],
+    ) -> Vec<JoinStateItem<'a>> {
         let k = kids.len();
         xs.iter()
             .enumerate()
             .map(|(i, x)| JoinStateItem {
-                node_x: x,
+                node_x: x.as_ref(),
                 left: &kids[i % k],
                 right: &kids[(i + 1) % k],
             })
@@ -2006,6 +2039,39 @@ mod tests {
         }
     }
 
+    /// Sharing a layer-0 node product is a layout change only: a batch
+    /// whose items name a few `node_x` slices many times — each over
+    /// different children, in runs and scattered — composes the same
+    /// states and values, bit for bit, as the same items with every
+    /// `node_x` copied into a buffer of its own.
+    #[test]
+    fn shared_node_rows_match_private_copies() {
+        let mut rng = SmallRng::seed_from_u64(0x5A4ED);
+        for model in [small_model(&mut rng), deep_model(&mut rng)] {
+            let kids = child_states(&model, &mut rng);
+            let rows: Vec<Vec<f64>> = (0..5)
+                .map(|_| (0..5).map(|_| rng.random_normal(0.0, 1.0)).collect())
+                .collect();
+            // Runs of eight items per row, then every row again out of
+            // turn; item `i` joins `kids[i % 7]` with `kids[(i + 1) % 7]`,
+            // so every row meets several child pairs.
+            let shared: Vec<&[f64]> = (0..40)
+                .map(|i| i / 8)
+                .chain((0..10).map(|i| i % 5))
+                .map(|r| rows[r].as_slice())
+                .collect();
+            let private: Vec<Vec<f64>> = shared.iter().map(|x| x.to_vec()).collect();
+            let got = model.join_state_batch(&join_items(&shared, &kids));
+            let want = model.join_state_batch(&join_items(&private, &kids));
+            let want = want.unwrap();
+            assert_states_bit_equal(&model, &got.unwrap(), &want, "shared rows");
+            // Both equal the reference, which shares nothing.
+            let reference = model.join_state_batch_uncached(&join_items(&private, &kids));
+            let reference = reference.unwrap();
+            assert_states_bit_equal(&model, &want, &reference, "uncached reference");
+        }
+    }
+
     /// `W·x` with compile-time output width `O` over the transposed `wt`
     /// (`x.len() × O`): one accumulator per output from `-0.0`, inputs
     /// in order. The floors' hand-written mat-vec.
@@ -2053,7 +2119,14 @@ mod tests {
     /// additions, the pool and the head into stack buffers, and the
     /// pre-caching reference kernel. Children are fresh each repetition,
     /// so the kernel's time includes each child's first-use projection.
-    /// Kernel and floor values must be bit-equal. Run with
+    ///
+    /// Two layouts run. In the *distinct* one every candidate has a node
+    /// row of its own. The *shared* one is the beam's, where a batch
+    /// averages 9.8 candidates per join node and the learned scorer
+    /// hands each node's candidates over as one run: the candidates name
+    /// 42 rows, 10 each on average, row by row, and that floor computes
+    /// each row's layer-0 node term `b₀ + Wn₀·x` once. Kernel and floor
+    /// values must be bit-equal in both. Run with
     /// `cargo test --release -p balsa-learn floor -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -2061,6 +2134,7 @@ mod tests {
     fn treeconv_kernel_floor() {
         const CANDS: usize = 420;
         const KIDS: usize = 40;
+        const ROWS: usize = 42;
         const REPS: usize = 400;
         const O0: usize = FLOOR_O0;
         const O1: usize = FLOOR_O1;
@@ -2075,10 +2149,13 @@ mod tests {
         let pairs: Vec<(usize, usize)> = (0..CANDS)
             .map(|_| (rng.random_range(0..KIDS), rng.random_range(0..KIDS)))
             .collect();
+        let rows: Vec<Vec<f64>> = (0..ROWS).map(|_| feat(&mut rng)).collect();
+        let mut row_of: Vec<usize> = (0..CANDS).map(|_| rng.random_range(0..ROWS)).collect();
+        row_of.sort_unstable();
 
-        // The floor: the child terms and pooled maxima are given, and per
-        // candidate only the node products, the additions, the pool and
-        // the head run.
+        // The floors: the child terms and pooled maxima are given, and per
+        // candidate only the node products (per row, when shared), the
+        // additions, the pool and the head run.
         let (c0, c1, head1) = (&model.conv[0], &model.conv[1], &model.head1);
         let wn0 = transpose(&c0.wn, d);
         let wn1 = transpose(&c1.wn, O0);
@@ -2092,49 +2169,73 @@ mod tests {
                 (model.child_proj(s).to_vec(), pooled)
             })
             .collect();
+        let node_term = |x: &[f64]| -> [f64; O0] {
+            let mut t = floor_mv::<O0>(&wn0, x);
+            for o in 0..O0 {
+                t[o] += c0.b[o];
+            }
+            t
+        };
+        // One candidate from its layer-0 node term on.
+        let window = |t0: &[f64; O0], (l, r): (usize, usize)| -> f64 {
+            let ((pl, lp), (pr, rp)) = (&proj[l], &proj[r]);
+            let mut h0 = [0.0; O0];
+            for o in 0..O0 {
+                h0[o] = lrelu(t0[o] + pl[o] + pr[O0 + o]);
+            }
+            let mut pooled = floor_mv::<O1>(&wn1, &h0);
+            let p = 2 * O0;
+            for o in 0..O1 {
+                let v = lrelu(c1.b[o] + pooled[o] + pl[p + o] + pr[p + O1 + o]);
+                pooled[o] = v.max(lp[o].max(rp[o]));
+            }
+            let h = floor_mv::<FLOOR_HD>(&w1, &pooled);
+            let mut z = -0.0;
+            for o in 0..FLOOR_HD {
+                z += model.head2.w[o] * lrelu(head1.b[o] + h[o]);
+            }
+            model.head2.b[0] + z
+        };
         let floor = |out: &mut [f64]| {
-            for ((x, &(l, r)), y) in xs.iter().zip(&pairs).zip(out.iter_mut()) {
-                let ((pl, lp), (pr, rp)) = (&proj[l], &proj[r]);
-                let mut h0 = floor_mv::<O0>(&wn0, x);
-                for o in 0..O0 {
-                    h0[o] = lrelu(c0.b[o] + h0[o] + pl[o] + pr[O0 + o]);
-                }
-                let mut pooled = floor_mv::<O1>(&wn1, &h0);
-                let p = 2 * O0;
-                for o in 0..O1 {
-                    let v = lrelu(c1.b[o] + pooled[o] + pl[p + o] + pr[p + O1 + o]);
-                    pooled[o] = v.max(lp[o].max(rp[o]));
-                }
-                let h = floor_mv::<FLOOR_HD>(&w1, &pooled);
-                let mut z = -0.0;
-                for o in 0..FLOOR_HD {
-                    z += model.head2.w[o] * lrelu(head1.b[o] + h[o]);
-                }
-                *y = model.head2.b[0] + z;
+            for ((x, &kids), y) in xs.iter().zip(&pairs).zip(out.iter_mut()) {
+                *y = window(&node_term(x), kids);
+            }
+        };
+        let shared_floor = |out: &mut [f64]| {
+            let terms: Vec<[f64; O0]> = rows.iter().map(|x| node_term(x)).collect();
+            for ((&row, &kids), y) in row_of.iter().zip(&pairs).zip(out.iter_mut()) {
+                *y = window(&terms[row], kids);
             }
         };
 
-        // Interleave the two sides per repetition and report medians, so
-        // load from other processes hits both alike.
-        let (mut kernel_ns, mut floor_ns, mut uncached_ns) = (Vec::new(), Vec::new(), Vec::new());
+        // Interleave the sides per repetition and report medians, so
+        // load from other processes hits all alike.
+        let mut ns: [Vec<u128>; 5] = Default::default();
+        let [kernel_ns, floor_ns, uncached_ns, shared_kernel_ns, shared_floor_ns] = &mut ns;
         let mut out = vec![0.0; CANDS];
         let mut sink = 0.0;
+        let assert_bit_equal = |values: &[f64], out: &[f64], layout: &str| {
+            for (c, (k, f)) in values.iter().zip(out).enumerate() {
+                assert_eq!(
+                    k.to_bits(),
+                    f.to_bits(),
+                    "{layout} rows, candidate {c}: kernel {k} vs floor {f}"
+                );
+            }
+        };
+        let distinct_x: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        let shared_x: Vec<&[f64]> = row_of.iter().map(|&r| rows[r].as_slice()).collect();
         for _ in 0..REPS {
-            let kids: Vec<ModelState> = kid_xs
-                .iter()
-                .map(|x| model.leaf_state(x).unwrap())
-                .collect();
-            let items: Vec<JoinStateItem<'_>> = xs
-                .iter()
-                .zip(&pairs)
-                .map(|(x, &(l, r))| JoinStateItem {
-                    node_x: x,
-                    left: &kids[l],
-                    right: &kids[r],
-                })
-                .collect();
+            let fresh_kids = || -> Vec<ModelState> {
+                kid_xs
+                    .iter()
+                    .map(|x| model.leaf_state(x).unwrap())
+                    .collect()
+            };
+            let kids = fresh_kids();
+            let distinct = floor_items(&pairs, &kids, &distinct_x);
             let t = Instant::now();
-            let states = model.join_state_batch(&items).unwrap();
+            let states = model.join_state_batch(&distinct).unwrap();
             let values = model.state_value_batch(&states).unwrap();
             kernel_ns.push(t.elapsed().as_nanos());
             sink += values[0];
@@ -2142,31 +2243,57 @@ mod tests {
             floor(&mut out);
             floor_ns.push(t.elapsed().as_nanos());
             sink += std::hint::black_box(&out)[0];
-            for (c, (k, f)) in values.iter().zip(&out).enumerate() {
-                assert_eq!(
-                    k.to_bits(),
-                    f.to_bits(),
-                    "candidate {c}: kernel {k} vs floor {f}"
-                );
-            }
+            assert_bit_equal(&values, &out, "distinct");
             let t = Instant::now();
-            let states = model.join_state_batch_uncached(&items).unwrap();
+            let states = model.join_state_batch_uncached(&distinct).unwrap();
             let values = model.state_value_batch(&states).unwrap();
             uncached_ns.push(t.elapsed().as_nanos());
             sink += values[0];
+
+            let kids = fresh_kids();
+            let shared = floor_items(&pairs, &kids, &shared_x);
+            let t = Instant::now();
+            let states = model.join_state_batch(&shared).unwrap();
+            let values = model.state_value_batch(&states).unwrap();
+            shared_kernel_ns.push(t.elapsed().as_nanos());
+            sink += values[0];
+            let t = Instant::now();
+            shared_floor(&mut out);
+            shared_floor_ns.push(t.elapsed().as_nanos());
+            sink += std::hint::black_box(&out)[0];
+            assert_bit_equal(&values, &out, "shared");
         }
-        let per_candidate = |mut ns: Vec<u128>| {
+        let [k, f, u, sk, sf] = ns.map(|mut ns| {
             ns.sort_unstable();
             ns[ns.len() / 2] as f64 / CANDS as f64
-        };
-        let (k, f) = (per_candidate(kernel_ns), per_candidate(floor_ns));
-        let u = per_candidate(uncached_ns);
+        });
         println!(
-            "node_dim {d}, conv {O0} -> {O1}, head {FLOOR_HD}: kernel {k:.0} ns/candidate, \
-             floor {f:.0} ns/candidate, ratio {:.2}; uncached reference {u:.0} ns/candidate \
-             (sink {sink:.3})",
-            k / f
+            "node_dim {d}, conv {O0} -> {O1}, head {FLOOR_HD}, ns/candidate (sink {sink:.3}):\n  \
+             distinct rows: kernel {k:.0}, floor {f:.0}, ratio {:.2}; \
+             uncached reference {u:.0}\n  \
+             shared rows ({:.1} candidates/row): kernel {sk:.0}, floor {sf:.0}, ratio {:.2}",
+            k / f,
+            CANDS as f64 / ROWS as f64,
+            sk / sf
         );
+    }
+
+    /// The floor benchmark's items: candidate `c` joins `kids[pairs[c]]`
+    /// over the node row `xs[c]`.
+    fn floor_items<'a>(
+        pairs: &[(usize, usize)],
+        kids: &'a [ModelState],
+        xs: &[&'a [f64]],
+    ) -> Vec<JoinStateItem<'a>> {
+        pairs
+            .iter()
+            .zip(xs)
+            .map(|(&(l, r), &node_x)| JoinStateItem {
+                node_x,
+                left: &kids[l],
+                right: &kids[r],
+            })
+            .collect()
     }
 
     /// One conv window of the fit floor: `b + Wn·x`, then `+ Wl·xl`,

@@ -52,15 +52,21 @@
 //!    never a math change either.
 //! 3. *Assemble + select* (serial): survivors are ranked on totals read
 //!    through their slots, epsilon-filled, and truncated to the beam
-//!    width; only the kept states are materialized.
+//!    width; only the kept states are materialized. *Rank only what is
+//!    read*: the ranking key is `(total, survivor index)`, a total order
+//!    equal to a stable sort on totals, ties included. A greedy level
+//!    reads only its best `width`, so it partitions them to the front
+//!    (`select_nth_unstable_by`) and sorts just those; an exploring
+//!    level may fill a slot from anywhere in the ranking, so it sorts
+//!    every survivor under the same key.
 
-use crate::budget::verify_emitted;
+use crate::budget::{check_table_count, verify_emitted};
 use crate::candidates::CandidateSpace;
 use crate::greedy::GreedyLeftDeepPlanner;
 use crate::scratch::SharedScratch;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
-use balsa_query::{splitmix64, JoinOp, Plan, Query};
+use balsa_query::{splitmix64, JoinOp, Plan, Query, TableMask};
 use balsa_storage::Database;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -408,12 +414,8 @@ impl BeamPlanner<'_> {
     /// budget.
     pub fn try_plan_raw(&self, query: &Query) -> Result<PlannedQuery, PlanError> {
         let start = Instant::now();
+        check_table_count(query, TableMask::WIDTH)?;
         let n = query.num_tables();
-        if n == 0 {
-            return Err(PlanError::DisconnectedGraph {
-                query: query.name.clone(),
-            });
-        }
         let space = CandidateSpace::new(self.db, query, self.mode);
         let session = self.scorer.for_query(query);
         let mut stats = SearchStats::default();
@@ -580,11 +582,11 @@ impl BeamPlanner<'_> {
             // Phase 3: rank survivors and materialize only the kept
             // slots. Totals are summed in the same order a full state
             // assembly would (remaining trees in position order, then
-            // the joined tree), and ranking goes through a stable index
-            // sort, so selection — ties included — is bit-identical to
-            // sorting fully-built states; but forests are cloned only
-            // for the ≤ `width` states that enter the next level, not
-            // for every survivor.
+            // the joined tree), and ranking is by `(total, index)`, so
+            // selection — ties included — is bit-identical to stably
+            // sorting fully-built states; but a greedy level orders only
+            // the `width` survivors it keeps, and forests are cloned only
+            // for the ≤ `width` states that enter the next level.
             let t_asm = Instant::now();
             if pending.is_empty() {
                 // No connected pair of trees remains to join: the join
@@ -611,15 +613,25 @@ impl BeamPlanner<'_> {
                     query: query.name.clone(),
                 });
             }
-            let mut order: Vec<u32> = (0..pending.len() as u32).collect();
-            order.sort_by(|&a, &b| {
+            let rank = |&a: &u32, &b: &u32| {
                 totals[a as usize]
                     .partial_cmp(&totals[b as usize])
                     .expect("not NaN")
-            });
+                    .then(a.cmp(&b))
+            };
+            let mut order: Vec<u32> = (0..pending.len() as u32).collect();
             stats.states += order.len();
+            if rng.is_none() && order.len() > self.width {
+                // Greedy reads only the best `width`: partition them to
+                // the front, and sort just those.
+                order.select_nth_unstable_by(self.width - 1, rank);
+                order.truncate(self.width);
+            }
+            order.sort_unstable_by(rank);
             // Epsilon-greedy slot filling: slot s takes the next-best
-            // candidate, or — with probability ε — a random survivor.
+            // candidate, or — with probability ε — a random survivor
+            // from anywhere in the ranking, which is why exploration
+            // sorts all of it.
             if let Some(rng) = rng.as_mut() {
                 let eps = self.exploration.expect("rng implies exploration").epsilon;
                 for slot in 0..self.width.min(order.len()) {
@@ -733,6 +745,182 @@ mod tests {
 
         fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
             out.extend(cands.iter().map(|_| scored(f64::NAN)));
+        }
+    }
+
+    /// The expert cost scorer with every score rounded down to a whole
+    /// power of two's exponent, so many joins score alike and many beam
+    /// totals tie exactly.
+    struct QuantizedScorer<'a>(CostScorer<'a>);
+
+    struct QuantizedSession<'q>(Box<dyn QueryScorer + 'q>);
+
+    fn quantized(mut st: ScoredTree) -> ScoredTree {
+        st.score = st.score.max(1.0).log2().floor();
+        st
+    }
+
+    impl PlanScorer for QuantizedScorer<'_> {
+        fn name(&self) -> String {
+            "quantized".into()
+        }
+
+        fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
+            Box::new(QuantizedSession(self.0.for_query(query)))
+        }
+    }
+
+    impl QueryScorer for QuantizedSession<'_> {
+        fn score_scan(&self, scan: &Plan) -> ScoredTree {
+            quantized(self.0.score_scan(scan))
+        }
+
+        fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+            let at = out.len();
+            self.0.score_join_batch(cands, out);
+            for st in &mut out[at..] {
+                *st = quantized(std::mem::take(st));
+            }
+        }
+    }
+
+    /// Pins greedy selection where it is most fragile: under a scorer
+    /// whose totals tie all the time, which tied survivor a level keeps
+    /// decides the plan. Plan fingerprints, cost bits and search counters
+    /// of six JOB queries in both modes were recorded when phase 3 still
+    /// stable-sorted every survivor; ranking by `(total, index)` must
+    /// keep the same states.
+    #[test]
+    fn greedy_ranking_on_ties_is_pinned() {
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        let scorer = QuantizedScorer(CostScorer::new(&model, &est));
+        let mut got = Vec::new();
+        let mut templates = HashSet::new();
+        let queries = w
+            .queries
+            .iter()
+            .filter(|q| q.num_tables() >= 5 && templates.insert(q.template))
+            .step_by(3)
+            .take(6);
+        for q in queries {
+            for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                let out = BeamPlanner::new(&db, &scorer, mode, 5).plan(q);
+                let s = out.stats;
+                got.push((
+                    q.name.clone(),
+                    out.plan.fingerprint(),
+                    out.cost.to_bits(),
+                    s.states,
+                    s.candidates,
+                    s.cost_calls,
+                ));
+            }
+        }
+        // (query, plan fingerprint, cost bits, states, candidates,
+        // cost_calls), bushy then left-deep per query.
+        let want: [(&str, u64, u64, usize, usize, usize); 12] = [
+            (
+                "job_07a",
+                10100697887960781879,
+                4621256167635550208,
+                517,
+                526,
+                406,
+            ),
+            (
+                "job_07a",
+                9016821611995153669,
+                4621256167635550208,
+                247,
+                256,
+                256,
+            ),
+            (
+                "job_10a",
+                11614966079515544761,
+                4620693217682128896,
+                913,
+                924,
+                540,
+            ),
+            (
+                "job_10a",
+                2637982460013247531,
+                4620693217682128896,
+                325,
+                336,
+                336,
+            ),
+            (
+                "job_13a",
+                10957095972151610585,
+                4621256167635550208,
+                823,
+                834,
+                558,
+            ),
+            (
+                "job_13a",
+                5817609081423734112,
+                4621256167635550208,
+                361,
+                372,
+                372,
+            ),
+            (
+                "job_16a",
+                2513899913961721046,
+                4621256167635550208,
+                577,
+                586,
+                346,
+            ),
+            (
+                "job_16a",
+                12341842982067213511,
+                4621256167635550208,
+                217,
+                226,
+                226,
+            ),
+            (
+                "job_19a",
+                4052962396236089726,
+                4621256167635550208,
+                1759,
+                1774,
+                1006,
+            ),
+            (
+                "job_19a",
+                10182247504388893534,
+                4621256167635550208,
+                619,
+                634,
+                634,
+            ),
+            (
+                "job_22a",
+                5137784813165011035,
+                4621256167635550208,
+                1163,
+                1178,
+                866,
+            ),
+            (
+                "job_22a",
+                16862669101529562306,
+                4621256167635550208,
+                523,
+                536,
+                536,
+            ),
+        ];
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!((g.0.as_str(), g.1, g.2, g.3, g.4, g.5), *w);
         }
     }
 

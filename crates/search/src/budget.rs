@@ -18,7 +18,8 @@
 //! [`crate::GreedyLeftDeepPlanner`]), recording each step in
 //! [`crate::SearchStats::degraded_levels`]. A [`PlanError`] only
 //! escapes when no planner can answer at all (disconnected join
-//! graph), or when a caller opts into the raw, chain-free entry points.
+//! graph, a diverged scorer, a query wider than the planner's table
+//! sets), or when a caller opts into the raw, chain-free entry points.
 
 use balsa_query::{splitmix64, Query};
 use std::fmt;
@@ -60,6 +61,19 @@ pub enum PlanError {
         /// Name of the query being planned.
         query: String,
     },
+    /// The query has more tables than the planner can represent: every
+    /// planner holds table sets in a [`balsa_query::TableMask`] of
+    /// [`balsa_query::TableMask::WIDTH`] tables, and
+    /// [`crate::SubmaskDpPlanner`] tabulates all `2^n` subsets, which
+    /// caps it lower.
+    TooManyTables {
+        /// Name of the query being planned.
+        query: String,
+        /// How many tables it references.
+        tables: usize,
+        /// The most tables the refusing planner takes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -82,11 +96,38 @@ impl fmt::Display for PlanError {
             PlanError::NonFiniteScore { query } => {
                 write!(f, "no plan for {query}: the scorer returned NaN")
             }
+            PlanError::TooManyTables {
+                query,
+                tables,
+                limit,
+            } => write!(
+                f,
+                "no plan for {query}: {tables} tables, more than this planner's {limit}"
+            ),
         }
     }
 }
 
 impl std::error::Error for PlanError {}
+
+/// The check every planner entry makes before it touches `query`: a
+/// query without tables has no plan
+/// ([`PlanError::DisconnectedGraph`]), and one with more than `limit`
+/// tables does not fit the planner's table sets
+/// ([`PlanError::TooManyTables`]).
+pub(crate) fn check_table_count(query: &Query, limit: usize) -> Result<(), PlanError> {
+    match query.num_tables() {
+        0 => Err(PlanError::DisconnectedGraph {
+            query: query.name.clone(),
+        }),
+        tables if tables > limit => Err(PlanError::TooManyTables {
+            query: query.name.clone(),
+            tables,
+            limit,
+        }),
+        _ => Ok(()),
+    }
+}
 
 /// A per-call planning budget. See the module docs for the charging
 /// discipline; [`PlanBudget::UNLIMITED`] (the default) never fires and

@@ -22,6 +22,10 @@ use balsa_query::{JoinOp, Plan, Query, ScanOp, TableMask};
 use balsa_storage::Database;
 use std::sync::Arc;
 
+/// The most tables [`CandidateSpace::connected_table`] tabulates (its
+/// `2^n` entries are 32 MB at this size).
+pub const CONNECTED_TABLE_MAX_TABLES: usize = 25;
+
 /// Candidate moves for one query under one search mode.
 pub struct CandidateSpace<'a> {
     db: &'a Database,
@@ -105,10 +109,14 @@ impl<'a> CandidateSpace<'a> {
 
     /// Connectivity table over all `2^n` subsets: `table[mask]` is true
     /// iff `mask` induces a connected join subgraph. The DP enumerator
-    /// indexes this on its hot path.
+    /// indexes this on its hot path. At most
+    /// [`CONNECTED_TABLE_MAX_TABLES`] tables.
     pub fn connected_table(&self) -> Vec<bool> {
         let n = self.query.num_tables();
-        assert!(n <= 25, "connectivity table over {n} tables is too large");
+        assert!(
+            n <= CONNECTED_TABLE_MAX_TABLES,
+            "connectivity table over {n} tables is too large"
+        );
         let mut table = vec![false; 1usize << n];
         for (mask, slot) in table.iter_mut().enumerate().skip(1) {
             *slot = self.query.subgraph_connected(TableMask(mask as u32));

@@ -31,8 +31,8 @@
 //! splits off single tables (CommDbSim, §8.2).
 
 use crate::beam::BeamPlanner;
-use crate::budget::verify_emitted;
-use crate::candidates::CandidateSpace;
+use crate::budget::{check_table_count, verify_emitted};
+use crate::candidates::{CandidateSpace, CONNECTED_TABLE_MAX_TABLES};
 use crate::enumerate::JoinGraph;
 use crate::greedy::GreedyLeftDeepPlanner;
 use crate::scratch::SharedScratch;
@@ -490,12 +490,8 @@ impl<'a> DpPlanner<'a> {
         want_frontier: bool,
     ) -> Result<(PlannedQuery, Vec<FrontierEntry>), PlanError> {
         let start = Instant::now();
+        check_table_count(query, TableMask::WIDTH)?;
         let n = query.num_tables();
-        if n == 0 {
-            return Err(PlanError::DisconnectedGraph {
-                query: query.name.clone(),
-            });
-        }
         // Two things route to the submask enumerator, which needs
         // neither: an order universe that could overflow the interner's
         // 128 bits (≥ 22 tables of ≥ 6 indexed/edge columns each; its
@@ -938,12 +934,8 @@ impl<'a> SubmaskDpPlanner<'a> {
         query: &Query,
     ) -> Result<(PlannedQuery, Vec<FrontierEntry>), PlanError> {
         let start = Instant::now();
+        check_table_count(query, CONNECTED_TABLE_MAX_TABLES)?;
         let n = query.num_tables();
-        if n == 0 {
-            return Err(PlanError::DisconnectedGraph {
-                query: query.name.clone(),
-            });
-        }
         let space = CandidateSpace::new(self.db, query, self.mode);
         let memo = MemoEstimator::new(self.est);
         let connected = space.connected_table();

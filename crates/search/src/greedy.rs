@@ -18,10 +18,10 @@
 //! order (lowest table index, then scan order, then operator order),
 //! so the planner is bit-reproducible.
 
-use crate::budget::verify_emitted;
+use crate::budget::{check_table_count, verify_emitted};
 use crate::{CandidateSpace, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
-use balsa_query::{Plan, Query};
+use balsa_query::{Plan, Query, TableMask};
 use balsa_storage::Database;
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,8 +41,9 @@ impl<'a> GreedyLeftDeepPlanner<'a> {
 
     fn plan_impl(&self, query: &Query) -> Result<PlannedQuery, PlanError> {
         let t0 = Instant::now();
+        check_table_count(query, TableMask::WIDTH)?;
         let n = query.num_tables();
-        if n == 0 || !query.subgraph_connected(query.all_mask()) {
+        if !query.subgraph_connected(query.all_mask()) {
             return Err(PlanError::DisconnectedGraph {
                 query: query.name.clone(),
             });

@@ -7,6 +7,7 @@
 //! a random plan is always *valid* (connected joins only, mode-legal
 //! shape) but its join order and operators are arbitrary.
 
+use crate::budget::check_table_count;
 use crate::candidates::CandidateSpace;
 use crate::{PlanError, SearchMode};
 use balsa_query::{JoinOp, Plan, Query, TableMask};
@@ -17,7 +18,8 @@ use std::sync::Arc;
 
 /// Samples one uniformly random valid plan for `query`, or
 /// [`PlanError::DisconnectedGraph`] when the sampler gets stuck with no
-/// connected pair left to merge.
+/// connected pair left to merge, or [`PlanError::TooManyTables`] past
+/// [`TableMask::WIDTH`] tables.
 ///
 /// In [`SearchMode::Bushy`] the sampler repeatedly merges two random
 /// connected trees; in [`SearchMode::LeftDeep`] it grows a single chain
@@ -31,14 +33,12 @@ pub fn try_random_plan(
     mode: SearchMode,
     rng: &mut SmallRng,
 ) -> Result<Arc<Plan>, PlanError> {
+    check_table_count(query, TableMask::WIDTH)?;
     let space = CandidateSpace::new(db, query, mode);
     let n = query.num_tables();
     let disconnected = || PlanError::DisconnectedGraph {
         query: query.name.clone(),
     };
-    if n == 0 {
-        return Err(disconnected());
-    }
     let random_scan = |qt: usize, rng: &mut SmallRng| {
         let scans = space.scan_plans(qt);
         scans[rng.random_range(0..scans.len())].clone()

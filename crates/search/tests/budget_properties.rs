@@ -21,9 +21,10 @@
 //!   stays within a sanity cost factor of the DP optimum.
 //! * **Error taxonomy** — disconnected join graphs surface
 //!   [`PlanError::DisconnectedGraph`] from every planner's `try_plan`
-//!   and from the random-plan sampler, and the raw chain-free entry
-//!   points surface [`PlanError::BudgetExhausted`] with the exhausting
-//!   stage named.
+//!   and from the random-plan sampler, queries wider than a planner's
+//!   table sets surface [`PlanError::TooManyTables`], and the raw
+//!   chain-free entry points surface [`PlanError::BudgetExhausted`]
+//!   with the exhausting stage named.
 //!
 //! The independent plan verifier runs inside every planner here (debug
 //! assertions are on in tests), so each emitted plan in this file is
@@ -262,6 +263,91 @@ fn tight_budget_keeps_executed_latency_median_within_bound_of_clean() {
         degraded_levels > 0 && exhausted > 0,
         "the budget never fired: {degraded_levels} levels, {exhausted} queries"
     );
+}
+
+/// A chain of `n` references to one catalog table, joined on its first
+/// column: connected, and as wide as asked.
+fn chain_query(n: usize) -> Query {
+    Query {
+        id: 9_000 + n as u32,
+        name: format!("chain{n}"),
+        template: 0,
+        tables: (0..n)
+            .map(|i| balsa_query::QueryTable {
+                table: 0,
+                alias: format!("t{i}"),
+            })
+            .collect(),
+        joins: (1..n)
+            .map(|i| balsa_query::JoinEdge {
+                left_qt: i - 1,
+                left_col: 0,
+                right_qt: i,
+                right_col: 0,
+            })
+            .collect(),
+        filters: Vec::new(),
+    }
+}
+
+/// A query wider than a `TableMask` is a typed error from every planner
+/// entry — DPccp, the submask DP, the beam, greedy and the random
+/// sampler — not a shift overflow; and the submask DP, which tabulates
+/// every subset, refuses past its own lower limit. At the limits
+/// themselves the planners still plan.
+#[test]
+fn too_many_tables_is_a_typed_error_from_every_planner() {
+    use balsa_query::TableMask;
+    use balsa_search::candidates::CONNECTED_TABLE_MAX_TABLES;
+    let db = small_db();
+    let est = balsa_card::HistogramEstimator::new(&db);
+    let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let scorer = CostScorer::new(&model, &est);
+    let too_many = |q: &Query, limit: usize| PlanError::TooManyTables {
+        query: q.name.clone(),
+        tables: q.num_tables(),
+        limit,
+    };
+    let wide = chain_query(TableMask::WIDTH + 1);
+    let submask_wide = chain_query(CONNECTED_TABLE_MAX_TABLES + 1);
+    for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+        let submask = SubmaskDpPlanner::new(&db, &model, &est, mode);
+        let planners: Vec<Box<dyn Planner + '_>> = vec![
+            Box::new(DpPlanner::new(&db, &model, &est, mode)),
+            Box::new(SubmaskDpPlanner::new(&db, &model, &est, mode)),
+            Box::new(BeamPlanner::new(&db, &scorer, mode, 4)),
+            Box::new(GreedyLeftDeepPlanner::new(&db, &scorer, mode)),
+        ];
+        for p in &planners {
+            let limit = if p.name().starts_with("dp-submask") {
+                CONNECTED_TABLE_MAX_TABLES
+            } else {
+                TableMask::WIDTH
+            };
+            assert_eq!(
+                p.try_plan(&wide).map(|p| p.cost),
+                Err(too_many(&wide, limit)),
+                "{}",
+                p.name()
+            );
+        }
+        assert_eq!(
+            try_random_plan(&db, &wide, mode, &mut SmallRng::seed_from_u64(7)),
+            Err(too_many(&wide, TableMask::WIDTH))
+        );
+        assert_eq!(
+            submask.try_plan(&submask_wide).map(|p| p.cost),
+            Err(too_many(&submask_wide, CONNECTED_TABLE_MAX_TABLES))
+        );
+        // A full-width chain still plans where the planner is cheap on it.
+        let full = chain_query(TableMask::WIDTH);
+        let beam = BeamPlanner::new(&db, &scorer, mode, 2).plan(&full);
+        assert_eq!(beam.plan.mask(), full.all_mask());
+        let greedy = GreedyLeftDeepPlanner::new(&db, &scorer, mode).plan(&full);
+        assert_eq!(greedy.plan.mask(), full.all_mask());
+        let random = try_random_plan(&db, &full, mode, &mut SmallRng::seed_from_u64(7));
+        assert_eq!(random.unwrap().mask(), full.all_mask());
+    }
 }
 
 /// Disconnected join graphs surface [`PlanError::DisconnectedGraph`]
