@@ -27,10 +27,21 @@
 //! work, table coverage) in the binary-tree tensor layout
 //! ([`Featurizer::featurize_tree`]). One function writes a node's row,
 //! for whole trees and for the beam's incremental scorer alike.
-//! [`FlatState`] is the flat encoding's incremental form: scan states
-//! start the chain and [`Featurizer::flat_join_state`] composes a
-//! join's vector from its children in O(tables + edges), bit-identical
-//! to a from-scratch featurization — the beam's O(1) scoring hook.
+//!
+//! The flat vector splits into a **head** and a **tail**. The head —
+//! channels `0..3t + 2p` for `t` catalog tables and `p` table pairs,
+//! the one-hots, selectivities and edges — is a function of the query
+//! and the subplan's table mask alone: [`Featurizer::flat_template`]
+//! takes the query-level channels once per query, and
+//! [`Featurizer::flat_head_into`] adds a mask's coverage counts and
+//! absorbed edges on top. The 17-channel tail (cardinality, cost,
+//! operator and shape channels) depends on the plan. [`FlatState`] is
+//! the tail's incremental form: scan states start the chain and
+//! [`Featurizer::flat_join_state`] composes a join's tail from its
+//! children in O(1), through the join's expert-cost session
+//! ([`Featurizer::pair_cost`]), bit-identical to a from-scratch
+//! featurization — the beam's O(1) scoring hook. [`Featurizer::featurize`]
+//! writes its head through the same functions.
 //!
 //! Features are a pure function of `(query, plan, estimates)`: two
 //! fingerprint-equal subplans of the same query always featurize
@@ -39,12 +50,13 @@
 
 use crate::model::FeatureEncoding;
 use balsa_card::CardEstimator;
-use balsa_cost::{join_cost, physical_cost, scan_cost, JoinPairCost, OpWeights, SubtreeCost};
-use balsa_query::{JoinOp, Plan, PlanShape, Query, ScanOp};
+use balsa_cost::{physical_cost, scan_cost, JoinPairCost, OpWeights, PairCoster, SubtreeCost};
+use balsa_query::{JoinOp, Plan, PlanShape, Query, ScanOp, TableMask};
 use balsa_storage::Database;
 use std::sync::Arc;
 
-/// Number of scalar (non-per-table, non-per-pair) channels.
+/// Number of scalar (non-per-table, non-per-pair) channels: the flat
+/// encoding's tail ([`FlatState::tail`]).
 const SCALAR_CHANNELS: usize = 17;
 
 /// Number of non-per-table channels in the per-node encoding.
@@ -78,7 +90,7 @@ impl Featurizer {
 
     /// The (constant) feature-vector length.
     pub fn dim(&self) -> usize {
-        3 * self.num_tables + 2 * self.num_pairs() + SCALAR_CHANNELS
+        self.head_dim() + SCALAR_CHANNELS
     }
 
     /// Index of the unordered pair `(a, b)` in the edge channels.
@@ -88,27 +100,27 @@ impl Featurizer {
         lo * self.num_tables - lo * (lo + 1) / 2 + (hi - lo - 1)
     }
 
-    /// Featurizes subplan `plan` of `query`, reading cardinalities and
-    /// selectivities from `est`. Pure: identical inputs give identical
-    /// vectors.
-    pub fn featurize(&self, query: &Query, plan: &Plan, est: &dyn CardEstimator) -> Vec<f64> {
+    /// Length of the flat encoding's **head**: channels `0..3t + 2p`,
+    /// a function of the query and the subplan's table mask alone
+    /// ([`Featurizer::flat_head_into`]). The remaining
+    /// [`FlatState::tail`] channels depend on the plan.
+    pub fn head_dim(&self) -> usize {
+        3 * self.num_tables + 2 * self.num_pairs()
+    }
+
+    /// The query-level channels of `query`'s flat head, taken once per
+    /// query: the reference counts, summed selectivities and join-graph
+    /// edge totals, with the mask-dependent slots left zero.
+    pub fn flat_template(&self, query: &Query, est: &dyn CardEstimator) -> FlatTemplate {
         let t = self.num_tables;
         let p = self.num_pairs();
-        let mut x = vec![0.0; self.dim()];
-        let mask = plan.mask();
-
-        // Per-table coverage and selectivity channels.
+        let mut head = vec![0.0; self.head_dim()];
         for (qt, qtab) in query.tables.iter().enumerate() {
             let tid = qtab.table;
-            let sel = est.selectivity(query, qt);
-            x[t + tid] += 1.0; // query reference count
-            x[2 * t + tid] += sel;
-            if mask.contains(qt) {
-                x[tid] += 1.0; // plan coverage count
-            }
+            head[t + tid] += 1.0; // query reference count
+            head[2 * t + tid] += est.selectivity(query, qt);
         }
-
-        // Join-graph edge channels (plan-absorbed and query-total).
+        let mut edges = Vec::with_capacity(query.joins.len());
         for e in &query.joins {
             let ta = query.tables[e.left_qt].table;
             let tb = query.tables[e.right_qt].table;
@@ -116,48 +128,90 @@ impl Featurizer {
                 continue; // self-join pair has no off-diagonal slot
             }
             let pi = self.pair_index(ta, tb);
-            if mask.contains(e.left_qt) && mask.contains(e.right_qt) {
-                x[3 * t + pi] += 1.0;
-            }
-            x[3 * t + p + pi] += 1.0;
+            head[3 * t + p + pi] += 1.0; // query-total edges
+            edges.push((e.left_qt, e.right_qt, 3 * t + pi));
         }
+        FlatTemplate { head, edges }
+    }
 
-        // Cardinality and cost channels (log-scaled). Besides the totals
-        // (`C_out`, expert cost), the *bottleneck* channels — the largest
-        // estimated intermediate and the most expensive single operator —
-        // carry most of the latency signal. Accumulated bottom-up in the
-        // same association order as the incremental composition
-        // ([`Featurizer::flat_join_state`]), so composed and from-scratch
-        // vectors are bit-identical.
-        let base = 3 * t + 2 * p;
-        let out_card = est.cardinality(query, mask).max(0.0);
+    /// Writes the flat head of the subplan of `query` covering `mask`
+    /// into `x` (length [`Featurizer::head_dim`]): `template`'s
+    /// query-level channels, then per-table coverage counts and the
+    /// join-graph edges the subplan has absorbed.
+    pub fn flat_head_into(
+        &self,
+        query: &Query,
+        template: &FlatTemplate,
+        mask: TableMask,
+        x: &mut [f64],
+    ) {
+        x.copy_from_slice(&template.head);
+        for qt in mask.iter() {
+            x[query.tables[qt].table] += 1.0; // plan coverage count
+        }
+        for &(a, b, slot) in &template.edges {
+            if mask.contains(a) && mask.contains(b) {
+                x[slot] += 1.0;
+            }
+        }
+    }
+
+    /// Featurizes subplan `plan` of `query`, reading cardinalities and
+    /// selectivities from `est`: the head of `plan`'s mask followed by
+    /// the plan's tail. Pure: identical inputs give identical vectors.
+    pub fn featurize(&self, query: &Query, plan: &Plan, est: &dyn CardEstimator) -> Vec<f64> {
+        let h = self.head_dim();
+        let mut x = vec![0.0; self.dim()];
+        let template = self.flat_template(query, est);
+        self.flat_head_into(query, &template, plan.mask(), &mut x[..h]);
+        x[h..].copy_from_slice(&self.flat_tail(query, plan, est));
+        x
+    }
+
+    /// The plan-dependent tail channels of `plan`, from scratch.
+    ///
+    /// Cardinality and cost channels are log-scaled. Besides the totals
+    /// (`C_out`, expert cost), the *bottleneck* channels — the largest
+    /// estimated intermediate and the most expensive single operator —
+    /// carry most of the latency signal. Accumulated bottom-up in the
+    /// same association order as the incremental composition
+    /// ([`Featurizer::flat_join_state`]), so composed and from-scratch
+    /// tails are bit-identical.
+    fn flat_tail(
+        &self,
+        query: &Query,
+        plan: &Plan,
+        est: &dyn CardEstimator,
+    ) -> [f64; SCALAR_CHANNELS] {
+        let mut x = [0.0; SCALAR_CHANNELS];
+        let out_card = est.cardinality(query, plan.mask()).max(0.0);
         let (cout, max_card) = self.card_channels(query, plan, est);
         let mut nodes = Vec::new();
         let expert = physical_cost(&self.db, query, plan, est, &self.weights, Some(&mut nodes));
         let max_node_work = nodes.iter().map(|n| n.work).fold(0.0f64, f64::max);
-        x[base] = out_card.ln_1p();
-        x[base + 1] = cout.ln_1p();
-        x[base + 2] = expert.max(0.0).ln_1p();
-        x[base + 15] = max_card.ln_1p();
-        x[base + 16] = max_node_work.max(0.0).ln_1p();
+        x[0] = out_card.ln_1p();
+        x[1] = cout.ln_1p();
+        x[2] = expert.max(0.0).ln_1p();
+        x[15] = max_card.ln_1p();
+        x[16] = max_node_work.max(0.0).ln_1p();
 
         // Operator, shape, and progress channels.
         let (h, m, nl) = plan.join_op_counts();
         let (seq, idx) = plan.scan_op_counts();
         let n_query = query.num_tables() as f64;
-        x[base + 3] = plan.num_tables() as f64 / n_query.max(1.0);
-        x[base + 4] = plan.num_joins() as f64 / 16.0;
-        x[base + 5] = h as f64 / 16.0;
-        x[base + 6] = m as f64 / 16.0;
-        x[base + 7] = nl as f64 / 16.0;
-        x[base + 8] = seq as f64 / 16.0;
-        x[base + 9] = idx as f64 / 16.0;
-        x[base + 10] = plan.depth() as f64 / 16.0;
+        x[3] = plan.num_tables() as f64 / n_query.max(1.0);
+        x[4] = plan.num_joins() as f64 / 16.0;
+        x[5] = h as f64 / 16.0;
+        x[6] = m as f64 / 16.0;
+        x[7] = nl as f64 / 16.0;
+        x[8] = seq as f64 / 16.0;
+        x[9] = idx as f64 / 16.0;
+        x[10] = plan.depth() as f64 / 16.0;
         let shape = plan.shape();
-        x[base + 11] = (shape == PlanShape::LeftDeep) as u8 as f64;
-        x[base + 12] = (shape == PlanShape::Bushy) as u8 as f64;
-        x[base + 13] = self.bushy_engine as u8 as f64;
-        x[base + 14] = 1.0; // bias channel
+        x[11] = (shape == PlanShape::LeftDeep) as u8 as f64;
+        x[12] = (shape == PlanShape::Bushy) as u8 as f64;
+        x[13] = self.bushy_engine as u8 as f64;
+        x[14] = 1.0; // bias channel
         x
     }
 
@@ -319,12 +373,11 @@ impl Featurizer {
             Plan::Scan { qt, op } => (*qt as usize, *op),
             Plan::Join { .. } => panic!("flat_scan_state on a join"),
         };
-        let x = self.featurize(query, scan, est);
         let card = est.cardinality(query, scan.mask()).max(0.0);
         let expert = scan_cost(&self.db, query, qt, op, est, &self.weights);
         FlatState {
+            tail: self.flat_tail(query, scan, est),
             max_node_work: expert.work,
-            x,
             cout: card,
             max_card: card,
             expert,
@@ -335,109 +388,94 @@ impl Featurizer {
         }
     }
 
+    /// Opens the expert-cost session of joining `lmask` with `rmask`
+    /// under this featurizer's weights — the session
+    /// [`Featurizer::flat_join_state`] costs a join's expert channel
+    /// through. Callers composing many joins of one orientation share
+    /// one session.
+    pub fn pair_cost(
+        &self,
+        query: &Query,
+        lmask: TableMask,
+        rmask: TableMask,
+        est: &dyn CardEstimator,
+    ) -> JoinPairCost {
+        JoinPairCost::new(&self.db, query, lmask, rmask, est, self.weights)
+    }
+
     /// Composes the flat-encoding state of a join from its children's
-    /// states without re-walking the subtree: O(tables + edges) per
-    /// candidate instead of O(subtree). Produces a vector bit-identical
-    /// to [`Featurizer::featurize`] on the same join.
+    /// states without re-walking the subtree: O(1) per candidate instead
+    /// of O(subtree). `pair` is the join's
+    /// [`Featurizer::pair_cost`] session (left mask, right mask), which
+    /// also supplies the output cardinality. The tail is bit-identical
+    /// to [`Featurizer::featurize`]'s on the same join; the head is the
+    /// join mask's ([`Featurizer::flat_head_into`]).
     pub fn flat_join_state(
         &self,
         query: &Query,
         join: &Plan,
         l: &FlatState,
         r: &FlatState,
-        est: &dyn CardEstimator,
+        pair: &JoinPairCost,
     ) -> FlatState {
-        let (op, left, right, mask) = match join {
+        let (op, right, mask) = match join {
             Plan::Join {
-                op,
-                left,
-                right,
-                mask,
-                ..
-            } => (*op, left, right, *mask),
+                op, right, mask, ..
+            } => (*op, right, *mask),
             Plan::Scan { .. } => panic!("flat_join_state on a scan"),
         };
-        let t = self.num_tables;
-        let p = self.num_pairs();
-        let base = 3 * t + 2 * p;
-
-        // Query-level channels (x[t..3t], query-total edges, engine mode,
-        // bias) carry over from either child; start from the left's.
-        let mut x = l.x.clone();
-
-        // Plan coverage counts add.
-        for (tid, slot) in x.iter_mut().enumerate().take(t) {
-            *slot = l.x[tid] + r.x[tid];
-        }
-        // Absorbed join-graph edges: recompute against the joined mask
-        // (O(edges); identical accumulation to `featurize`).
-        for slot in &mut x[3 * t..3 * t + p] {
-            *slot = 0.0;
-        }
-        for e in &query.joins {
-            let ta = query.tables[e.left_qt].table;
-            let tb = query.tables[e.right_qt].table;
-            if ta == tb {
-                continue;
-            }
-            if mask.contains(e.left_qt) && mask.contains(e.right_qt) {
-                x[3 * t + self.pair_index(ta, tb)] += 1.0;
-            }
-        }
+        // The engine-mode and bias channels carry over from either
+        // child; start from the left's.
+        let mut x = l.tail;
 
         // Cardinality and cost channels, composed in the same association
         // order as `featurize`'s bottom-up accumulation.
-        let out_card = est.cardinality(query, mask).max(0.0);
+        let expert = pair.summary(op, &l.expert, &r.expert, right.is_index_scan());
+        let out_card = expert.out_rows;
         let cout = l.cout + r.cout + out_card;
         let max_card = l.max_card.max(r.max_card).max(out_card);
-        let expert = join_cost(
-            &self.db,
-            query,
-            op,
-            left,
-            &l.expert,
-            right,
-            &r.expert,
-            est,
-            &self.weights,
-        );
         let node_work = expert.work - l.expert.work - r.expert.work;
         let max_node_work = l.max_node_work.max(r.max_node_work).max(node_work);
-        x[base] = out_card.ln_1p();
-        x[base + 1] = cout.ln_1p();
-        x[base + 2] = expert.work.max(0.0).ln_1p();
-        x[base + 15] = max_card.ln_1p();
-        x[base + 16] = max_node_work.max(0.0).ln_1p();
+        x[0] = out_card.ln_1p();
+        x[1] = cout.ln_1p();
+        x[2] = expert.work.max(0.0).ln_1p();
+        x[15] = max_card.ln_1p();
+        x[16] = max_node_work.max(0.0).ln_1p();
 
         // Operator, shape, and progress channels. Counts divide by 16
         // (exact dyadic), so sums of children's channels equal the
         // from-scratch counts.
         let n_query = query.num_tables() as f64;
         let num_tables = mask.count();
-        x[base + 3] = num_tables as f64 / n_query.max(1.0);
-        x[base + 4] = num_tables.saturating_sub(1) as f64 / 16.0;
-        for c in 5..=9 {
-            x[base + c] = l.x[base + c] + r.x[base + c];
+        x[3] = num_tables as f64 / n_query.max(1.0);
+        x[4] = num_tables.saturating_sub(1) as f64 / 16.0;
+        let counts = 5..=9;
+        for ((slot, lc), rc) in x[counts.clone()]
+            .iter_mut()
+            .zip(&l.tail[counts.clone()])
+            .zip(&r.tail[counts])
+        {
+            *slot = lc + rc;
         }
         let op_slot = match op {
             JoinOp::Hash => 5,
             JoinOp::Merge => 6,
             JoinOp::NestLoop => 7,
         };
-        x[base + op_slot] += 1.0 / 16.0;
+        x[op_slot] += 1.0 / 16.0;
         let depth = l.depth.max(r.depth) + 1;
-        x[base + 10] = depth as f64 / 16.0;
+        x[10] = depth as f64 / 16.0;
         // Shape flags compose exactly like `Plan::shape`'s recursion:
         // left-deep when the right child is a leaf atop a left-deep
         // spine; bushy when neither deep form holds (left-deep wins when
         // both hold, as in `PlanShape`).
         let left_deep = r.is_leaf && l.left_deep;
         let right_deep = l.is_leaf && r.right_deep;
-        x[base + 11] = left_deep as u8 as f64;
-        x[base + 12] = (!left_deep && !right_deep) as u8 as f64;
+        x[11] = left_deep as u8 as f64;
+        x[12] = (!left_deep && !right_deep) as u8 as f64;
 
         FlatState {
-            x,
+            tail: x,
             cout,
             max_card,
             max_node_work,
@@ -457,10 +495,24 @@ impl Featurizer {
             Plan::Join { left, right, .. } => {
                 let l = self.flat_state(query, left, est);
                 let r = self.flat_state(query, right, est);
-                self.flat_join_state(query, plan, &l, &r, est)
+                let pair = self.pair_cost(query, left.mask(), right.mask(), est);
+                self.flat_join_state(query, plan, &l, &r, &pair)
             }
         }
     }
+}
+
+/// The query-level channels of one query's flat head
+/// ([`Featurizer::flat_template`]): everything of the head but the
+/// per-table coverage counts and absorbed edges, which
+/// [`Featurizer::flat_head_into`] adds for a mask.
+#[derive(Debug, Clone, Default)]
+pub struct FlatTemplate {
+    /// The head with its mask-dependent slots zero.
+    head: Vec<f64>,
+    /// `(left qt, right qt, absorbed-edge slot)` of every join edge
+    /// between two different catalog tables, in edge order.
+    edges: Vec<(usize, usize, usize)>,
 }
 
 /// `est.selectivity(query, qt)` for every table of `query`, indexed by
@@ -473,15 +525,17 @@ pub(crate) fn query_selectivities(query: &Query, est: &dyn CardEstimator) -> Vec
 }
 
 /// The incremental state of the flat encoding for one subtree: the
-/// feature vector itself plus the compositional scalars the next join up
-/// needs. Threaded through beam search via the
-/// [`balsa_cost::ScoredTree::ext`] child hook, it turns per-candidate
-/// featurization from O(subtree) into O(1).
+/// plan-dependent tail channels plus the compositional scalars the next
+/// join up needs. The head channels are not carried: they are a function
+/// of the query and the subtree's mask ([`Featurizer::flat_head_into`]),
+/// shared by every subtree over that mask. Threaded through beam search
+/// via the [`balsa_cost::ScoredTree::ext`] child hook, it turns
+/// per-candidate featurization from O(subtree) into O(1).
 #[derive(Debug, Clone)]
 pub struct FlatState {
-    /// The subtree's flat feature vector (equals
-    /// [`Featurizer::featurize`] exactly).
-    pub x: Vec<f64>,
+    /// The subtree's tail channels: [`Featurizer::featurize`] from
+    /// [`Featurizer::head_dim`] on, exactly.
+    pub tail: [f64; SCALAR_CHANNELS],
     /// Summed estimated cardinality over all nodes (`C_out`).
     cout: f64,
     /// Largest estimated intermediate cardinality.
@@ -596,10 +650,12 @@ mod tests {
         assert_ne!(f.featurize(q, &hash, &est), f.featurize(q, &leaf, &est));
     }
 
-    /// The O(1) composition chain ([`Featurizer::flat_join_state`])
-    /// produces vectors **bit-identical** to from-scratch featurization,
-    /// across random plans of both shapes — the invariant that lets the
-    /// beam's incremental scoring path replace per-candidate re-walks.
+    /// The O(1) composition chain ([`Featurizer::flat_join_state`]),
+    /// behind the head of each subtree's mask, is **bit-identical** to
+    /// from-scratch featurization across random plans of both shapes —
+    /// the invariant that lets the beam's incremental scoring path
+    /// replace per-candidate re-walks. Compared through `to_bits`, so a
+    /// `-0.0` where `featurize` writes `0.0` fails.
     #[test]
     fn composed_flat_features_equal_from_scratch() {
         use balsa_search::{try_random_plan, SearchMode};
@@ -610,33 +666,43 @@ mod tests {
         let est = HistogramEstimator::new(&db);
         let mut rng = SmallRng::seed_from_u64(99);
         for q in w.queries.iter().take(12) {
+            let template = f.flat_template(q, &est);
             for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
                 let plan = try_random_plan(&db, q, mode, &mut rng).expect("connected query");
                 // Compose bottom-up over every subtree and compare each
                 // level against the from-scratch encode.
-                fn check(
-                    f: &Featurizer,
-                    q: &balsa_query::Query,
-                    p: &Plan,
-                    est: &dyn balsa_card::CardEstimator,
-                ) -> crate::featurize::FlatState {
-                    let st = match p {
-                        Plan::Scan { .. } => f.flat_scan_state(q, p, est),
-                        Plan::Join { left, right, .. } => {
-                            let l = check(f, q, left, est);
-                            let r = check(f, q, right, est);
-                            f.flat_join_state(q, p, &l, &r, est)
-                        }
-                    };
+                let check = |p: &Plan, st: &FlatState| {
+                    let mut x = vec![0.0; f.head_dim()];
+                    f.flat_head_into(q, &template, p.mask(), &mut x);
+                    x.extend_from_slice(&st.tail);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
-                        st.x,
-                        f.featurize(q, p, est),
+                        bits(&x),
+                        bits(&f.featurize(q, p, &est)),
                         "{}: composed != scratch for {p}",
                         q.name
                     );
+                };
+                fn compose(
+                    f: &Featurizer,
+                    q: &Query,
+                    p: &Plan,
+                    est: &dyn CardEstimator,
+                    check: &dyn Fn(&Plan, &FlatState),
+                ) -> FlatState {
+                    let st = match p {
+                        Plan::Scan { .. } => f.flat_scan_state(q, p, est),
+                        Plan::Join { left, right, .. } => {
+                            let l = compose(f, q, left, est, check);
+                            let r = compose(f, q, right, est, check);
+                            let pair = f.pair_cost(q, left.mask(), right.mask(), est);
+                            f.flat_join_state(q, p, &l, &r, &pair)
+                        }
+                    };
+                    check(p, &st);
                     st
                 }
-                check(&f, q, &plan, &est);
+                compose(&f, q, &plan, &est, &check);
             }
         }
     }

@@ -256,6 +256,31 @@ pub trait ValueModel: Send + Sync {
         self.predict_batch(&[x])[0]
     }
 
+    /// Predicts the log-latency of each state `head ++ tails[k]`, in
+    /// input order, with the bits of [`ValueModel::predict_batch`] on
+    /// the concatenated rows. The flat encoding's states over one table
+    /// mask share their head ([`crate::Featurizer::flat_head_into`]), so
+    /// the learned scorer hands each mask's candidates over as one head
+    /// and their tails ([`crate::FlatState::tail`]); a model whose
+    /// prediction is a left-to-right sum over the channels folds the
+    /// head once. The default builds the rows in one buffer and calls
+    /// `predict_batch`.
+    fn predict_flat_batch(&self, head: &[f64], tails: &[&[f64]]) -> Vec<f64> {
+        let mut buf = Vec::with_capacity(tails.iter().map(|t| head.len() + t.len()).sum());
+        let mut ends = Vec::with_capacity(tails.len());
+        for tail in tails {
+            buf.extend_from_slice(head);
+            buf.extend_from_slice(tail);
+            ends.push(buf.len());
+        }
+        let mut start = 0;
+        let rows: Vec<&[f64]> = ends
+            .into_iter()
+            .map(|end| &buf[std::mem::replace(&mut start, end)..end])
+            .collect();
+        self.predict_batch(&rows)
+    }
+
     /// Trains on `data` (consumed — extraction from the buffer already
     /// yields an owned set), continuing from the current parameters
     /// (fine-tuning when called repeatedly).
@@ -514,6 +539,33 @@ impl ValueModel for LinearValueModel {
         out
     }
 
+    /// Folds the head's standardized terms once, left to right from
+    /// `-0.0`, then continues that sum through each tail and adds the
+    /// bias — the order `predict_batch` adds each row in, so every
+    /// prediction has the bits of `predict_batch` on `head ++ tail`.
+    fn predict_flat_batch(&self, head: &[f64], tails: &[&[f64]]) -> Vec<f64> {
+        let n = self.w.len();
+        let h = head.len();
+        for t in tails {
+            assert_eq!(h + t.len(), n, "feature length mismatch");
+        }
+        let z = |j: usize, v: f64| self.w[j] * ((v - self.mean[j]) * self.inv_std[j]);
+        let prefix = head
+            .iter()
+            .enumerate()
+            .fold(SUM_START, |acc, (j, &v)| acc + z(j, v));
+        tails
+            .iter()
+            .map(|t| {
+                let dot = t
+                    .iter()
+                    .enumerate()
+                    .fold(prefix, |acc, (k, &v)| acc + z(h + k, v));
+                dot + self.b
+            })
+            .collect()
+    }
+
     fn fit(&mut self, mut data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
         assert_eq!(data.xs.len(), data.ys.len());
         assert_eq!(data.censored.len(), data.ys.len());
@@ -760,6 +812,14 @@ impl ValueModel for ResidualValueModel {
     fn predict_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
         let base = self.base.predict_batch(xs);
         let corr = self.correction.predict_batch(xs);
+        base.iter().zip(&corr).map(|(b, c)| b + c).collect()
+    }
+
+    /// Both halves through their own flat paths, summed per state as
+    /// `predict_batch` sums them.
+    fn predict_flat_batch(&self, head: &[f64], tails: &[&[f64]]) -> Vec<f64> {
+        let base = self.base.predict_flat_batch(head, tails);
+        let corr = self.correction.predict_flat_batch(head, tails);
         base.iter().zip(&corr).map(|(b, c)| b + c).collect()
     }
 
@@ -1038,6 +1098,49 @@ mod tests {
                 for (x, g) in xs.iter().zip(&got) {
                     let want = raw_predict(m, &standardized(m, x));
                     assert_eq!(g.to_bits(), want.to_bits(), "case {case} batch {size}");
+                }
+            }
+        }
+    }
+
+    /// `predict_flat_batch(head, tails)` has the bits of `predict_batch`
+    /// on the rows `head ++ tails[k]`: for the linear override unfitted
+    /// and fitted (with zero-variance columns, whose `inv_std` is 0), for
+    /// the residual override over two linear halves, and for the
+    /// provided body through a model that writes only `predict_batch`.
+    /// Tail counts 1–9 cover `dot_rows`' four-row groups and remainder.
+    #[test]
+    fn flat_batches_equal_concatenated_rows_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let (dim, h) = (29, 12);
+        let mut fitted = LinearValueModel::new(dim);
+        fitted.fit(
+            sparse_set(101, dim, &mut rng),
+            &SgdConfig::default(),
+            &mut rng,
+        );
+        assert!(fitted.inv_std.contains(&0.0), "a zero-variance column");
+        let mut correction = LinearValueModel::new(dim);
+        correction.fit(
+            sparse_set(57, dim, &mut rng),
+            &SgdConfig::default(),
+            &mut rng,
+        );
+        let residual = ResidualValueModel::new(Box::new(fitted.clone()), Box::new(correction));
+        let models: [&dyn ValueModel; 4] =
+            [&LinearValueModel::new(dim), &fitted, &residual, &BatchOnly];
+        let rows = sparse_set(10, dim, &mut rng).xs;
+        let head = &rows[0][..h];
+        for m in models {
+            for n in 1..=9 {
+                let tails: Vec<&[f64]> = rows[1..=n].iter().map(|x| &x[h..]).collect();
+                let full: Vec<Vec<f64>> = tails.iter().map(|t| [head, t].concat()).collect();
+                let full: Vec<&[f64]> = full.iter().map(Vec::as_slice).collect();
+                let got = m.predict_flat_batch(head, &tails);
+                let want = m.predict_batch(&full);
+                assert_eq!(got.len(), n);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{}: {n} tails, row {k}", m.name());
                 }
             }
         }

@@ -16,10 +16,17 @@
 //! re-walking the subtree, then predicts the whole batch in one model
 //! call —
 //!
-//! * flat encoding (linear models): the feature channels compose through
-//!   [`Featurizer::flat_join_state`] (O(tables + edges) per candidate,
-//!   bit-identical to a from-scratch featurization) and go through
-//!   [`ValueModel::predict_batch`];
+//! * flat encoding (linear models): each candidate's 17 plan channels
+//!   (its [`FlatState::tail`]) compose through
+//!   [`Featurizer::flat_join_state`] in O(1), over one expert-cost
+//!   session per `(left mask, right mask)` of the batch. The other
+//!   channels (the head, 483 of 500 on the JOB catalog) depend only on
+//!   the query and the output mask,
+//!   so the batch is grouped by output mask in first-use order: each
+//!   group's head is written and its output cardinality taken once, and
+//!   the group goes to [`ValueModel::predict_flat_batch`] as one head
+//!   and its tails, which a linear model folds as one prefix sum plus a
+//!   17-term sum per candidate;
 //! * tree encoding (tree convolution): the batch's join nodes are
 //!   featurized into one buffer, with the query's per-table
 //!   selectivities computed once per query session; the model's own
@@ -42,17 +49,25 @@
 //! change only: every candidate scores bit for bit as it would in a
 //! batch of one, and outputs return in input order.
 //!
+//! **Grouping contract (flat encoding).** The output-mask groups and the
+//! pair sessions live for one `score_join_batch` call, so no bound needs
+//! choosing, and they too are layout only: a pair session's sort cache
+//! is keyed by row counts, and `predict_flat_batch` adds each row in
+//! `predict_batch`'s order.
+//!
 //! A candidate missing a child state (e.g. a model without incremental
 //! support) falls back to the from-scratch encode
 //! ([`Featurizer::featurize_tree`] + a full forward — the reference the
 //! tests compare the incremental path against), so correctness never
 //! depends on the hooks.
 
-use crate::featurize::{query_selectivities, Featurizer, FlatState};
+use crate::featurize::{query_selectivities, Featurizer, FlatState, FlatTemplate};
 use crate::model::{FeatureEncoding, JoinStateItem, ModelState, ValueModel};
 use balsa_card::{CardEstimator, MemoEstimator};
-use balsa_cost::{JoinCandidate, PlanScorer, QueryScorer, ScoredTree, SubtreeCost, SubtreeExt};
-use balsa_query::{Plan, Query};
+use balsa_cost::{
+    JoinCandidate, JoinPairCost, PlanScorer, QueryScorer, ScoredTree, SubtreeCost, SubtreeExt,
+};
+use balsa_query::{Plan, Query, TableMask};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -91,15 +106,16 @@ impl PlanScorer for LearnedScorer<'_> {
 
     fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
         let memo = MemoEstimator::new(self.est);
-        let sels = match self.model.encoding() {
-            FeatureEncoding::Flat => Vec::new(),
-            FeatureEncoding::Tree => query_selectivities(query, &memo),
+        let (template, sels) = match self.model.encoding() {
+            FeatureEncoding::Flat => (self.featurizer.flat_template(query, &memo), Vec::new()),
+            FeatureEncoding::Tree => (FlatTemplate::default(), query_selectivities(query, &memo)),
         };
         Box::new(LearnedQueryScorer {
             featurizer: self.featurizer,
             model: self.model,
             memo,
             query,
+            template,
             sels,
         })
     }
@@ -110,6 +126,9 @@ struct LearnedQueryScorer<'q> {
     model: &'q dyn ValueModel,
     memo: MemoEstimator<'q>,
     query: &'q Query,
+    /// The query-level channels of the flat head (empty for the tree
+    /// encoding).
+    template: FlatTemplate,
     /// The query's per-table selectivities through `memo`, the per-node
     /// encoding's query-level inputs (empty for the flat encoding).
     sels: Vec<f64>,
@@ -137,6 +156,13 @@ impl LearnedQueryScorer<'_> {
         self.memo.cardinality(self.query, plan.mask()).max(0.0)
     }
 
+    /// The flat head of `mask`, written into `head` (resized to fit).
+    fn flat_head(&self, mask: TableMask, head: &mut Vec<f64>) {
+        head.resize(self.featurizer.head_dim(), 0.0);
+        self.featurizer
+            .flat_head_into(self.query, &self.template, mask, head);
+    }
+
     /// From-scratch scoring (leaves, and the fallback when a child state
     /// is missing).
     fn score_full(&self, plan: &Plan) -> ScoredTree {
@@ -144,7 +170,9 @@ impl LearnedQueryScorer<'_> {
         match self.model.encoding() {
             FeatureEncoding::Flat => {
                 let st = self.featurizer.flat_state(self.query, plan, &self.memo);
-                let pred = self.model.predict(&st.x);
+                let mut head = Vec::new();
+                self.flat_head(plan.mask(), &mut head);
+                let pred = self.model.predict_flat_batch(&head, &[&st.tail])[0];
                 self.scored(pred, out_rows, Some(Arc::new(st)))
             }
             FeatureEncoding::Tree => {
@@ -156,9 +184,10 @@ impl LearnedQueryScorer<'_> {
     }
 }
 
-/// Hashes a [`node_key`] with one multiply per 64-bit half, like the
-/// DP's mask hasher: the group map is probed once per candidate, where
-/// SipHash's rounds would cost more than the lookup saves.
+/// Hashes the scorer's group keys — a [`node_key`], or one or two table
+/// masks packed into a `u64` — with one multiply per 64-bit half, like
+/// the DP's mask hasher: the group maps are probed once per candidate,
+/// where SipHash's rounds would cost more than the lookup saves.
 #[derive(Default)]
 struct NodeKeyHasher(u64);
 
@@ -234,27 +263,69 @@ impl QueryScorer for LearnedQueryScorer<'_> {
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
         match self.model.encoding() {
             FeatureEncoding::Flat => {
-                fn flat(t: &ScoredTree) -> Option<&FlatState> {
-                    t.ext.as_deref()?.downcast_ref::<FlatState>()
+                fn kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a FlatState, &'a FlatState)> {
+                    let flat = |t: &'a ScoredTree| t.ext.as_deref()?.downcast_ref::<FlatState>();
+                    flat(c.lc).zip(flat(c.rc))
                 }
-                let states: Vec<Option<FlatState>> = cands
+                // One expert-cost session per (left mask, right mask) and
+                // one group per output mask, both in first-use order.
+                let mut pair_of: HashMap<u64, usize, BuildHasherDefault<NodeKeyHasher>> =
+                    HashMap::default();
+                let mut pairs: Vec<JoinPairCost> = Vec::new();
+                let mut group_of: HashMap<u64, usize, BuildHasherDefault<NodeKeyHasher>> =
+                    HashMap::default();
+                let mut masks: Vec<TableMask> = Vec::new();
+                let composed: Vec<(usize, FlatState)> = cands
                     .iter()
-                    .map(|c| {
-                        let (l, r) = (flat(c.lc)?, flat(c.rc)?);
-                        Some(
-                            self.featurizer
-                                .flat_join_state(self.query, c.join, l, r, &self.memo),
-                        )
+                    .filter_map(|c| {
+                        let (l, r) = kids(c)?;
+                        let Plan::Join { left, right, .. } = c.join else {
+                            panic!("join candidate is a scan");
+                        };
+                        let (lmask, rmask) = (left.mask(), right.mask());
+                        let key = u64::from(lmask.0) | u64::from(rmask.0) << 32;
+                        let p = *pair_of.entry(key).or_insert_with(|| {
+                            pairs.push(
+                                self.featurizer
+                                    .pair_cost(self.query, lmask, rmask, &self.memo),
+                            );
+                            pairs.len() - 1
+                        });
+                        let st = self
+                            .featurizer
+                            .flat_join_state(self.query, c.join, l, r, &pairs[p]);
+                        let mask = lmask.union(rmask);
+                        let g = *group_of.entry(u64::from(mask.0)).or_insert_with(|| {
+                            masks.push(mask);
+                            masks.len() - 1
+                        });
+                        Some((g, st))
                     })
                     .collect();
-                let xs: Vec<&[f64]> = states.iter().flatten().map(|s| s.x.as_slice()).collect();
-                let mut preds = self.model.predict_batch(&xs).into_iter();
-                for (c, st) in cands.iter().zip(states) {
-                    out.push(match st {
-                        Some(st) => {
-                            let pred = preds.next().expect("one prediction per state");
-                            self.scored(pred, self.out_rows(c.join), Some(Arc::new(st)))
-                        }
+                let mut members: Vec<Vec<usize>> = vec![Vec::new(); masks.len()];
+                for (k, &(g, _)) in composed.iter().enumerate() {
+                    members[g].push(k);
+                }
+                // Each group's head is written and its output cardinality
+                // taken once; the model folds the head once per group.
+                let mut preds = vec![0.0; composed.len()];
+                let mut out_rows = Vec::with_capacity(masks.len());
+                let mut head = Vec::new();
+                let mut tails: Vec<&[f64]> = Vec::new();
+                for (&mask, members) in masks.iter().zip(&members) {
+                    self.flat_head(mask, &mut head);
+                    out_rows.push(self.memo.cardinality(self.query, mask).max(0.0));
+                    tails.clear();
+                    tails.extend(members.iter().map(|&k| &composed[k].1.tail[..]));
+                    let group_preds = self.model.predict_flat_batch(&head, &tails);
+                    for (&k, pred) in members.iter().zip(group_preds) {
+                        preds[k] = pred;
+                    }
+                }
+                let mut composed = composed.into_iter().zip(preds);
+                for c in cands {
+                    out.push(match kids(c).and_then(|_| composed.next()) {
+                        Some(((g, st), pred)) => self.scored(pred, out_rows[g], Some(Arc::new(st))),
                         None => self.score_full(c.join),
                     });
                 }
@@ -426,22 +497,23 @@ mod tests {
         }
     }
 
-    /// Grouping candidates by join node is a layout change only. One
-    /// batch holds every `(left, right, op)` over three differently built
-    /// left inputs on the same two tables and both scans of a third, so
-    /// each join node — `(op, left mask, right mask, right is an index
-    /// scan)` — has three candidates with different children. Each
-    /// candidate's score, `out_rows` and state value equal, bit for bit,
-    /// the same candidate scored as a batch of one, for a plain and for a
-    /// residual tree-conv model.
-    #[test]
-    fn grouped_join_nodes_score_like_batches_of_one() {
-        use crate::model::ResidualValueModel;
+    /// Scores one batch through `model` and asserts that every candidate
+    /// scores as it would in a batch of one: score, `out_rows` and
+    /// `state_bits` of its incremental state, bit for bit. The batch
+    /// holds every `(left, right, op)` over three differently built left
+    /// inputs on tables `a`, `b` and both scans of a third table `c`, and
+    /// in its middle the three `a ⋈ b` joins again: two output masks, and
+    /// three candidates per join node `(op, left mask, right mask, right
+    /// is an index scan)` and per `(left mask, right mask)` pair with
+    /// different children.
+    fn assert_batch_scores_like_singles(
+        featurizer: &Featurizer,
+        q: &Query,
+        est: &dyn CardEstimator,
+        model: &dyn ValueModel,
+        state_bits: impl Fn(&ScoredTree) -> Vec<u64>,
+    ) {
         use balsa_query::{JoinOp, ScanOp};
-        let (db, w) = fixture();
-        let est = HistogramEstimator::new(&db);
-        let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
-        let q = w.queries.iter().find(|q| q.num_tables() >= 3).unwrap();
         // Tables a, b joined by an edge, and c joined to either of them.
         let (a, b) = (q.joins[0].left_qt, q.joins[0].right_qt);
         let c = q
@@ -453,68 +525,325 @@ mod tests {
                 _ => None,
             })
             .expect("a table joined to a or b");
+        let scorer = LearnedScorer::new(featurizer, model, est);
+        let session = scorer.for_query(q);
+        let scan = |qt: usize, op: ScanOp| {
+            let p = Plan::scan(qt, op);
+            let st = session.score_scan(&p);
+            (p, st)
+        };
+        let (sa, si, sb) = (
+            scan(a, ScanOp::Seq),
+            scan(a, ScanOp::Index),
+            scan(b, ScanOp::Seq),
+        );
+        let firsts = [
+            (JoinOp::Hash, &sa, &sb),
+            (JoinOp::Merge, &si, &sb),
+            (JoinOp::NestLoop, &sb, &sa),
+        ];
+        let lefts: Vec<(Arc<Plan>, ScoredTree)> = firsts
+            .iter()
+            .map(|&(op, l, r)| {
+                let p = Plan::join(op, l.0.clone(), r.0.clone());
+                let st = session.score_join(&p, &l.1, &r.1);
+                (p, st)
+            })
+            .collect();
+        let rights = [scan(c, ScanOp::Seq), scan(c, ScanOp::Index)];
+        let mut joins = Vec::new();
+        for (lp, lst) in &lefts {
+            for (rp, rst) in &rights {
+                for op in [JoinOp::Hash, JoinOp::Merge, JoinOp::NestLoop] {
+                    joins.push((Plan::join(op, lp.clone(), rp.clone()), lst, rst));
+                }
+            }
+        }
+        let middle = joins.len() / 2;
+        joins.splice(
+            middle..middle,
+            firsts
+                .iter()
+                .map(|&(op, l, r)| (Plan::join(op, l.0.clone(), r.0.clone()), &l.1, &r.1)),
+        );
+        let cands: Vec<JoinCandidate<'_>> = joins
+            .iter()
+            .map(|(p, lc, rc)| JoinCandidate { join: p, lc, rc })
+            .collect();
+        let mut batch = Vec::new();
+        session.score_join_batch(&cands, &mut batch);
+        assert_eq!(batch.len(), cands.len());
+        for (i, (c, got)) in cands.iter().zip(&batch).enumerate() {
+            let alone = session.score_join(c.join, c.lc, c.rc);
+            let what = format!("{}: candidate {i} ({})", model.name(), c.join);
+            assert_eq!(got.score.to_bits(), alone.score.to_bits(), "{what}: score");
+            assert_eq!(
+                got.sc.out_rows.to_bits(),
+                alone.sc.out_rows.to_bits(),
+                "{what}: out_rows"
+            );
+            assert_eq!(state_bits(got), state_bits(&alone), "{what}: state");
+        }
+    }
+
+    /// Grouping candidates by join node is a layout change only: each
+    /// candidate's score, `out_rows` and state value equal, bit for bit,
+    /// the same candidate scored as a batch of one, for a plain and for a
+    /// residual tree-conv model.
+    #[test]
+    fn grouped_join_nodes_score_like_batches_of_one() {
+        use crate::model::ResidualValueModel;
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+        let q = w.queries.iter().find(|q| q.num_tables() >= 3).unwrap();
         let plain = fitted_tree_conv(&featurizer, q, &est, 5);
         let residual = ResidualValueModel::new(
             Box::new(plain.clone()),
             Box::new(fitted_tree_conv(&featurizer, q, &est, 6)),
         );
         for model in [&plain as &dyn ValueModel, &residual] {
-            let scorer = LearnedScorer::new(&featurizer, model, &est);
-            let session = scorer.for_query(q);
-            let scan = |qt: usize, op: ScanOp| {
-                let p = Plan::scan(qt, op);
-                let st = session.score_scan(&p);
-                (p, st)
+            let value = |t: &ScoredTree| {
+                let v = model.state_value(t.ext.as_ref().unwrap()).unwrap();
+                vec![v.to_bits()]
             };
-            let (sa, si, sb) = (
-                scan(a, ScanOp::Seq),
-                scan(a, ScanOp::Index),
-                scan(b, ScanOp::Seq),
+            assert_batch_scores_like_singles(&featurizer, q, &est, model, value);
+        }
+    }
+
+    /// A linear model over `featurizer`'s flat encoding, fit on every
+    /// scan and two-table join of `q` with arbitrary labels so its
+    /// weights are non-trivial.
+    fn fitted_linear(
+        featurizer: &Featurizer,
+        q: &Query,
+        est: &dyn CardEstimator,
+        seed: u64,
+    ) -> LinearValueModel {
+        use crate::model::{SgdConfig, TrainSet};
+        use balsa_query::{JoinOp, ScanOp};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut plans: Vec<Arc<Plan>> = (0..q.num_tables())
+            .flat_map(|qt| [Plan::scan(qt, ScanOp::Seq), Plan::scan(qt, ScanOp::Index)])
+            .collect();
+        for e in &q.joins {
+            let (l, r) = (
+                Plan::scan(e.left_qt, ScanOp::Seq),
+                Plan::scan(e.right_qt, ScanOp::Index),
             );
-            let lefts: Vec<(Arc<Plan>, ScoredTree)> = [
-                (JoinOp::Hash, &sa, &sb),
-                (JoinOp::Merge, &si, &sb),
-                (JoinOp::NestLoop, &sb, &sa),
-            ]
-            .into_iter()
-            .map(|(op, l, r)| {
-                let p = Plan::join(op, l.0.clone(), r.0.clone());
-                let st = session.score_join(&p, &l.1, &r.1);
-                (p, st)
+            plans.push(Plan::join(JoinOp::Hash, l.clone(), r.clone()));
+            plans.push(Plan::join(JoinOp::NestLoop, r, l));
+        }
+        let data = TrainSet {
+            xs: plans
+                .iter()
+                .map(|p| featurizer.featurize(q, p, est))
+                .collect(),
+            ys: (0..plans.len())
+                .map(|i| (i % 7) as f64 * 0.4 - 1.0)
+                .collect(),
+            censored: vec![false; plans.len()],
+        };
+        let cfg = SgdConfig {
+            epochs: 3,
+            ..SgdConfig::default()
+        };
+        let mut model = LinearValueModel::new(featurizer.dim());
+        model.fit(data, &cfg, &mut SmallRng::seed_from_u64(seed));
+        model
+    }
+
+    /// The flat encoding's grouping — one expert-cost session per
+    /// `(left mask, right mask)`, one head per output mask — is a layout
+    /// change only: each candidate's score, `out_rows` and tail equal,
+    /// bit for bit, the same candidate scored as a batch of one, for a
+    /// plain and for a residual linear model.
+    #[test]
+    fn grouped_flat_masks_score_like_batches_of_one() {
+        use crate::model::ResidualValueModel;
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+        let q = w.queries.iter().find(|q| q.num_tables() >= 3).unwrap();
+        let plain = fitted_linear(&featurizer, q, &est, 5);
+        let residual = ResidualValueModel::new(
+            Box::new(plain.clone()),
+            Box::new(fitted_linear(&featurizer, q, &est, 6)),
+        );
+        let tail = |t: &ScoredTree| {
+            let st = t.ext.as_deref().unwrap().downcast_ref::<FlatState>();
+            st.unwrap().tail.iter().map(|v| v.to_bits()).collect()
+        };
+        for model in [&plain as &dyn ValueModel, &residual] {
+            assert_batch_scores_like_singles(&featurizer, q, &est, model, tail);
+        }
+    }
+
+    /// Floor benchmark of the flat scorer: one `score_join_batch` over a
+    /// beam-like level (every two-table join of the widest fixture query,
+    /// each extended by both scans of every adjacent table under every
+    /// operator), and the model's `predict_flat_batch` alone, against a
+    /// hand-written loop that is given each output mask's head and each
+    /// candidate's tail and computes only the prefix sum per mask, the
+    /// tail sum per candidate and the `exp`. Asserts the scorer's and the
+    /// model's outputs equal the floor's bit for bit and prints
+    /// ns/candidate and the ratios. Run with
+    /// `cargo test --release -p balsa-learn floor -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn flat_scorer_floor() {
+        use balsa_query::{JoinOp, ScanOp};
+        use std::time::Instant;
+        const REPS: usize = 200;
+        const OPS: [JoinOp; 3] = [JoinOp::Hash, JoinOp::Merge, JoinOp::NestLoop];
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+        let q = w.queries.iter().max_by_key(|q| q.num_tables()).unwrap();
+        let model = fitted_linear(&featurizer, q, &est, 7);
+        let scorer = LearnedScorer::new(&featurizer, &model, &est);
+        let session = scorer.for_query(q);
+
+        // Scans, then every two-table join, scored as the beam would.
+        let scans: Vec<Vec<(Arc<Plan>, ScoredTree)>> = (0..q.num_tables())
+            .map(|qt| {
+                [ScanOp::Seq, ScanOp::Index]
+                    .map(|op| {
+                        let p = Plan::scan(qt, op);
+                        let st = session.score_scan(&p);
+                        (p, st)
+                    })
+                    .into()
             })
             .collect();
-            let rights = [scan(c, ScanOp::Seq), scan(c, ScanOp::Index)];
-            let mut joins = Vec::new();
-            for (lp, lst) in &lefts {
-                for (rp, rst) in &rights {
-                    for op in [JoinOp::Hash, JoinOp::Merge, JoinOp::NestLoop] {
+        let joined = |qt: usize, mask: TableMask| {
+            q.joins.iter().any(|e| {
+                (e.left_qt == qt && mask.contains(e.right_qt))
+                    || (e.right_qt == qt && mask.contains(e.left_qt))
+            })
+        };
+        let mut pairs = Vec::new();
+        for e in &q.joins {
+            for (x, y) in [(e.left_qt, e.right_qt), (e.right_qt, e.left_qt)] {
+                for (lp, lst) in &scans[x] {
+                    for (rp, rst) in &scans[y] {
+                        for op in OPS {
+                            let p = Plan::join(op, lp.clone(), rp.clone());
+                            let st = session.score_join(&p, lst, rst);
+                            pairs.push((p, st));
+                        }
+                    }
+                }
+            }
+        }
+        let mut joins = Vec::new();
+        for (lp, lst) in &pairs {
+            let mask = lp.mask();
+            for c in (0..q.num_tables()).filter(|&c| !mask.contains(c) && joined(c, mask)) {
+                for (rp, rst) in &scans[c] {
+                    for op in OPS {
                         joins.push((Plan::join(op, lp.clone(), rp.clone()), lst, rst));
                     }
                 }
             }
-            let cands: Vec<JoinCandidate<'_>> = joins
-                .iter()
-                .map(|(p, lc, rc)| JoinCandidate { join: p, lc, rc })
-                .collect();
-            let mut batch = Vec::new();
-            session.score_join_batch(&cands, &mut batch);
-            assert_eq!(batch.len(), cands.len());
-            let value = |t: &ScoredTree| model.state_value(t.ext.as_ref().unwrap()).unwrap();
-            for (i, (c, got)) in cands.iter().zip(&batch).enumerate() {
-                let alone = session.score_join(c.join, c.lc, c.rc);
-                let what = format!("{}: candidate {i} ({})", model.name(), c.join);
-                assert_eq!(got.score.to_bits(), alone.score.to_bits(), "{what}: score");
-                assert_eq!(
-                    got.sc.out_rows.to_bits(),
-                    alone.sc.out_rows.to_bits(),
-                    "{what}: out_rows"
-                );
-                assert_eq!(
-                    value(got).to_bits(),
-                    value(&alone).to_bits(),
-                    "{what}: state value"
-                );
+        }
+        let cands: Vec<JoinCandidate<'_>> = joins
+            .iter()
+            .map(|(p, lc, rc)| JoinCandidate { join: p, lc, rc })
+            .collect();
+        let n = cands.len();
+
+        // The floor's givens: each output mask's head and member
+        // candidates, each candidate's tail, and the model's parameters
+        // (`state_vec`: fitted flag, w, b, mean, inv_std).
+        let mut out = Vec::with_capacity(n);
+        session.score_join_batch(&cands, &mut out);
+        let tails: Vec<[f64; 17]> = out
+            .iter()
+            .map(|t| {
+                t.ext
+                    .as_deref()
+                    .unwrap()
+                    .downcast_ref::<FlatState>()
+                    .unwrap()
+                    .tail
+            })
+            .collect();
+        let template = featurizer.flat_template(q, &est);
+        let mut groups: Vec<(Vec<f64>, Vec<usize>)> = Vec::new();
+        let mut group_of = HashMap::new();
+        for (i, c) in cands.iter().enumerate() {
+            let g = *group_of.entry(c.join.mask().0).or_insert_with(|| {
+                let mut head = vec![0.0; featurizer.head_dim()];
+                featurizer.flat_head_into(q, &template, c.join.mask(), &mut head);
+                groups.push((head, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(i);
+        }
+        let state = model.state_vec();
+        let dim = featurizer.dim();
+        let (wt, b) = (&state[1..1 + dim], state[1 + dim]);
+        let (mean, inv_std) = (&state[2 + dim..2 + 2 * dim], &state[2 + 2 * dim..]);
+        let h = featurizer.head_dim();
+        let floor = |out: &mut [f64]| {
+            for (head, members) in &groups {
+                let mut prefix = -0.0;
+                for j in 0..h {
+                    prefix += wt[j] * ((head[j] - mean[j]) * inv_std[j]);
+                }
+                for &i in members {
+                    let mut acc = prefix;
+                    for (k, &v) in tails[i].iter().enumerate() {
+                        let j = h + k;
+                        acc += wt[j] * ((v - mean[j]) * inv_std[j]);
+                    }
+                    out[i] = (acc + b).min(MAX_LOG_PRED).exp();
+                }
+            }
+        };
+        let model_only = |out: &mut [f64]| {
+            for (head, members) in &groups {
+                let ts: Vec<&[f64]> = members.iter().map(|&i| &tails[i][..]).collect();
+                for (&i, pred) in members.iter().zip(model.predict_flat_batch(head, &ts)) {
+                    out[i] = pred.min(MAX_LOG_PRED).exp();
+                }
+            }
+        };
+
+        // Interleave the sides per repetition and report medians, so
+        // load from other processes hits all alike.
+        let mut ns: [Vec<u128>; 3] = Default::default();
+        let [scorer_ns, model_ns, floor_ns] = &mut ns;
+        let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+        for _ in 0..REPS {
+            out.clear();
+            let t = Instant::now();
+            session.score_join_batch(&cands, &mut out);
+            scorer_ns.push(t.elapsed().as_nanos());
+            let t = Instant::now();
+            model_only(&mut got);
+            model_ns.push(t.elapsed().as_nanos());
+            let t = Instant::now();
+            floor(&mut want);
+            floor_ns.push(t.elapsed().as_nanos());
+            let want = std::hint::black_box(&want);
+            for (i, (s, (m, f))) in out.iter().zip(got.iter().zip(want)).enumerate() {
+                assert_eq!(s.score.to_bits(), f.to_bits(), "scorer, candidate {i}");
+                assert_eq!(m.to_bits(), f.to_bits(), "model, candidate {i}");
             }
         }
+        let [s, m, f] = ns.map(|mut ns| {
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64 / n as f64
+        });
+        println!(
+            "{n} candidates, {} output masks, dim {dim} (head {h}), ns/candidate:\n  \
+             scorer {s:.0}, model {m:.0}, floor {f:.0}; ratio scorer {:.2}, model {:.2}",
+            groups.len(),
+            s / f,
+            m / f
+        );
     }
 }
