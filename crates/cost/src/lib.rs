@@ -6,9 +6,6 @@
 //!   `C_out` cost model of Cluet & Moerkotte, which sums estimated result
 //!   sizes over all operators and is deliberately blind to physical
 //!   operators ("fewer tuples lead to better plans").
-//! * [`CmmModel`] — the `C_mm` in-memory cost model of Leis et al. 2015,
-//!   mentioned in §3.3 as an alternative simulator with more physical
-//!   knowledge.
 //! * [`ExpertCostModel`] — a full physical cost model mirroring the
 //!   execution engine's per-operator work formulas
 //!   ([`physical::OpWeights`]). Driven by *estimated* cardinalities it
@@ -33,14 +30,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cmm;
 pub mod cout;
 pub mod expert;
 pub mod orders;
 pub mod physical;
 pub mod scorer;
 
-pub use cmm::CmmModel;
 pub use cout::CoutModel;
 pub use expert::ExpertCostModel;
 pub use orders::{OrderInterner, OrderMask};
@@ -97,9 +92,10 @@ pub trait PairCoster {
     /// Whether every operator's `work` is **child-monotone**: at least
     /// `lc.work + rc.work`. Only when this holds may a DP enumerator
     /// reject candidates against `lc.work + rc.work` before costing
-    /// them. Models whose formulas drop a child's work (e.g. `C_mm`'s
-    /// nested loop, which charges the inner side as lookups rather
-    /// than a materialized subtree) must return `false`.
+    /// them. A model whose formula for some operator charges less than
+    /// a child's whole work (say, a nested loop that prices its inner
+    /// side as per-row lookups instead of a materialized subtree) must
+    /// return `false`. Every bundled model is child-monotone.
     fn child_monotone(&self) -> bool {
         true
     }

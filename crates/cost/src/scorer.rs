@@ -31,15 +31,17 @@ use std::sync::Arc;
 /// O(1) instead of re-walking the subtree.
 pub type SubtreeExt = Arc<dyn Any + Send + Sync>;
 
-/// A scored subtree: the scorer's ranking value plus the compositional
-/// physical summary threaded through joins.
+/// A scored subtree: the scorer's ranking value plus the state the
+/// scorer threads through joins.
 #[derive(Clone, Default)]
 pub struct ScoredTree {
     /// The beam-ranking score; lower is better. Cost scorers report the
     /// subtree's work, learned scorers a predicted latency.
     pub score: f64,
-    /// Compositional physical summary (output rows, orders, work) that
-    /// child-aware scorers use when composing joins.
+    /// Scorer-private compositional summary (output rows, orders, work).
+    /// [`CostScorer`] composes joins through it, from its own trees only;
+    /// scorers that compose through `ext` leave it at its default.
+    /// Planners rank on `score` alone.
     pub sc: SubtreeCost,
     /// Scorer-private incremental state, handed back as the `lc`/`rc`
     /// children of [`QueryScorer::score_join_batch`]. `None` for scorers

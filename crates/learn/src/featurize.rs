@@ -259,8 +259,7 @@ impl Featurizer {
     /// `sels[qt]` is the query's `est.selectivity(query, qt)` for every
     /// query table ([`query_selectivities`]), so callers featurizing many
     /// nodes of one query ask the estimator once per table, not once per
-    /// node. Returns the node's estimated output cardinality (clamped at
-    /// zero), the value its log-cardinality channel encodes.
+    /// node.
     ///
     /// A join's row reads nothing of the join but its operator, both
     /// input masks and whether the right input is an index scan; the
@@ -272,7 +271,7 @@ impl Featurizer {
         est: &dyn CardEstimator,
         sels: &[f64],
         x: &mut [f64],
-    ) -> f64 {
+    ) {
         debug_assert_eq!(x.len(), self.node_dim());
         x.fill(0.0);
         match node {
@@ -326,9 +325,8 @@ impl Featurizer {
             }
         }
         let mask = node.mask();
-        let out_rows = est.cardinality(query, mask).max(0.0);
         x[6] = node.num_tables() as f64 / query.num_tables().max(1) as f64;
-        x[7] = out_rows.ln_1p();
+        x[7] = est.cardinality(query, mask).max(0.0).ln_1p();
         for (qt, qtab) in query.tables.iter().enumerate() {
             if mask.contains(qt) {
                 x[8] += sels[qt];
@@ -336,7 +334,6 @@ impl Featurizer {
             }
         }
         x[9] = 1.0; // bias channel
-        out_rows
     }
 
     /// Encodes `plan` in the flat binary-tree tensor layout consumed by

@@ -21,9 +21,8 @@
 //!   [`Featurizer::flat_join_state`] in O(1), over one expert-cost
 //!   session per `(left mask, right mask)` of the batch. The other
 //!   channels (the head, 483 of 500 on the JOB catalog) depend only on
-//!   the query and the output mask,
-//!   so the batch is grouped by output mask in first-use order: each
-//!   group's head is written and its output cardinality taken once, and
+//!   the query and the output mask, so the batch is grouped by output
+//!   mask in first-use order: each group's head is written once, and
 //!   the group goes to [`ValueModel::predict_flat_batch`] as one head
 //!   and its tails, which a linear model folds as one prefix sum plus a
 //!   17-term sum per candidate;
@@ -43,11 +42,11 @@
 //! (the same `A ⋈ B` over differently built inputs), so the batch is
 //! grouped by that key (a multiply-hashed `u128`): each distinct node is
 //! featurized once, in first-use order, every candidate of the group
-//! reads the same row and the same output cardinality, and the model
-//! receives the group as one run of items on one row slice, which lets
-//! it compute the row's layer-0 node product once. Grouping is a layout
-//! change only: every candidate scores bit for bit as it would in a
-//! batch of one, and outputs return in input order.
+//! reads the same row, and the model receives the group as one run of
+//! items on one row slice, which lets it compute the row's layer-0 node
+//! product once. Grouping is a layout change only: every candidate
+//! scores bit for bit as it would in a batch of one, and outputs return
+//! in input order.
 //!
 //! **Grouping contract (flat encoding).** The output-mask groups and the
 //! pair sessions live for one `score_join_batch` call, so no bound needs
@@ -136,24 +135,14 @@ struct LearnedQueryScorer<'q> {
 
 impl LearnedQueryScorer<'_> {
     /// Wraps a log-space prediction and its incremental state into the
-    /// beam's scored-tree currency; `out_rows` is the subtree's estimated
-    /// output cardinality through `memo`, clamped at zero.
-    fn scored(&self, pred: f64, out_rows: f64, ext: Option<SubtreeExt>) -> ScoredTree {
-        let secs = pred.min(MAX_LOG_PRED).exp();
+    /// beam's scored-tree currency. This scorer composes through `ext`,
+    /// so it leaves `sc` at its default.
+    fn scored(&self, pred: f64, ext: Option<SubtreeExt>) -> ScoredTree {
         ScoredTree {
-            score: secs,
-            sc: SubtreeCost {
-                work: secs,
-                out_rows,
-                sorted_on: Vec::new(),
-            },
+            score: pred.min(MAX_LOG_PRED).exp(),
+            sc: SubtreeCost::default(),
             ext,
         }
-    }
-
-    /// `plan`'s estimated output cardinality, clamped at zero.
-    fn out_rows(&self, plan: &Plan) -> f64 {
-        self.memo.cardinality(self.query, plan.mask()).max(0.0)
     }
 
     /// The flat head of `mask`, written into `head` (resized to fit).
@@ -166,19 +155,18 @@ impl LearnedQueryScorer<'_> {
     /// From-scratch scoring (leaves, and the fallback when a child state
     /// is missing).
     fn score_full(&self, plan: &Plan) -> ScoredTree {
-        let out_rows = self.out_rows(plan);
         match self.model.encoding() {
             FeatureEncoding::Flat => {
                 let st = self.featurizer.flat_state(self.query, plan, &self.memo);
                 let mut head = Vec::new();
                 self.flat_head(plan.mask(), &mut head);
                 let pred = self.model.predict_flat_batch(&head, &[&st.tail])[0];
-                self.scored(pred, out_rows, Some(Arc::new(st)))
+                self.scored(pred, Some(Arc::new(st)))
             }
             FeatureEncoding::Tree => {
                 let x = self.featurizer.featurize_tree(self.query, plan, &self.memo);
                 let pred = self.model.predict(&x);
-                self.scored(pred, out_rows, None)
+                self.scored(pred, None)
             }
         }
     }
@@ -236,15 +224,14 @@ impl QueryScorer for LearnedQueryScorer<'_> {
     fn score_scan(&self, scan: &Plan) -> ScoredTree {
         if self.model.encoding() == FeatureEncoding::Tree {
             let mut nx = vec![0.0; self.featurizer.node_dim()];
-            let out_rows = self
-                .featurizer
+            self.featurizer
                 .node_features_into(self.query, scan, &self.memo, &self.sels, &mut nx);
             if let Some(state) = self.model.leaf_state(&nx) {
                 let pred = self
                     .model
                     .state_value(&state)
                     .expect("leaf_state implies state_value");
-                return self.scored(pred, out_rows, Some(state));
+                return self.scored(pred, Some(state));
             }
         }
         // A flat leaf from scratch is its composition chain's start
@@ -306,15 +293,13 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                 for (k, &(g, _)) in composed.iter().enumerate() {
                     members[g].push(k);
                 }
-                // Each group's head is written and its output cardinality
-                // taken once; the model folds the head once per group.
+                // Each group's head is written once; the model folds it
+                // once per group.
                 let mut preds = vec![0.0; composed.len()];
-                let mut out_rows = Vec::with_capacity(masks.len());
                 let mut head = Vec::new();
                 let mut tails: Vec<&[f64]> = Vec::new();
                 for (&mask, members) in masks.iter().zip(&members) {
                     self.flat_head(mask, &mut head);
-                    out_rows.push(self.memo.cardinality(self.query, mask).max(0.0));
                     tails.clear();
                     tails.extend(members.iter().map(|&k| &composed[k].1.tail[..]));
                     let group_preds = self.model.predict_flat_batch(&head, &tails);
@@ -325,7 +310,7 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                 let mut composed = composed.into_iter().zip(preds);
                 for c in cands {
                     out.push(match kids(c).and_then(|_| composed.next()) {
-                        Some(((g, st), pred)) => self.scored(pred, out_rows[g], Some(Arc::new(st))),
+                        Some(((_, st), pred)) => self.scored(pred, Some(Arc::new(st))),
                         None => self.score_full(c.join),
                     });
                 }
@@ -336,13 +321,11 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                 }
                 // Group the composable candidates by join node: each
                 // distinct node is featurized once, in first-use order,
-                // and every candidate of its group reads the same row and
-                // the same output cardinality.
+                // and every candidate of its group reads the same row.
                 let d = self.featurizer.node_dim();
                 let mut group_of: HashMap<u128, usize, BuildHasherDefault<NodeKeyHasher>> =
                     HashMap::default();
                 let mut nxs: Vec<f64> = Vec::new();
-                let mut out_rows: Vec<f64> = Vec::new();
                 let composable: Vec<(usize, &SubtreeExt, &SubtreeExt)> = cands
                     .iter()
                     .filter_map(|c| {
@@ -350,14 +333,14 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                         let g = *group_of.entry(node_key(c.join)).or_insert_with(|| {
                             nxs.resize(nxs.len() + d, 0.0);
                             let at = nxs.len() - d;
-                            out_rows.push(self.featurizer.node_features_into(
+                            self.featurizer.node_features_into(
                                 self.query,
                                 c.join,
                                 &self.memo,
                                 &self.sels,
                                 &mut nxs[at..],
-                            ));
-                            out_rows.len() - 1
+                            );
+                            at / d
                         });
                         Some((g, left, right))
                     })
@@ -389,12 +372,10 @@ impl QueryScorer for LearnedQueryScorer<'_> {
                         states[i] = Some((state, pred));
                     }
                 }
-                let mut composed = states.into_iter().zip(&composable);
+                let mut composed = states.into_iter();
                 for c in cands {
                     out.push(match kids(c).and_then(|_| composed.next()) {
-                        Some((Some((state, pred)), &(g, ..))) => {
-                            self.scored(pred, out_rows[g], Some(state))
-                        }
+                        Some(Some((state, pred))) => self.scored(pred, Some(state)),
                         _ => self.score_full(c.join),
                     });
                 }
@@ -498,11 +479,11 @@ mod tests {
     }
 
     /// Scores one batch through `model` and asserts that every candidate
-    /// scores as it would in a batch of one: score, `out_rows` and
-    /// `state_bits` of its incremental state, bit for bit. The batch
-    /// holds every `(left, right, op)` over three differently built left
-    /// inputs on tables `a`, `b` and both scans of a third table `c`, and
-    /// in its middle the three `a ⋈ b` joins again: two output masks, and
+    /// scores as it would in a batch of one: score and `state_bits` of
+    /// its incremental state, bit for bit. The batch holds every
+    /// `(left, right, op)` over three differently built left inputs on
+    /// tables `a`, `b` and both scans of a third table `c`, and in its
+    /// middle the three `a ⋈ b` joins again: two output masks, and
     /// three candidates per join node `(op, left mask, right mask, right
     /// is an index scan)` and per `(left mask, right mask)` pair with
     /// different children.
@@ -577,19 +558,14 @@ mod tests {
             let alone = session.score_join(c.join, c.lc, c.rc);
             let what = format!("{}: candidate {i} ({})", model.name(), c.join);
             assert_eq!(got.score.to_bits(), alone.score.to_bits(), "{what}: score");
-            assert_eq!(
-                got.sc.out_rows.to_bits(),
-                alone.sc.out_rows.to_bits(),
-                "{what}: out_rows"
-            );
             assert_eq!(state_bits(got), state_bits(&alone), "{what}: state");
         }
     }
 
     /// Grouping candidates by join node is a layout change only: each
-    /// candidate's score, `out_rows` and state value equal, bit for bit,
-    /// the same candidate scored as a batch of one, for a plain and for a
-    /// residual tree-conv model.
+    /// candidate's score and state value equal, bit for bit, the same
+    /// candidate scored as a batch of one, for a plain and for a residual
+    /// tree-conv model.
     #[test]
     fn grouped_join_nodes_score_like_batches_of_one() {
         use crate::model::ResidualValueModel;
@@ -656,9 +632,9 @@ mod tests {
 
     /// The flat encoding's grouping — one expert-cost session per
     /// `(left mask, right mask)`, one head per output mask — is a layout
-    /// change only: each candidate's score, `out_rows` and tail equal,
-    /// bit for bit, the same candidate scored as a batch of one, for a
-    /// plain and for a residual linear model.
+    /// change only: each candidate's score and tail equal, bit for bit,
+    /// the same candidate scored as a batch of one, for a plain and for a
+    /// residual linear model.
     #[test]
     fn grouped_flat_masks_score_like_batches_of_one() {
         use crate::model::ResidualValueModel;

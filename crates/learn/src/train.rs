@@ -1460,6 +1460,12 @@ mod tests {
         let bad_plan = with_line("be", &|w| format!("{} (no such plan)", w[..5].join(" ")));
         let e = resume_from(&bad_plan);
         assert!(matches!(e, Some(TrainError::BadPlan(_))), "{e:?}");
+        // Nested far deeper than any plan of 32 tables: refused before
+        // the parser could exhaust the stack.
+        let deep = "(h ".repeat(100_000);
+        let deep_plan = with_line("be", &|w| format!("{} {deep}", w[..5].join(" ")));
+        let e = resume_from(&deep_plan);
+        assert!(matches!(e, Some(TrainError::BadPlan(_))), "{e:?}");
         // Parses and matches its fingerprint, but scans a table the
         // query does not have.
         let fp = Plan::parse_compact("q30").unwrap().canonical_hash();

@@ -390,10 +390,22 @@ impl Plan {
     }
 
     /// Parses an [`Plan::encode_compact`] string back into a plan.
+    ///
+    /// Joins nested more than `TableMask::WIDTH - 1` deep are refused
+    /// before the parser recurses into them: they would need more
+    /// disjoint tables than a mask holds, and hostile nesting would
+    /// otherwise exhaust the stack.
     pub fn parse_compact(text: &str) -> Result<Arc<Plan>, String> {
-        fn node(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<Arc<Plan>, String> {
+        /// Parses one node under `depth` enclosing joins.
+        fn node(
+            chars: &mut std::iter::Peekable<std::str::Chars>,
+            depth: usize,
+        ) -> Result<Arc<Plan>, String> {
             match chars.peek().copied() {
                 Some('(') => {
+                    if depth == TableMask::WIDTH - 1 {
+                        return Err(format!("joins nested deeper than {depth}"));
+                    }
                     chars.next();
                     let op = match chars.next() {
                         Some('h') => JoinOp::Hash,
@@ -402,9 +414,9 @@ impl Plan {
                         other => return Err(format!("bad join op {other:?}")),
                     };
                     expect(chars, ' ')?;
-                    let left = node(chars)?;
+                    let left = node(chars, depth + 1)?;
                     expect(chars, ' ')?;
-                    let right = node(chars)?;
+                    let right = node(chars, depth + 1)?;
                     expect(chars, ')')?;
                     if !left.mask().disjoint(right.mask()) {
                         return Err("join inputs overlap".to_string());
@@ -442,7 +454,7 @@ impl Plan {
             }
         }
         let mut chars = text.chars().peekable();
-        let plan = node(&mut chars)?;
+        let plan = node(&mut chars, 0)?;
         if let Some(trailing) = chars.next() {
             return Err(format!("trailing {trailing:?}"));
         }
@@ -697,6 +709,26 @@ mod tests {
         for bad in ["q32", "q33", "q300", "(h q0 i33)"] {
             let e = Plan::parse_compact(bad).unwrap_err();
             assert!(e.contains("past the table mask"), "{bad:?}: {e}");
+        }
+    }
+
+    /// Join nesting is bounded by the table mask: a left-deep plan over
+    /// all 32 tables (31 nested joins) parses, one more level is
+    /// refused, and so is hostile nesting far past the stack's depth.
+    #[test]
+    fn compact_nesting_past_mask_is_refused() {
+        let mut plan = Plan::scan(0, ScanOp::Seq);
+        for qt in 1..TableMask::WIDTH {
+            plan = Plan::join(JoinOp::Hash, plan, Plan::scan(qt, ScanOp::Seq));
+        }
+        let text = plan.encode_compact();
+        assert_eq!(Plan::parse_compact(&text).unwrap(), plan);
+        let deeper = format!("(h {text} q32)");
+        let e = Plan::parse_compact(&deeper).unwrap_err();
+        assert!(e.contains("nested deeper"), "{e}");
+        for hostile in ["(h ".repeat(32), "(h ".repeat(100_000)] {
+            let e = Plan::parse_compact(&hostile).unwrap_err();
+            assert!(e.contains("nested deeper"), "{e}");
         }
     }
 }

@@ -63,11 +63,11 @@
 use crate::budget::{check_table_count, verify_emitted};
 use crate::candidates::CandidateSpace;
 use crate::greedy::GreedyLeftDeepPlanner;
-use crate::scratch::SharedScratch;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
 use balsa_query::{splitmix64, JoinOp, Plan, Query, TableMask};
 use balsa_storage::Database;
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::hash_map::Entry;
@@ -315,7 +315,12 @@ pub struct BeamPlanner<'a> {
     width: usize,
     exploration: Option<Exploration>,
     budget: PlanBudget,
-    scratch: SharedScratch<BeamScratch>,
+    /// The dedup and join-score tables, reused across queries and reset
+    /// before each use. A `plan` call holds the lock for its whole beam,
+    /// so calls that share one planner take turns. No call re-enters
+    /// its own planner while holding it: the greedy fallback starts
+    /// after `try_plan_raw` returns.
+    scratch: Mutex<BeamScratch>,
 }
 
 impl<'a> BeamPlanner<'a> {
@@ -335,7 +340,7 @@ impl<'a> BeamPlanner<'a> {
             width,
             exploration: None,
             budget: PlanBudget::UNLIMITED,
-            scratch: SharedScratch::new(),
+            scratch: Mutex::default(),
         }
     }
 
@@ -424,10 +429,7 @@ impl BeamPlanner<'_> {
             .filter(|e| e.epsilon > 0.0)
             .map(|e| SmallRng::seed_from_u64(e.seed ^ ((query.id as u64) << 20) ^ 0xBEA7));
 
-        // Reuse the planner's scratch tables when they are free; under
-        // concurrent `plan` calls fall back to fresh local ones so
-        // parallel planning never serializes (as in `DpPlanner`).
-        let mut guard = self.scratch.acquire();
+        let mut guard = self.scratch.lock();
         let BeamScratch {
             seen,
             joins,

@@ -11,7 +11,8 @@
 //! loses the optimum and the chosen plan matches brute-force enumeration
 //! exactly.
 //!
-//! Two enumerators share that Pareto machinery:
+//! Two enumerators apply that dominance rule, each with its own Pareto
+//! sets:
 //!
 //! * [`DpPlanner`] — the production planner. DPccp-style
 //!   connected-subgraph / connected-complement enumeration over the
@@ -19,12 +20,15 @@
 //!   `(csg, cmp)` pairs are ever visited), a hash-indexed memo holding
 //!   entries **only for connected subsets**, interesting-order sets
 //!   packed into [`OrderMask`] bitmasks (dominance = two integer ops),
-//!   and a scratch memo reused across queries. This is the hot path
-//!   the benchmarks measure.
+//!   and a scratch memo reused across queries, behind a lock that
+//!   concurrent calls on one planner take in turn. This is the hot
+//!   path the benchmarks measure.
 //! * [`SubmaskDpPlanner`] — the original `3^n` submask-scan enumerator,
-//!   retained verbatim as the correctness oracle: the property tests
-//!   assert both planners produce bit-identical best-plan costs and
-//!   identical Pareto frontiers on every workload query.
+//!   retained verbatim as the correctness oracle, with its own plain
+//!   `Vec` Pareto sets (`RefEntry`, `ref_pareto_insert`) so that it
+//!   shares no pruning code with DPccp's `ParetoSet`: the property
+//!   tests assert both planners produce bit-identical best-plan costs
+//!   and identical Pareto frontiers on every workload query.
 //!
 //! Both hint spaces are supported: [`SearchMode::Bushy`] enumerates all
 //! connected-subgraph/complement pairs, [`SearchMode::LeftDeep`] only
@@ -35,15 +39,14 @@ use crate::budget::{check_table_count, verify_emitted};
 use crate::candidates::{CandidateSpace, CONNECTED_TABLE_MAX_TABLES};
 use crate::enumerate::JoinGraph;
 use crate::greedy::GreedyLeftDeepPlanner;
-use crate::scratch::SharedScratch;
 use crate::{
-    MemoEstimator, PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats,
-    FALLBACK_BEAM_WIDTH,
+    PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats, FALLBACK_BEAM_WIDTH,
 };
-use balsa_card::CardEstimator;
+use balsa_card::{CardEstimator, MemoEstimator};
 use balsa_cost::{CostModel, CostScorer, OrderInterner, OrderMask, OrderSource, SubtreeCost};
 use balsa_query::{JoinOp, Plan, Query, TableMask};
 use balsa_storage::Database;
+use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -432,7 +435,13 @@ pub struct DpPlanner<'a> {
     est: &'a dyn CardEstimator,
     mode: SearchMode,
     budget: PlanBudget,
-    scratch: SharedScratch<DpScratch>,
+    /// The memo, buckets and interner, reused across queries and reset
+    /// before each use. A `plan` call holds the lock for its whole
+    /// DPccp run, so calls that share one planner take turns. No call
+    /// re-enters its own planner while holding it: `run` routes to the
+    /// submask DP, which has no scratch, and the fallback chain starts
+    /// after `run` returns.
+    scratch: Mutex<DpScratch>,
 }
 
 impl<'a> DpPlanner<'a> {
@@ -449,7 +458,7 @@ impl<'a> DpPlanner<'a> {
             est,
             mode,
             budget: PlanBudget::UNLIMITED,
-            scratch: SharedScratch::new(),
+            scratch: Mutex::default(),
         }
     }
 
@@ -508,12 +517,7 @@ impl<'a> DpPlanner<'a> {
         let space = CandidateSpace::new(self.db, query, self.mode);
         let memo = MemoEstimator::new(self.est);
         let mut stats = SearchStats::default();
-        // Reuse the planner's scratch when it is free; under concurrent
-        // `plan` calls (one planner shared across a worker pool) fall
-        // back to a fresh local scratch instead of blocking, so
-        // parallel planning never serializes and `planning_secs` never
-        // includes lock-wait. Scratch identity does not affect results.
-        let mut guard = self.scratch.acquire();
+        let mut guard = self.scratch.lock();
         let s: &mut DpScratch = &mut guard;
         s.reset(n);
         // Pre-intern the whole (sorted) order universe: bit assignment
@@ -916,17 +920,8 @@ impl<'a> SubmaskDpPlanner<'a> {
         self
     }
 
-    /// Plans `query` and returns the canonical full-mask Pareto frontier.
-    ///
-    /// # Panics
-    /// Panics on any [`PlanError`]; adversarial callers use
-    /// [`SubmaskDpPlanner::try_plan_with_frontier`].
-    pub fn plan_with_frontier(&self, query: &Query) -> (PlannedQuery, Vec<FrontierEntry>) {
-        self.try_plan_with_frontier(query)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
-    }
-
-    /// The raw, chain-free entry point: surfaces
+    /// The raw, chain-free entry point: plans `query` and returns the
+    /// canonical full-mask Pareto frontier, surfacing
     /// [`PlanError::BudgetExhausted`] instead of degrading through the
     /// fallback chain.
     pub fn try_plan_with_frontier(
@@ -1080,10 +1075,15 @@ impl Planner for SubmaskDpPlanner<'_> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/non_monotone.rs"]
+mod non_monotone;
+
+#[cfg(test)]
 mod tests {
+    use super::non_monotone::NonMonotoneExpert;
     use super::*;
     use balsa_card::HistogramEstimator;
-    use balsa_cost::{CmmModel, CoutModel, ExpertCostModel, OpWeights};
+    use balsa_cost::{CoutModel, ExpertCostModel, OpWeights};
     use balsa_query::workloads::{ext_job_workload, job_workload};
     use balsa_query::ScanOp;
     use balsa_storage::{mini_imdb, DataGenConfig};
@@ -1099,7 +1099,8 @@ mod tests {
 
     /// Serial `cost_calls` — the one DP counter the submask oracle does
     /// not check — summed over the 137 JOB + Ext-JOB queries in both
-    /// modes, per cost model (expert, `C_out`, `C_mm`). The early
+    /// modes, per cost model (expert, `C_out`, and the non-monotone
+    /// [`NonMonotoneExpert`], which skips the early rejects). The early
     /// rejects skip only candidates they prove dominated, so an exact
     /// change to the inner loop leaves every sum where it is.
     #[test]
@@ -1108,7 +1109,8 @@ mod tests {
         let ext = ext_job_workload(db.catalog(), 7);
         let est = HistogramEstimator::new(&db);
         let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
-        let models: [&dyn CostModel; 3] = [&expert, &CoutModel, &CmmModel];
+        let non_monotone = NonMonotoneExpert(expert.clone());
+        let models: [&dyn CostModel; 3] = [&expert, &CoutModel, &non_monotone];
         let sums: Vec<usize> = models
             .into_iter()
             .map(|model| {
@@ -1122,7 +1124,7 @@ mod tests {
                 calls
             })
             .collect();
-        assert_eq!(sums, [1_006_502, 197_692, 333_505]);
+        assert_eq!(sums, [1_006_502, 197_692, 7_975_204]);
     }
 
     #[test]

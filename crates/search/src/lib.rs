@@ -31,6 +31,9 @@
 //! Each planner plans one query on the calling thread. Parallelism is
 //! across queries: [`WorkerPool`] maps a planning (or execution) call
 //! over a batch of queries on scoped threads, results in input order.
+//! [`DpPlanner`] and [`BeamPlanner`] reuse their scratch across queries
+//! behind a lock, so `plan` calls on one shared planner take turns;
+//! [`WorkerPool::map_init`] gives each participant its own planner.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +45,6 @@ pub mod enumerate;
 pub mod greedy;
 pub mod pool;
 pub mod random;
-pub mod scratch;
 
 pub use beam::BeamPlanner;
 pub use budget::{verify_plans_enabled, PlanBudget, PlanError, FALLBACK_BEAM_WIDTH};
@@ -52,11 +54,6 @@ pub use enumerate::JoinGraph;
 pub use greedy::GreedyLeftDeepPlanner;
 pub use pool::WorkerPool;
 pub use random::try_random_plan;
-pub use scratch::{ScratchGuard, SharedScratch};
-
-// Moved to `balsa-card` so the scoring layer (`balsa_cost::PlanScorer`)
-// can memoize too; re-exported for backwards compatibility.
-pub use balsa_card::MemoEstimator;
 
 use balsa_query::{Plan, Query};
 use std::sync::Arc;
@@ -176,7 +173,7 @@ pub trait Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use balsa_card::CardEstimator;
+    use balsa_card::{CardEstimator, MemoEstimator};
     use balsa_query::TableMask;
 
     struct Counting(std::sync::atomic::AtomicUsize);

@@ -11,15 +11,18 @@
 //! * the DP plan executes strictly faster than the median of 20 random
 //!   valid plans.
 
-use balsa_card::CardEstimator;
+#[path = "support/non_monotone.rs"]
+mod non_monotone;
+
+use balsa_card::{CardEstimator, MemoEstimator};
 use balsa_cost::{CostModel, CostScorer, ExpertCostModel, OpWeights, SubtreeCost};
 use balsa_engine::{EnvError, ExecError, ExecutionEnv};
 use balsa_query::workloads::ext_job_workload;
 use balsa_query::workloads::job_workload;
 use balsa_query::{Plan, Split, TableMask};
 use balsa_search::{
-    try_random_plan, BeamPlanner, CandidateSpace, DpPlanner, MemoEstimator, Planner, SearchMode,
-    SubmaskDpPlanner, WorkerPool,
+    try_random_plan, BeamPlanner, CandidateSpace, DpPlanner, Planner, SearchMode, SubmaskDpPlanner,
+    WorkerPool,
 };
 use balsa_storage::{mini_imdb, DataGenConfig};
 use rand::rngs::SmallRng;
@@ -341,15 +344,19 @@ fn dpccp_matches_submask_dp_on_all_workload_queries() {
     );
 }
 
-/// The same bit-identity contract for the other bundled cost models —
-/// `C_out` (monotone, orderless) and `C_mm` (whose nested-loop formula
-/// is **not** child-monotone, exercising the DP's pruning opt-out).
+/// The same bit-identity contract for `C_out` (monotone, orderless) and
+/// for [`non_monotone::NonMonotoneExpert`], whose nested loop is **not**
+/// child-monotone, exercising the DP's pruning opt-out.
 #[test]
 fn dpccp_matches_submask_dp_on_cout_and_cmm() {
     let db = small_db();
     let est = balsa_card::HistogramEstimator::new(&db);
     let job = job_workload(db.catalog(), 7);
-    let models: [&dyn CostModel; 2] = [&balsa_cost::CoutModel, &balsa_cost::CmmModel];
+    let non_monotone = non_monotone::NonMonotoneExpert(ExpertCostModel::new(
+        db.clone(),
+        OpWeights::postgres_like(),
+    ));
+    let models: [&dyn CostModel; 2] = [&balsa_cost::CoutModel, &non_monotone];
     for model in models {
         for q in job.queries.iter().step_by(4) {
             for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
@@ -459,32 +466,36 @@ fn dp_without_a_pair_session_matches_dp_with_one() {
 }
 
 /// The worker pool planning queries in parallel produces exactly the
-/// serial results (plans, costs, stats) in input order.
+/// serial results (plans, costs, stats) in input order, with one DP
+/// planner and one beam planner shared by every worker.
 #[test]
 fn parallel_planning_matches_serial_planning() {
     let db = small_db();
     let est = balsa_card::HistogramEstimator::new(&db);
     let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let scorer = CostScorer::new(&model, &est);
     let w = job_workload(db.catalog(), 7);
     let queries: Vec<_> = w.queries.iter().take(24).collect();
-    let outs: Vec<Vec<[u64; 6]>> = [1usize, 4]
+    let row = |out: balsa_search::PlannedQuery| {
+        [
+            out.plan.fingerprint(),
+            out.cost.to_bits(),
+            out.stats.states as u64,
+            out.stats.candidates as u64,
+            out.stats.pairs as u64,
+            out.stats.cost_calls as u64,
+        ]
+    };
+    let outs: Vec<Vec<[[u64; 6]; 2]>> = [1usize, 4]
         .iter()
         .map(|&threads| {
             let pool = WorkerPool::new(threads);
             // One planner per worker invocation is the pool's intended
-            // pattern; a single shared planner must also be safe.
-            let planner = DpPlanner::new(&db, &model, &est, SearchMode::Bushy);
-            pool.map(&queries, |_, q| {
-                let out = planner.plan(q);
-                [
-                    out.plan.fingerprint(),
-                    out.cost.to_bits(),
-                    out.stats.states as u64,
-                    out.stats.candidates as u64,
-                    out.stats.pairs as u64,
-                    out.stats.cost_calls as u64,
-                ]
-            })
+            // pattern; shared planners must also be safe (their plan
+            // calls take turns on the scratch).
+            let dp = DpPlanner::new(&db, &model, &est, SearchMode::Bushy);
+            let beam = BeamPlanner::new(&db, &scorer, SearchMode::Bushy, 10);
+            pool.map(&queries, |_, q| [row(dp.plan(q)), row(beam.plan(q))])
         })
         .collect();
     assert_eq!(outs[0], outs[1], "parallel planning diverged from serial");
