@@ -86,7 +86,8 @@ pub enum ExecError {
 
 impl ExecError {
     /// Whether retrying the same execution can possibly succeed.
-    pub fn is_retryable(&self) -> bool {
+    #[cfg(test)]
+    fn is_retryable(&self) -> bool {
         matches!(self, ExecError::Fault { .. })
     }
 

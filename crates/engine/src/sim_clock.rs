@@ -40,7 +40,8 @@ impl SimClock {
     }
 
     /// Elapsed simulated hours.
-    pub fn hours(&self) -> f64 {
+    #[cfg(test)]
+    fn hours(&self) -> f64 {
         self.seconds / 3600.0
     }
 

@@ -21,8 +21,9 @@
 //! slots that are not `+0.0` and their values. Both encodings are mostly
 //! zeros (table one-hots, pair channels), so on JOB a flat row packs to
 //! ≈ 9 % of its dense size and a tree row to ≈ 31 %. Producers pack as
-//! they featurize; [`ExperienceBuffer::train_set`] unpacks each fit's
-//! rows, bit for bit.
+//! they featurize; [`ExperienceBuffer::train_set`] hands a fit clones of
+//! the packed rows, and every fit reads them packed, a row or a chunk at
+//! a time, so no dense copy of a training set is ever built.
 
 use crate::model::TrainSet;
 use balsa_query::Plan;
@@ -63,16 +64,41 @@ impl PackedFeatures {
     /// The dense vector [`PackedFeatures::pack`] was given.
     pub fn unpack(&self) -> Vec<f64> {
         let mut x = vec![0.0; self.len];
+        self.unpack_into(&mut x);
+        x
+    }
+
+    /// Writes the dense vector into `out`, which must be as long: `+0.0`
+    /// everywhere, then each stored slot.
+    pub(crate) fn unpack_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len, "unpack length mismatch");
+        out.fill(0.0);
+        self.for_each_stored(|i, v| out[i] = v);
+    }
+
+    /// The dense length.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The stored values, in slot order.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Calls `f(slot, value)` for each stored slot in slot order; every
+    /// other slot holds `+0.0`.
+    #[inline]
+    pub(crate) fn for_each_stored(&self, mut f: impl FnMut(usize, f64)) {
         let mut values = self.values.iter();
         for (w, &word) in self.mask.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                x[w * 64 + bits.trailing_zeros() as usize] =
-                    *values.next().expect("one value per mask bit");
+                let v = *values.next().expect("one value per mask bit");
+                f(w * 64 + bits.trailing_zeros() as usize, v);
                 bits &= bits - 1;
             }
         }
-        x
     }
 }
 
@@ -105,7 +131,7 @@ pub struct Experience {
     /// instead of serializing hundreds of floats per entry.
     pub plan: Arc<Plan>,
     /// Feature vector of the `(query, subplan)` state, packed where it
-    /// was featurized; [`ExperienceBuffer::train_set`] unpacks it.
+    /// was featurized; [`ExperienceBuffer::train_set`] clones it.
     pub features: PackedFeatures,
     /// Label in seconds (pseudo-seconds for simulated labels). When
     /// `censored`, a lower bound.
@@ -193,7 +219,7 @@ impl ExperienceBuffer {
     }
 
     /// Extracts one source's population as a [`TrainSet`] with labels in
-    /// log space (`ln(max(label, floor))`) and features unpacked.
+    /// log space (`ln(max(label, floor))`) and features still packed.
     /// Iteration order is sorted by key so training is deterministic.
     pub fn train_set(&self, source: LabelSource) -> TrainSet {
         let mut keys: Vec<&(u64, u64, LabelSource)> =
@@ -202,7 +228,7 @@ impl ExperienceBuffer {
         let mut set = TrainSet::default();
         for k in keys {
             let e = &self.map[k];
-            set.xs.push(e.features.unpack());
+            set.xs.push(e.features.clone());
             set.ys.push(e.label_secs.max(1e-9).ln());
             set.censored.push(e.censored);
         }

@@ -551,6 +551,28 @@ pub struct FlatState {
     is_leaf: bool,
 }
 
+/// What the flat scorer's floor benchmark times the tail composition's
+/// parts on.
+#[cfg(test)]
+impl FlatState {
+    /// The expert summary the join's pair session reads.
+    pub(crate) fn expert(&self) -> &SubtreeCost {
+        &self.expert
+    }
+
+    /// The five values whose `ln_1p` fills tail channels 0, 1, 2, 15
+    /// and 16.
+    pub(crate) fn log_inputs(&self) -> [f64; 5] {
+        [
+            self.expert.out_rows,
+            self.cout,
+            self.expert.work.max(0.0),
+            self.max_card,
+            self.max_node_work.max(0.0),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

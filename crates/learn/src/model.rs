@@ -12,6 +12,7 @@
 //! — a one-sided hinge, so killed executions still teach "at least this
 //! slow" without anchoring the model to the arbitrary budget value.
 
+use crate::buffer::PackedFeatures;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SliceRandomExt};
 use std::any::Any;
@@ -194,10 +195,16 @@ pub fn shuffle_epoch_order(order: &mut [usize], rng: &mut SmallRng) {
 
 /// A training set in feature space. `ys` are log-latencies; a `true` in
 /// `censored` marks the label as a timeout lower bound.
+///
+/// The feature vectors stay packed: [`crate::ExperienceBuffer::train_set`]
+/// clones the buffer's [`PackedFeatures`], and every fit reads them a row
+/// or a fixed-size chunk at a time with the arithmetic of the dense rows,
+/// so the set costs what the buffer's entries cost, not 8 bytes a slot.
 #[derive(Debug, Clone, Default)]
 pub struct TrainSet {
-    /// Feature vectors (all the same length).
-    pub xs: Vec<Vec<f64>>,
+    /// Feature vectors, packed (all the same dense length for the flat
+    /// encoding).
+    pub xs: Vec<PackedFeatures>,
     /// Log-space labels.
     pub ys: Vec<f64>,
     /// Censoring flags, parallel to `ys`.
@@ -213,6 +220,13 @@ impl TrainSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.ys.is_empty()
+    }
+
+    /// Appends one sample, packing its features.
+    pub fn push(&mut self, x: &[f64], y: f64, censored: bool) {
+        self.xs.push(PackedFeatures::pack(x));
+        self.ys.push(y);
+        self.censored.push(censored);
     }
 }
 
@@ -468,6 +482,79 @@ fn dot_rows(w: &[f64], b: f64, rows: &[&[f64]], z: impl Fn(usize, f64) -> f64, o
     }
 }
 
+/// The z-rows `(x − mean) · inv_std` of a fit's packed rows, rebuilt a
+/// minibatch at a time in one reused buffer. Outside its occupant's
+/// stored slots a buffer row holds `z0`, the z-row of an all-`+0.0`
+/// state, so loading a row restores the previous occupant's slots to
+/// `z0` and overwrites its own stored slots with their z-values: every
+/// slot has the bits of standardizing the unpacked row. Each row's
+/// stored slots are listed once up front, so neither step walks a
+/// bitmask.
+struct ZRows<'a> {
+    xs: &'a [PackedFeatures],
+    mean: &'a [f64],
+    inv_std: &'a [f64],
+    z0: Vec<f64>,
+    /// Row `i`'s stored slots are `slots[ofs[i]..ofs[i + 1]]`.
+    slots: Vec<u32>,
+    ofs: Vec<usize>,
+    buf: Vec<f64>,
+    /// The row each buffer row holds.
+    held: Vec<Option<usize>>,
+}
+
+impl<'a> ZRows<'a> {
+    fn new(xs: &'a [PackedFeatures], mean: &'a [f64], inv_std: &'a [f64]) -> Self {
+        let z0 = mean
+            .iter()
+            .zip(inv_std)
+            .map(|(m, s)| (0.0 - m) * s)
+            .collect();
+        let mut slots = Vec::with_capacity(xs.iter().map(|x| x.values().len()).sum());
+        let mut ofs = Vec::with_capacity(xs.len() + 1);
+        ofs.push(0);
+        for x in xs {
+            x.for_each_stored(|j, _| slots.push(j as u32));
+            ofs.push(slots.len());
+        }
+        Self {
+            xs,
+            mean,
+            inv_std,
+            z0,
+            slots,
+            ofs,
+            buf: Vec::new(),
+            held: Vec::new(),
+        }
+    }
+
+    /// The z-rows of the rows `idx`, in order.
+    fn load(&mut self, idx: &[usize]) -> Vec<&[f64]> {
+        let dim = self.z0.len();
+        while self.held.len() < idx.len() {
+            self.buf.extend_from_slice(&self.z0);
+            self.held.push(None);
+        }
+        for (k, &i) in idx.iter().enumerate() {
+            let z = &mut self.buf[k * dim..(k + 1) * dim];
+            if let Some(prev) = self.held[k].replace(i) {
+                for &j in &self.slots[self.ofs[prev]..self.ofs[prev + 1]] {
+                    z[j as usize] = self.z0[j as usize];
+                }
+            }
+            let slots = &self.slots[self.ofs[i]..self.ofs[i + 1]];
+            for (&j, &v) in slots.iter().zip(self.xs[i].values()) {
+                let j = j as usize;
+                z[j] = (v - self.mean[j]) * self.inv_std[j];
+            }
+        }
+        (0..idx.len())
+            .map(|k| &self.buf[k * dim..(k + 1) * dim])
+            .collect()
+    }
+}
+
 impl ValueModel for LinearValueModel {
     fn name(&self) -> String {
         "linear".into()
@@ -566,7 +653,12 @@ impl ValueModel for LinearValueModel {
             .collect()
     }
 
-    fn fit(&mut self, mut data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
+    /// Reads the packed rows directly. The column statistics stream
+    /// each row through one reused dense buffer, so every `+0.0` is still
+    /// added in row order; each minibatch's z-rows are rebuilt in place
+    /// (`ZRows`), and the final error runs in chunks. Every value has
+    /// the bits of the fit over standardized dense rows.
+    fn fit(&mut self, data: TrainSet, cfg: &SgdConfig, rng: &mut SmallRng) -> FitReport {
         assert_eq!(data.xs.len(), data.ys.len());
         assert_eq!(data.censored.len(), data.ys.len());
         if data.is_empty() {
@@ -582,16 +674,19 @@ impl ValueModel for LinearValueModel {
             // Freeze standardization on the first training distribution.
             // Row-major, one accumulator per column: each column still
             // adds its rows in order from `Sum`'s start value.
+            let mut row = vec![0.0; dim];
             let mut acc = vec![SUM_START; dim];
             for x in &data.xs {
-                acc.iter_mut().zip(x).for_each(|(a, v)| *a += v);
+                x.unpack_into(&mut row);
+                acc.iter_mut().zip(&row).for_each(|(a, v)| *a += v);
             }
             for (m, a) in self.mean.iter_mut().zip(&acc) {
                 *m = a / n as f64;
             }
             acc.fill(SUM_START);
             for x in &data.xs {
-                for ((a, v), m) in acc.iter_mut().zip(x).zip(&self.mean) {
+                x.unpack_into(&mut row);
+                for ((a, v), m) in acc.iter_mut().zip(&row).zip(&self.mean) {
                     *a += (v - m) * (v - m);
                 }
             }
@@ -607,16 +702,7 @@ impl ValueModel for LinearValueModel {
             self.b = data.ys.iter().sum::<f64>() / n as f64;
             self.fitted = true;
         }
-
-        // Standardize once, in place: the fit owns `data`, so each row
-        // becomes its z-vector `(v − m) · s` without a second copy of the
-        // set.
-        for x in &mut data.xs {
-            for (v, (m, s)) in x.iter_mut().zip(self.mean.iter().zip(&self.inv_std)) {
-                *v = (*v - m) * s;
-            }
-        }
-        let zs: Vec<&[f64]> = data.xs.iter().map(Vec::as_slice).collect();
+        let mut zrows = ZRows::new(&data.xs, &self.mean, &self.inv_std);
 
         // Flat parameter vector `[w…, b]` through the shared optimizer;
         // the weight-only L2 mask zeroes decay on the bias exactly as
@@ -627,7 +713,6 @@ impl ValueModel for LinearValueModel {
         let mut opt = Optimizer::new(cfg, dim + 1);
         let mut order: Vec<usize> = (0..n).collect();
         let mut grad = vec![0.0; dim + 1];
-        let mut rows: Vec<&[f64]> = Vec::with_capacity(cfg.batch.max(1));
         let mut preds = Vec::with_capacity(cfg.batch.max(1));
         let mut steps = 0u64;
         for _epoch in 0..cfg.epochs {
@@ -635,13 +720,12 @@ impl ValueModel for LinearValueModel {
             for chunk in order.chunks(cfg.batch.max(1)) {
                 // The params hold still within a chunk: predict all of it
                 // first, then accumulate gradients in sample order.
-                rows.clear();
-                rows.extend(chunk.iter().map(|&i| zs[i]));
+                let zs = zrows.load(chunk);
                 preds.clear();
-                dot_rows(&params[..dim], params[dim], &rows, |_, z| z, &mut preds);
+                dot_rows(&params[..dim], params[dim], &zs, |_, z| z, &mut preds);
                 grad.iter_mut().for_each(|g| *g = 0.0);
                 let mut active = 0usize;
-                for (&i, &pred) in chunk.iter().zip(&preds) {
+                for ((&i, &pred), z) in chunk.iter().zip(&preds).zip(&zs) {
                     let resid = pred - data.ys[i];
                     // Censored lower bound: no penalty once we predict
                     // at or above it.
@@ -649,7 +733,7 @@ impl ValueModel for LinearValueModel {
                         continue;
                     }
                     active += 1;
-                    for (g, z) in grad.iter_mut().zip(zs[i]) {
+                    for (g, z) in grad.iter_mut().zip(*z) {
                         *g += resid * z;
                     }
                     grad[dim] += resid;
@@ -662,11 +746,15 @@ impl ValueModel for LinearValueModel {
                 steps += 1;
             }
         }
-        self.w.copy_from_slice(&params[..dim]);
-        self.b = params[dim];
+        let (w, b) = (&params[..dim], params[dim]);
 
+        // Final training error, a fixed-size chunk of z-rows at a time.
+        const CHUNK: usize = 64;
         preds.clear();
-        dot_rows(&self.w, self.b, &zs, |_, z| z, &mut preds);
+        let all: Vec<usize> = (0..n).collect();
+        for idx in all.chunks(CHUNK) {
+            dot_rows(w, b, &zrows.load(idx), |_, z| z, &mut preds);
+        }
         let mse = preds
             .iter()
             .zip(data.ys.iter().zip(&data.censored))
@@ -680,6 +768,8 @@ impl ValueModel for LinearValueModel {
             })
             .sum::<f64>()
             / n as f64;
+        self.w.copy_from_slice(w);
+        self.b = b;
         FitReport {
             steps,
             mse,
@@ -722,11 +812,30 @@ impl ResidualValueModel {
     }
 
     /// Rewrites `data`'s labels to the residuals `y − base(x)`, the
-    /// base's predictions taken in one batch.
+    /// base's predictions taken over fixed-size chunks of unpacked rows
+    /// (a prediction depends on its own row alone, so any chunking gives
+    /// the same bits).
     fn to_residual_labels(&self, data: &mut TrainSet) {
-        let xs: Vec<&[f64]> = data.xs.iter().map(Vec::as_slice).collect();
-        for (y, b) in data.ys.iter_mut().zip(self.base.predict_batch(&xs)) {
-            *y -= b;
+        const CHUNK: usize = 256;
+        let mut buf = Vec::new();
+        for (xs, ys) in data.xs.chunks(CHUNK).zip(data.ys.chunks_mut(CHUNK)) {
+            buf.clear();
+            for x in xs {
+                let at = buf.len();
+                buf.resize(at + x.len(), 0.0);
+                x.unpack_into(&mut buf[at..]);
+            }
+            let mut at = 0;
+            let rows: Vec<&[f64]> = xs
+                .iter()
+                .map(|x| {
+                    at += x.len();
+                    &buf[at - x.len()..at]
+                })
+                .collect();
+            for (y, b) in ys.iter_mut().zip(self.base.predict_batch(&rows)) {
+                *y -= b;
+            }
         }
     }
 }
@@ -888,9 +997,7 @@ mod tests {
             let x0: f64 = rng.random::<f64>() * 4.0;
             let x1: f64 = rng.random::<f64>() * 4.0;
             let y = 2.0 * x0 - 3.0 * x1 + 0.5 + rng.random_normal(0.0, 0.01);
-            set.xs.push(vec![x0, x1]);
-            set.ys.push(y);
-            set.censored.push(false);
+            set.push(&[x0, x1], y, false);
         }
         set
     }
@@ -929,16 +1036,12 @@ mod tests {
         // is free to go higher; with only hinge data it settles near it.
         let mut data = TrainSet::default();
         for i in 0..200 {
-            data.xs.push(vec![(i % 7) as f64, 1.0]);
-            data.ys.push(5.0);
-            data.censored.push(true);
+            data.push(&[(i % 7) as f64, 1.0], 5.0, true);
         }
         // A few uncensored points far above the bound dominate where
         // gradients remain active.
         for _ in 0..50 {
-            data.xs.push(vec![3.0, 1.0]);
-            data.ys.push(9.0);
-            data.censored.push(false);
+            data.push(&[3.0, 1.0], 9.0, false);
         }
         let mut m = LinearValueModel::new(2);
         m.fit(data, &SgdConfig::default(), &mut rng);
@@ -1056,11 +1159,15 @@ mod tests {
                     _ => rng.random::<f64>() * 6.0 - 2.0,
                 })
                 .collect();
-            set.ys.push(x[3] - 0.5 * x[4] + rng.random_normal(0.0, 0.1));
-            set.xs.push(x);
-            set.censored.push(i % 5 == 0);
+            let y = x[3] - 0.5 * x[4] + rng.random_normal(0.0, 0.1);
+            set.push(&x, y, i % 5 == 0);
         }
         set
+    }
+
+    /// The set's rows, unpacked.
+    fn dense(set: &TrainSet) -> Vec<Vec<f64>> {
+        set.xs.iter().map(PackedFeatures::unpack).collect()
     }
 
     /// `predict_batch`'s interleaved chains equal the serial reference
@@ -1075,7 +1182,7 @@ mod tests {
         let negative: Vec<Vec<f64>> = (0..65)
             .map(|_| (0..dim).map(|_| -0.5 - rng.random::<f64>()).collect())
             .collect();
-        let mixed = sparse_set(65, dim, &mut rng).xs;
+        let mixed = dense(&sparse_set(65, dim, &mut rng));
         let mut neg_bias = LinearValueModel::new(dim);
         neg_bias.b = -0.0;
         let mut fitted = LinearValueModel::new(dim);
@@ -1129,7 +1236,7 @@ mod tests {
         let residual = ResidualValueModel::new(Box::new(fitted.clone()), Box::new(correction));
         let models: [&dyn ValueModel; 4] =
             [&LinearValueModel::new(dim), &fitted, &residual, &BatchOnly];
-        let rows = sparse_set(10, dim, &mut rng).xs;
+        let rows = dense(&sparse_set(10, dim, &mut rng));
         let head = &rows[0][..h];
         for m in models {
             for n in 1..=9 {
@@ -1156,7 +1263,7 @@ mod tests {
         let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3);
         let mut rng = SmallRng::seed_from_u64(0x11);
         let dim = 37;
-        let probe = sparse_set(67, dim, &mut rng).xs;
+        let probe = dense(&sparse_set(67, dim, &mut rng));
         let probe: Vec<&[f64]> = probe.iter().map(Vec::as_slice).collect();
         let cfg = SgdConfig {
             epochs: 3,
@@ -1177,6 +1284,230 @@ mod tests {
             }
         }
         assert_eq!(sum, PIN, "actual {sum:#x}");
+    }
+
+    /// Folds `vals` into `sum`. The rotate spreads each difference, so
+    /// two values that differ only in the same bit (say, the sign of a
+    /// zero) cannot cancel as they do under a plain xor-multiply.
+    fn fold_bits(sum: u64, vals: impl IntoIterator<Item = u64>) -> u64 {
+        vals.into_iter().fold(sum, |acc, v| {
+            (acc.rotate_left(23) ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Folds what a fit leaves behind: `params`, `state_vec`, the
+    /// report's `mse` and `steps`.
+    fn fold_fit(sum: u64, m: &dyn ValueModel, report: FitReport) -> u64 {
+        let vals = m
+            .params()
+            .into_iter()
+            .chain(m.state_vec())
+            .chain([report.mse]);
+        fold_bits(sum, vals.map(f64::to_bits).chain([report.steps]))
+    }
+
+    /// Rows that make the column statistics depend on every slot: a
+    /// constant column, an all-`+0.0` column (its mean is `+0.0` only
+    /// when each `+0.0` is added to the `-0.0` start), a column mixing
+    /// stored `-0.0`, `+0.0` and values, sparse random columns, and
+    /// every fourth label censored.
+    fn pin_set(n: usize, dim: usize, rng: &mut SmallRng) -> TrainSet {
+        let mut set = TrainSet::default();
+        for i in 0..n {
+            let x: Vec<f64> = (0..dim)
+                .map(|j| match j {
+                    0 => 1.0,
+                    1 => 0.0,
+                    2 => [-0.0, 0.0, 1.5][i % 3],
+                    _ if rng.random_bool(0.6) => 0.0,
+                    _ => rng.random::<f64>() * 4.0 - 1.0,
+                })
+                .collect();
+            let y = x[3] - 0.5 * x[4] + rng.random_normal(0.0, 0.1);
+            set.push(&x, y, i % 4 == 0);
+        }
+        set
+    }
+
+    /// A fresh linear fit and a refit under the frozen standardization:
+    /// params, `state_vec`, `mse` and steps, pinned to the bits of the
+    /// fit that standardized a dense copy of the set.
+    #[test]
+    fn linear_fit_and_refit_bits_are_pinned() {
+        const PIN: u64 = 0x7a1e_000e_ce2e_b2d1;
+        let mut rng = SmallRng::seed_from_u64(0x5107);
+        let dim = 23;
+        let cfg = SgdConfig {
+            epochs: 4,
+            batch: 16,
+            ..SgdConfig::default()
+        };
+        let mut m = LinearValueModel::new(dim);
+        let fresh = m.fit(pin_set(101, dim, &mut rng), &cfg, &mut rng);
+        assert_eq!(m.mean[1].to_bits(), 0, "all-+0.0 column's mean is +0.0");
+        let mut sum = fold_fit(0xcbf2_9ce4_8422_2325, &m, fresh);
+        let refit = m.fit(pin_set(77, dim, &mut rng), &cfg, &mut rng);
+        sum = fold_fit(sum, &m, refit);
+        assert_eq!(sum, PIN, "actual {sum:#x}");
+    }
+
+    /// A residual fit over two linear halves: the base fitted first,
+    /// then the correction on residual labels.
+    #[test]
+    fn residual_fit_bits_are_pinned() {
+        const PIN: u64 = 0x1f64_f405_d68c_c27f;
+        let mut rng = SmallRng::seed_from_u64(0x2e5);
+        let dim = 19;
+        let cfg = SgdConfig {
+            epochs: 3,
+            batch: 8,
+            ..SgdConfig::default()
+        };
+        let mut base = LinearValueModel::new(dim);
+        base.fit(pin_set(90, dim, &mut rng), &cfg, &mut rng);
+        let mut m = ResidualValueModel::new(Box::new(base), Box::new(LinearValueModel::new(dim)));
+        let report = m.fit(pin_set(300, dim, &mut rng), &cfg, &mut rng);
+        let sum = fold_fit(0xcbf2_9ce4_8422_2325, &m, report);
+        assert_eq!(sum, PIN, "actual {sum:#x}");
+    }
+
+    /// The refit the packed one replaced, written out as the oracle: the
+    /// minibatch loop over rows standardized once beforehand (`zs`),
+    /// the same `dot_rows` chains and `Optimizer` update. Continues
+    /// from `m`'s parameters under its frozen standardization and
+    /// returns the `mse`.
+    fn dense_reference_refit(
+        m: &mut LinearValueModel,
+        zs: &[&[f64]],
+        ys: &[f64],
+        censored: &[bool],
+        cfg: &SgdConfig,
+        rng: &mut SmallRng,
+    ) -> f64 {
+        let (n, dim) = (zs.len(), m.w.len());
+        let mut params: Vec<f64> = m.w.iter().copied().chain([m.b]).collect();
+        let mut mask = vec![1.0; dim + 1];
+        mask[dim] = 0.0;
+        let mut opt = Optimizer::new(cfg, dim + 1);
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut preds = Vec::new();
+        for _ in 0..cfg.epochs {
+            shuffle_epoch_order(&mut order, rng);
+            for chunk in order.chunks(cfg.batch) {
+                let rows: Vec<&[f64]> = chunk.iter().map(|&i| zs[i]).collect();
+                preds.clear();
+                dot_rows(&params[..dim], params[dim], &rows, |_, z| z, &mut preds);
+                let mut grad = vec![0.0; dim + 1];
+                let mut active = 0usize;
+                for (&i, p) in chunk.iter().zip(&preds) {
+                    let r = p - ys[i];
+                    if censored[i] && r >= 0.0 {
+                        continue;
+                    }
+                    active += 1;
+                    for (g, z) in grad.iter_mut().zip(zs[i]) {
+                        *g += r * z;
+                    }
+                    grad[dim] += r;
+                }
+                if active > 0 {
+                    let inv = 1.0 / active as f64;
+                    grad.iter_mut().for_each(|g| *g *= inv);
+                    opt.step(cfg, &mut params, &grad, &mask);
+                }
+            }
+        }
+        m.w.copy_from_slice(&params[..dim]);
+        m.b = params[dim];
+        preds.clear();
+        dot_rows(&m.w, m.b, zs, |_, z| z, &mut preds);
+        let terms = preds.iter().zip(ys.iter().zip(censored));
+        terms
+            .map(|(p, (&y, &c))| {
+                if c && p - y >= 0.0 {
+                    0.0
+                } else {
+                    (p - y) * (p - y)
+                }
+            })
+            .sum::<f64>()
+            / n as f64
+    }
+
+    /// Floor microbenchmark of the linear fit: a refit under frozen
+    /// standardization (each fine-tuning fit of the training loop) from
+    /// packed rows — z-rows rebuilt per minibatch — beside the deleted
+    /// path, the same loop over rows standardized beforehand, on
+    /// flat-shaped rows (483 sparse head channels, 17 dense tail
+    /// channels). Asserts params, `state_vec` and `mse` equal bit for
+    /// bit and prints samples/s for both. Run with `cargo test --release
+    /// -p balsa-learn --lib linear_fit_floor -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn linear_fit_floor() {
+        use std::time::Instant;
+        const N: usize = 4096;
+        const DIM: usize = 500;
+        const REPS: usize = 15;
+        let mut rng = SmallRng::seed_from_u64(0xF1A7);
+        let mut set = TrainSet::default();
+        for i in 0..N {
+            let x: Vec<f64> = (0..DIM)
+                .map(|j| match j {
+                    0 => 1.0,
+                    1..=4 => 0.0,
+                    5 => [-0.0, 0.0, 2.0][i % 3],
+                    _ if j >= 483 => rng.random_normal(0.0, 1.0),
+                    _ if rng.random_bool(0.06) => rng.random::<f64>() * 3.0,
+                    _ => 0.0,
+                })
+                .collect();
+            let y = x[483] - 0.5 * x[490] + rng.random_normal(0.0, 0.1);
+            set.push(&x, y, i % 5 == 0);
+        }
+        let cfg = SgdConfig {
+            epochs: 5,
+            ..SgdConfig::default()
+        };
+        let mut fitted = LinearValueModel::new(DIM);
+        fitted.fit(set.clone(), &cfg, &mut rng);
+        let zs: Vec<Vec<f64>> = dense(&set)
+            .iter()
+            .map(|x| standardized(&fitted, x))
+            .collect();
+        let zs: Vec<&[f64]> = zs.iter().map(Vec::as_slice).collect();
+        let (mut packed_ns, mut dense_ns) = (Vec::new(), Vec::new());
+        for rep in 0..REPS {
+            let (data, mut m) = (set.clone(), fitted.clone());
+            let mut rng = SmallRng::seed_from_u64(rep as u64);
+            let t = Instant::now();
+            let report = m.fit(data, &cfg, &mut rng);
+            packed_ns.push(t.elapsed().as_nanos());
+            let mut want = fitted.clone();
+            let mut rng = SmallRng::seed_from_u64(rep as u64);
+            let t = Instant::now();
+            let mse = dense_reference_refit(&mut want, &zs, &set.ys, &set.censored, &cfg, &mut rng);
+            dense_ns.push(t.elapsed().as_nanos());
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(m.params()), bits(want.params()), "rep {rep}");
+            assert_eq!(bits(m.state_vec()), bits(want.state_vec()), "rep {rep}");
+            assert_eq!(report.mse.to_bits(), mse.to_bits(), "rep {rep}");
+        }
+        let median = |mut ns: Vec<u128>| {
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64 * 1e-9
+        };
+        let (p, d) = (median(packed_ns), median(dense_ns));
+        let samples = (N * cfg.epochs) as f64;
+        println!(
+            "refit of {N} rows x {DIM} channels, {} epochs, batch {}: packed {:.0} samples/s, \
+             dense reference {:.0} samples/s, ratio {:.2}",
+            cfg.epochs,
+            cfg.batch,
+            samples / p,
+            samples / d,
+            p / d
+        );
     }
 
     #[test]

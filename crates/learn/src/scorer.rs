@@ -435,11 +435,8 @@ mod tests {
         use rand::SeedableRng;
         let mut model = TreeConvValueModel::new(featurizer.node_dim(), TreeConvConfig::default());
         let plan = balsa_query::Plan::scan(0, balsa_query::ScanOp::Seq);
-        let data = TrainSet {
-            xs: vec![featurizer.featurize_tree(q, &plan, est)],
-            ys: vec![1.0],
-            censored: vec![false],
-        };
+        let mut data = TrainSet::default();
+        data.push(&featurizer.featurize_tree(q, &plan, est), 1.0, false);
         let cfg = SgdConfig {
             epochs: 1,
             ..SgdConfig::default()
@@ -611,16 +608,11 @@ mod tests {
             plans.push(Plan::join(JoinOp::Hash, l.clone(), r.clone()));
             plans.push(Plan::join(JoinOp::NestLoop, r, l));
         }
-        let data = TrainSet {
-            xs: plans
-                .iter()
-                .map(|p| featurizer.featurize(q, p, est))
-                .collect(),
-            ys: (0..plans.len())
-                .map(|i| (i % 7) as f64 * 0.4 - 1.0)
-                .collect(),
-            censored: vec![false; plans.len()],
-        };
+        let mut data = TrainSet::default();
+        for (i, p) in plans.iter().enumerate() {
+            let y = (i % 7) as f64 * 0.4 - 1.0;
+            data.push(&featurizer.featurize(q, p, est), y, false);
+        }
         let cfg = SgdConfig {
             epochs: 3,
             ..SgdConfig::default()
@@ -788,12 +780,82 @@ mod tests {
             }
         };
 
+        // The tail composition's parts, each timed alone over the same
+        // candidates: the pair session's `summary` (its `sorted_on`
+        // clone included), the whole `flat_join_state`, its five
+        // `ln_1p`s, the `Arc<FlatState>` each scored candidate carries,
+        // and the `exp` of each prediction.
+        use balsa_cost::PairCoster;
+        use std::hint::black_box;
+        fn flat(t: &ScoredTree) -> &FlatState {
+            t.ext.as_deref().unwrap().downcast_ref().unwrap()
+        }
+        let mut pair_of = HashMap::new();
+        let mut sessions = Vec::new();
+        let parts: Vec<(JoinOp, bool, usize, &FlatState, &FlatState)> = cands
+            .iter()
+            .map(|c| {
+                let Plan::Join {
+                    op, left, right, ..
+                } = c.join
+                else {
+                    panic!("join candidate is a scan");
+                };
+                let p = *pair_of
+                    .entry((left.mask(), right.mask()))
+                    .or_insert_with(|| {
+                        sessions.push(featurizer.pair_cost(q, left.mask(), right.mask(), &est));
+                        sessions.len() - 1
+                    });
+                (*op, right.is_index_scan(), p, flat(c.lc), flat(c.rc))
+            })
+            .collect();
+        let summary = || {
+            for &(op, index, p, l, r) in &parts {
+                black_box(sessions[p].summary(op, l.expert(), r.expert(), index));
+            }
+        };
+        let compose = || {
+            for (c, &(_, _, p, l, r)) in cands.iter().zip(&parts) {
+                black_box(featurizer.flat_join_state(q, c.join, l, r, &sessions[p]));
+            }
+        };
+        let states: Vec<FlatState> = out.iter().map(|t| flat(t).clone()).collect();
+        let log_inputs: Vec<[f64; 5]> = states.iter().map(FlatState::log_inputs).collect();
+        let ln_1p = || {
+            for v in &log_inputs {
+                black_box(black_box(v).map(f64::ln_1p));
+            }
+        };
+        let log_preds: Vec<f64> = out.iter().map(|t| t.score.ln()).collect();
+        let exp = || {
+            for &v in &log_preds {
+                black_box(black_box(v).min(MAX_LOG_PRED).exp());
+            }
+        };
+
         // Interleave the sides per repetition and report medians, so
         // load from other processes hits all alike.
         let mut ns: [Vec<u128>; 3] = Default::default();
         let [scorer_ns, model_ns, floor_ns] = &mut ns;
+        let mut part_ns: [Vec<u128>; 5] = Default::default();
         let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+        let time = |ns: &mut Vec<u128>, f: &dyn Fn()| {
+            let t = Instant::now();
+            f();
+            ns.push(t.elapsed().as_nanos());
+        };
         for _ in 0..REPS {
+            let [summary_ns, compose_ns, ln_ns, arc_ns, exp_ns] = &mut part_ns;
+            time(summary_ns, &summary);
+            time(compose_ns, &compose);
+            time(ln_ns, &ln_1p);
+            let owned = states.clone();
+            let t = Instant::now();
+            let arcs: Vec<Arc<FlatState>> = owned.into_iter().map(Arc::new).collect();
+            arc_ns.push(t.elapsed().as_nanos());
+            drop(black_box(arcs));
+            time(exp_ns, &exp);
             out.clear();
             let t = Instant::now();
             session.score_join_batch(&cands, &mut out);
@@ -810,16 +872,22 @@ mod tests {
                 assert_eq!(m.to_bits(), f.to_bits(), "model, candidate {i}");
             }
         }
-        let [s, m, f] = ns.map(|mut ns| {
+        let per_candidate = |mut ns: Vec<u128>| {
             ns.sort_unstable();
             ns[ns.len() / 2] as f64 / n as f64
-        });
+        };
+        let [s, m, f] = ns.map(per_candidate);
+        let [summary, compose, ln, arc, exp] = part_ns.map(per_candidate);
         println!(
             "{n} candidates, {} output masks, dim {dim} (head {h}), ns/candidate:\n  \
              scorer {s:.0}, model {m:.0}, floor {f:.0}; ratio scorer {:.2}, model {:.2}",
             groups.len(),
             s / f,
             m / f
+        );
+        println!(
+            "  scorer parts: flat_join_state {compose:.0} (pair-session summary {summary:.0}, \
+             five ln_1p {ln:.0}), Arc<FlatState> {arc:.0}, exp {exp:.0}"
         );
     }
 }

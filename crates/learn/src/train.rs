@@ -1182,7 +1182,12 @@ mod tests {
             for (x, e) in set.xs.iter().zip(entries) {
                 let fresh = featurizer.featurize_enc(enc, queries[&e.query_key], &e.plan, &est);
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(x), bits(&fresh), "{kind:?} {source:?}: {}", e.plan);
+                assert_eq!(
+                    bits(&x.unpack()),
+                    bits(&fresh),
+                    "{kind:?} {source:?}: {}",
+                    e.plan
+                );
             }
         }
     }

@@ -48,6 +48,7 @@
 //! tests `treeconv_kernel_floor` and `treeconv_fit_floor` time both
 //! kernels beside hand-written floors and assert them bit-equal.
 
+use crate::buffer::PackedFeatures;
 use crate::model::{
     shuffle_epoch_order, FeatureEncoding, FitReport, JoinStateItem, ModelState, Optimizer,
     SgdConfig, TrainSet, ValueModel, LRELU_SLOPE,
@@ -136,6 +137,8 @@ fn decode_tree(x: &[f64]) -> DecodedTree {
 /// Every training tree decoded into one flat arena: node features and
 /// child links stored contiguously so minibatch assembly is a gather
 /// rather than a pointer chase, and epochs re-slice it allocation-free.
+/// A fit builds it straight from the packed rows, so it is the only
+/// dense copy of a training set.
 struct TreeArena {
     /// Node features, node-major (`total_nodes × node_dim`); trees in
     /// dataset order, nodes in post-order within each tree.
@@ -148,34 +151,61 @@ struct TreeArena {
 }
 
 impl TreeArena {
+    /// The arena of the trees `xs`.
     fn build<X: AsRef<[f64]>>(xs: &[X], node_dim: usize) -> Self {
-        let mut arena = Self {
-            feats: Vec::new(),
-            kids: Vec::new(),
-            ofs: vec![0],
-        };
+        let mut arena = Self::with_capacity(xs.iter().map(|x| x.as_ref().len()), node_dim);
         for x in xs {
-            let x = x.as_ref();
-            assert!(x.len() >= 2, "tree encoding too short");
-            let n = x[0] as usize;
-            let d = x[1] as usize;
-            assert_eq!(d, node_dim, "node encoding dimension mismatch");
-            assert_eq!(x.len(), 2 + n * (2 + d), "corrupt tree encoding");
-            let base = *arena.ofs.last().expect("seeded with 0") as usize;
-            for i in 0..n {
-                let at = 2 + i * (2 + d);
-                let (l, r) = (x[at] as usize, x[at + 1] as usize);
-                arena.kids.push(if l == 0 {
-                    (0, 0)
-                } else {
-                    debug_assert!(r > 0 && l <= i && r <= i, "child slots must precede");
-                    ((base + l) as u32, (base + r) as u32)
-                });
-                arena.feats.extend_from_slice(&x[at + 2..at + 2 + d]);
-            }
-            arena.ofs.push((base + n) as u32);
+            arena.push(x.as_ref(), node_dim);
         }
         arena
+    }
+
+    /// The arena of the packed trees `xs`, each unpacked into one reused
+    /// row.
+    fn build_packed(xs: &[PackedFeatures], node_dim: usize) -> Self {
+        let mut arena = Self::with_capacity(xs.iter().map(PackedFeatures::len), node_dim);
+        let mut row = Vec::new();
+        for x in xs {
+            row.resize(x.len(), 0.0);
+            x.unpack_into(&mut row);
+            arena.push(&row, node_dim);
+        }
+        arena
+    }
+
+    /// An empty arena sized for well-formed encodings of the given
+    /// lengths (`2 + n·(2 + node_dim)` for `n` nodes).
+    fn with_capacity(lens: impl ExactSizeIterator<Item = usize>, node_dim: usize) -> Self {
+        let mut ofs = Vec::with_capacity(lens.len() + 1);
+        ofs.push(0);
+        let nodes: usize = lens.map(|len| len.saturating_sub(2) / (2 + node_dim)).sum();
+        Self {
+            feats: Vec::with_capacity(nodes * node_dim),
+            kids: Vec::with_capacity(nodes),
+            ofs,
+        }
+    }
+
+    /// Appends one tree's nodes.
+    fn push(&mut self, x: &[f64], node_dim: usize) {
+        assert!(x.len() >= 2, "tree encoding too short");
+        let n = x[0] as usize;
+        let d = x[1] as usize;
+        assert_eq!(d, node_dim, "node encoding dimension mismatch");
+        assert_eq!(x.len(), 2 + n * (2 + d), "corrupt tree encoding");
+        let base = *self.ofs.last().expect("seeded with 0") as usize;
+        for i in 0..n {
+            let at = 2 + i * (2 + d);
+            let (l, r) = (x[at] as usize, x[at + 1] as usize);
+            self.kids.push(if l == 0 {
+                (0, 0)
+            } else {
+                debug_assert!(r > 0 && l <= i && r <= i, "child slots must precede");
+                ((base + l) as u32, (base + r) as u32)
+            });
+            self.feats.extend_from_slice(&x[at + 2..at + 2 + d]);
+        }
+        self.ofs.push((base + n) as u32);
     }
 
     /// Arena node range of tree `i`.
@@ -710,11 +740,12 @@ impl TreeConvValueModel {
 
     /// Mean censored-hinge loss `½·r²` over `data` (censored samples
     /// contribute only while the prediction is below the bound).
-    pub fn loss(&self, data: &TrainSet) -> f64 {
+    #[cfg(test)]
+    fn loss(&self, data: &TrainSet) -> f64 {
         assert!(!data.is_empty(), "loss of an empty set");
         let mut total = 0.0;
         for ((x, &y), &c) in data.xs.iter().zip(&data.ys).zip(&data.censored) {
-            let r = self.forward(&decode_tree(x)).out - y;
+            let r = self.forward(&decode_tree(&x.unpack())).out - y;
             if !(c && r >= 0.0) {
                 total += 0.5 * r * r;
             }
@@ -725,11 +756,12 @@ impl TreeConvValueModel {
     /// Analytic gradient of [`TreeConvValueModel::loss`] with respect to
     /// the flat parameter vector — the reference the finite-difference
     /// tests check against (no L2 term).
-    pub fn loss_grad(&self, data: &TrainSet) -> Vec<f64> {
+    #[cfg(test)]
+    fn loss_grad(&self, data: &TrainSet) -> Vec<f64> {
         let mut grad = vec![0.0; self.num_params()];
         let inv = 1.0 / data.len() as f64;
         for ((x, &y), &c) in data.xs.iter().zip(&data.ys).zip(&data.censored) {
-            let t = decode_tree(x);
+            let t = decode_tree(&x.unpack());
             let f = self.forward(&t);
             let r = f.out - y;
             if !(c && r >= 0.0) {
@@ -1031,9 +1063,10 @@ impl TreeConvValueModel {
     /// finite-difference tests check this path at several batch
     /// geometries against the same numeric reference as
     /// [`TreeConvValueModel::loss_grad`] (no L2 term).
-    pub fn loss_grad_batched(&self, data: &TrainSet, batch: usize) -> Vec<f64> {
+    #[cfg(test)]
+    fn loss_grad_batched(&self, data: &TrainSet, batch: usize) -> Vec<f64> {
         assert!(!data.is_empty(), "gradient of an empty set");
-        let arena = TreeArena::build(&data.xs, self.node_dim);
+        let arena = TreeArena::build_packed(&data.xs, self.node_dim);
         let mut grad = vec![0.0; self.num_params()];
         let mut scratch = BatchScratch::default();
         let inv = 1.0 / data.len() as f64;
@@ -1128,9 +1161,9 @@ impl ValueModel for TreeConvValueModel {
             let mean = data.ys.iter().sum::<f64>() / n as f64;
             self.init_weights(mean, rng);
         }
-        // Decode every tree once into the flat arena; epochs re-slice
-        // it with zero per-batch allocation.
-        let arena = TreeArena::build(&data.xs, self.node_dim);
+        // Decode every packed tree once into the flat arena; epochs
+        // re-slice it with zero per-batch allocation.
+        let arena = TreeArena::build_packed(&data.xs, self.node_dim);
 
         let mask = self.l2_mask();
         let mut params = self.params();
@@ -1208,12 +1241,12 @@ impl ValueModel for TreeConvValueModel {
             let mean = data.ys.iter().sum::<f64>() / n as f64;
             self.init_weights(mean, rng);
         }
-        // Decode every tree once; epochs reuse the decoded forms.
+        // Decode every packed tree once; epochs reuse the decoded forms.
         let trees: Vec<DecodedTree> = data
             .xs
             .iter()
             .map(|x| {
-                let t = decode_tree(x);
+                let t = decode_tree(&x.unpack());
                 assert_eq!(
                     t.feats.first().map_or(0, |f| f.len()),
                     self.node_dim,
@@ -1592,9 +1625,7 @@ mod tests {
             (2, -9.0, true), // far below: hinge inactive, zero gradient
             (4, 0.5, false),
         ] {
-            data.xs.push(random_tree(leaves, 5, rng));
-            data.ys.push(y);
-            data.censored.push(censored);
+            data.push(&random_tree(leaves, 5, rng), y, censored);
         }
         data
     }
@@ -1639,9 +1670,8 @@ mod tests {
     fn fd_set_large(rng: &mut SmallRng) -> TrainSet {
         let mut data = TrainSet::default();
         for i in 0..17 {
-            data.xs.push(random_tree(1 + i % 6, 5, rng));
-            data.ys.push((i as f64) - 8.0 + 0.25 * (i % 3) as f64);
-            data.censored.push(i % 4 == 0);
+            let y = (i as f64) - 8.0 + 0.25 * (i % 3) as f64;
+            data.push(&random_tree(1 + i % 6, 5, rng), y, i % 4 == 0);
         }
         data
     }
@@ -1771,18 +1801,12 @@ mod tests {
         let model = small_model(&mut rng);
         let x = random_tree(3, 5, &mut rng);
         let pred = model.predict(&x);
-        let inactive = TrainSet {
-            xs: vec![x.clone()],
-            ys: vec![pred - 5.0],
-            censored: vec![true],
-        };
+        let mut inactive = TrainSet::default();
+        inactive.push(&x, pred - 5.0, true);
         assert!(model.loss_grad(&inactive).iter().all(|&g| g == 0.0));
         assert_eq!(model.loss(&inactive), 0.0);
-        let active = TrainSet {
-            xs: vec![x],
-            ys: vec![pred + 5.0],
-            censored: vec![true],
-        };
+        let mut active = TrainSet::default();
+        active.push(&x, pred + 5.0, true);
         assert!(model.loss_grad(&active).iter().any(|&g| g != 0.0));
         assert!(model.loss(&active) > 0.0);
     }
@@ -2594,9 +2618,7 @@ mod tests {
                 // Signal: node count plus the first feature of the root.
                 let t = decode_tree(&x);
                 let y = 0.3 * t.feats.len() as f64 + 0.5 * t.feats.last().unwrap()[0];
-                data.xs.push(x);
-                data.ys.push(y);
-                data.censored.push(false);
+                data.push(&x, y, false);
             }
             data
         };
@@ -2638,6 +2660,63 @@ mod tests {
         // Different seed: different init, different weights.
         let (m3, _) = run(12);
         assert_ne!(m.params(), m3.params());
+    }
+
+    /// Trees whose node rows hold `+0.0`, stored `-0.0` and values, with
+    /// every third label censored.
+    fn pin_trees(n: usize, rng: &mut SmallRng) -> TrainSet {
+        let mut data = TrainSet::default();
+        for i in 0..n {
+            let mut t = decode_tree(&random_tree(1 + i % 5, 5, rng));
+            for (k, f) in t.feats.iter_mut().enumerate() {
+                f[1] = 0.0;
+                f[2 + (i + k) % 3] = if k % 2 == 0 { -0.0 } else { 0.0 };
+            }
+            let y = 0.2 * t.feats.len() as f64 - 0.5 + 0.1 * (i % 7) as f64;
+            data.push(&encode_tree(&t.feats, &t.children), y, i % 3 == 0);
+        }
+        data
+    }
+
+    /// `fit` at batch 1 and batch 7 and `fit_per_sample`, each fresh
+    /// from one seed: params, `state_vec`, `mse` and steps, pinned to
+    /// the bits of the fits that read a dense copy of the set.
+    #[test]
+    fn treeconv_fit_bits_are_pinned() {
+        const PIN: u64 = 0xbee5_0387_b547_0cf9;
+        let data = pin_trees(23, &mut SmallRng::seed_from_u64(0x7ee));
+        let mut sum = 0xcbf2_9ce4_8422_2325u64;
+        for (batch, per_sample) in [(1usize, false), (7, false), (7, true)] {
+            let cfg = SgdConfig {
+                epochs: 3,
+                batch,
+                lr: 0.01,
+                optimizer: crate::model::OptimizerKind::Adam,
+                ..SgdConfig::default()
+            };
+            let mut m = TreeConvValueModel::new(
+                5,
+                TreeConvConfig {
+                    conv_channels: vec![4, 3],
+                    mlp_hidden: 3,
+                },
+            );
+            let mut rng = SmallRng::seed_from_u64(0x5eed);
+            let report = if per_sample {
+                m.fit_per_sample(data.clone(), &cfg, &mut rng)
+            } else {
+                m.fit(data.clone(), &cfg, &mut rng)
+            };
+            let vals = m
+                .params()
+                .into_iter()
+                .chain(m.state_vec())
+                .chain([report.mse]);
+            for v in vals.map(f64::to_bits).chain([report.steps]) {
+                sum = (sum.rotate_left(23) ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(sum, PIN, "actual {sum:#x}");
     }
 
     #[test]

@@ -88,10 +88,8 @@ fn fitted_model(
     };
     for (qi, q) in queries.iter().take(6).enumerate() {
         let plan = try_random_plan(db, q, SearchMode::Bushy, &mut rng).expect("connected query");
-        data.xs
-            .push(featurizer.featurize_enc(model.encoding(), q, &plan, &est));
-        data.ys.push(0.3 * qi as f64 - 0.5);
-        data.censored.push(qi % 3 == 0);
+        let x = featurizer.featurize_enc(model.encoding(), q, &plan, &est);
+        data.push(&x, 0.3 * qi as f64 - 0.5, qi % 3 == 0);
     }
     model.fit(
         data,
