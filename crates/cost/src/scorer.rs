@@ -6,8 +6,10 @@
 //! [`QueryScorer`] session, and the session assigns every scan leaf and
 //! every candidate join a [`ScoredTree`]. Joins are scored a batch at a
 //! time — [`QueryScorer::score_join_batch`] is the method a scorer
-//! writes and the one the planners call; scoring a single join is a
-//! provided batch of one. Beam search (and any other
+//! writes; scoring a single join is a provided batch of one. The
+//! planners rank candidates by [`QueryScorer::score_join_values`] (the
+//! batch's scores alone) and call `score_join_batch` only on the joins
+//! they keep. Beam search (and any other
 //! consumer of the shared candidate space) is written against this
 //! interface only, so the same inference procedure runs on classical
 //! costs, on simulated `C_out`, or on a learned value function — the
@@ -90,7 +92,9 @@ pub struct JoinCandidate<'a> {
 /// Implementors write [`QueryScorer::score_scan`] and
 /// [`QueryScorer::score_join_batch`]; [`QueryScorer::score_join`] is a
 /// provided batch of one, so "batch ≡ per-candidate" holds by
-/// construction.
+/// construction, and [`QueryScorer::score_join_values`] is provided as
+/// the batch's scores (a scorer may override it with a path that builds
+/// no states, never with different bits).
 ///
 /// **Purity contract.** Within one session, the [`ScoredTree`] of a
 /// plan is a function of the plan alone: [`QueryScorer::score_scan`]
@@ -115,6 +119,20 @@ pub trait QueryScorer: Sync {
     /// candidates (one pair session per run, filters × batch matrix
     /// products) is a layout change, never a math change.
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>);
+
+    /// Scores a batch of candidate joins like
+    /// [`QueryScorer::score_join_batch`], appending only each
+    /// candidate's `score` to `out`, in input order, bit for bit the
+    /// score that call would return. A planner ranks with this and
+    /// composes — calls `score_join_batch` on — only the joins it keeps,
+    /// so a scorer that composes incremental state can skip building the
+    /// state (and its allocations) for every candidate it is not asked
+    /// to keep. The default returns `score_join_batch`'s scores.
+    fn score_join_values(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<f64>) {
+        let mut trees = Vec::with_capacity(cands.len());
+        self.score_join_batch(cands, &mut trees);
+        out.extend(trees.iter().map(|t| t.score));
+    }
 
     /// Scores one join: a batch of one.
     fn score_join(&self, join: &Plan, lc: &ScoredTree, rc: &ScoredTree) -> ScoredTree {

@@ -359,6 +359,17 @@ pub trait ValueModel: Send + Sync {
         None
     }
 
+    /// The predicted log-latency of each candidate join, in input order,
+    /// bit for bit [`ValueModel::state_value_batch`] of
+    /// [`ValueModel::join_state_batch`] — without keeping the states.
+    /// The learned scorer ranks a beam level's joins with it and composes
+    /// states only for the few joins the level keeps, so a model can skip
+    /// allocating a state per candidate. `None` exactly when the
+    /// composing path is. The default is that composition.
+    fn join_value_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<f64>> {
+        self.state_value_batch(&self.join_state_batch(items)?)
+    }
+
     /// [`ValueModel::join_state_batch`] of one item.
     fn join_state(
         &self,
@@ -811,6 +822,32 @@ impl ResidualValueModel {
         &*self.correction
     }
 
+    /// Each item's halves: the base's items over the children's base
+    /// states and the correction's over their correction states, sharing
+    /// the node rows. `None` unless every child is a pair state.
+    #[allow(clippy::type_complexity)]
+    fn split_items<'a>(
+        items: &[JoinStateItem<'a>],
+    ) -> Option<(Vec<JoinStateItem<'a>>, Vec<JoinStateItem<'a>>)> {
+        let mut base = Vec::with_capacity(items.len());
+        let mut corr = Vec::with_capacity(items.len());
+        for it in items {
+            let l = it.left.downcast_ref::<(ModelState, ModelState)>()?;
+            let r = it.right.downcast_ref::<(ModelState, ModelState)>()?;
+            base.push(JoinStateItem {
+                node_x: it.node_x,
+                left: &l.0,
+                right: &r.0,
+            });
+            corr.push(JoinStateItem {
+                node_x: it.node_x,
+                left: &l.1,
+                right: &r.1,
+            });
+        }
+        Some((base, corr))
+    }
+
     /// Rewrites `data`'s labels to the residuals `y − base(x)`, the
     /// base's predictions taken over fixed-size chunks of unpacked rows
     /// (a prediction depends on its own row alone, so any chunking gives
@@ -933,34 +970,7 @@ impl ValueModel for ResidualValueModel {
     }
 
     fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
-        let pairs: Option<Vec<_>> = items
-            .iter()
-            .map(|it| {
-                Some((
-                    it.left.downcast_ref::<(ModelState, ModelState)>()?,
-                    it.right.downcast_ref::<(ModelState, ModelState)>()?,
-                ))
-            })
-            .collect();
-        let pairs = pairs?;
-        let base_items: Vec<JoinStateItem<'_>> = items
-            .iter()
-            .zip(&pairs)
-            .map(|(it, (l, r))| JoinStateItem {
-                node_x: it.node_x,
-                left: &l.0,
-                right: &r.0,
-            })
-            .collect();
-        let corr_items: Vec<JoinStateItem<'_>> = items
-            .iter()
-            .zip(&pairs)
-            .map(|(it, (l, r))| JoinStateItem {
-                node_x: it.node_x,
-                left: &l.1,
-                right: &r.1,
-            })
-            .collect();
+        let (base_items, corr_items) = Self::split_items(items)?;
         let base = self.base.join_state_batch(&base_items)?;
         let corr = self.correction.join_state_batch(&corr_items)?;
         Some(
@@ -969,6 +979,15 @@ impl ValueModel for ResidualValueModel {
                 .map(|(b, c)| Arc::new((b, c)) as ModelState)
                 .collect(),
         )
+    }
+
+    /// Both halves through their own values paths, summed per join as
+    /// `state_value_batch` sums them; no pair state is built.
+    fn join_value_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<f64>> {
+        let (base_items, corr_items) = Self::split_items(items)?;
+        let base = self.base.join_value_batch(&base_items)?;
+        let corr = self.correction.join_value_batch(&corr_items)?;
+        Some(base.into_iter().zip(corr).map(|(b, c)| b + c).collect())
     }
 
     fn state_value_batch(&self, states: &[ModelState]) -> Option<Vec<f64>> {

@@ -11,10 +11,14 @@
 //! Scoring is **incremental** and **batched**: every
 //! [`balsa_cost::ScoredTree`] this scorer returns carries an opaque
 //! per-subtree state in its `ext` child hook, and `score_join_batch` —
-//! the one join-scoring path; a single join is the trait's batch of one
-//! — composes each joined state from the children's states instead of
+//! the composing path; a single join is the trait's batch of one —
+//! composes each joined state from the children's states instead of
 //! re-walking the subtree, then predicts the whole batch in one model
-//! call —
+//! call. `score_join_values`, the path a beam level ranks its
+//! candidates by, runs the same composition and keeps only the scores:
+//! no `Arc<FlatState>` per flat candidate, and the tree convolution's
+//! [`ValueModel::join_value_batch`] in place of a state per candidate.
+//! Per encoding:
 //!
 //! * flat encoding (linear models): each candidate's 17 plan channels
 //!   (its [`FlatState::tail`]) compose through
@@ -61,7 +65,7 @@
 //! depends on the hooks.
 
 use crate::featurize::{query_selectivities, Featurizer, FlatState, FlatTemplate};
-use crate::model::{FeatureEncoding, JoinStateItem, ModelState, ValueModel};
+use crate::model::{FeatureEncoding, JoinStateItem, ValueModel};
 use balsa_card::{CardEstimator, MemoEstimator};
 use balsa_cost::{
     JoinCandidate, JoinPairCost, PlanScorer, QueryScorer, ScoredTree, SubtreeCost, SubtreeExt,
@@ -74,6 +78,11 @@ use std::sync::Arc;
 /// Cap on predicted log-latency so `exp` stays finite even for a model
 /// mid-training.
 const MAX_LOG_PRED: f64 = 60.0;
+
+/// The score of a log-space prediction: its latency, capped.
+fn latency(pred: f64) -> f64 {
+    pred.min(MAX_LOG_PRED).exp()
+}
 
 /// Scores plans by a learned value model over featurized states.
 pub struct LearnedScorer<'a> {
@@ -139,7 +148,7 @@ impl LearnedQueryScorer<'_> {
     /// so it leaves `sc` at its default.
     fn scored(&self, pred: f64, ext: Option<SubtreeExt>) -> ScoredTree {
         ScoredTree {
-            score: pred.min(MAX_LOG_PRED).exp(),
+            score: latency(pred),
             sc: SubtreeCost::default(),
             ext,
         }
@@ -239,7 +248,7 @@ impl QueryScorer for LearnedQueryScorer<'_> {
         self.score_full(scan)
     }
 
-    /// The inference hot path: one pass composes every candidate's
+    /// The composing path: one pass composes every candidate's
     /// incremental state, then a single batched model call produces all
     /// predictions — for the tree convolution, the batch's distinct join
     /// nodes encoded once each into one buffer and composed over the
@@ -250,137 +259,192 @@ impl QueryScorer for LearnedQueryScorer<'_> {
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
         match self.model.encoding() {
             FeatureEncoding::Flat => {
-                fn kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a FlatState, &'a FlatState)> {
-                    let flat = |t: &'a ScoredTree| t.ext.as_deref()?.downcast_ref::<FlatState>();
-                    flat(c.lc).zip(flat(c.rc))
-                }
-                // One expert-cost session per (left mask, right mask) and
-                // one group per output mask, both in first-use order.
-                let mut pair_of: HashMap<u64, usize, BuildHasherDefault<NodeKeyHasher>> =
-                    HashMap::default();
-                let mut pairs: Vec<JoinPairCost> = Vec::new();
-                let mut group_of: HashMap<u64, usize, BuildHasherDefault<NodeKeyHasher>> =
-                    HashMap::default();
-                let mut masks: Vec<TableMask> = Vec::new();
-                let composed: Vec<(usize, FlatState)> = cands
-                    .iter()
-                    .filter_map(|c| {
-                        let (l, r) = kids(c)?;
-                        let Plan::Join { left, right, .. } = c.join else {
-                            panic!("join candidate is a scan");
-                        };
-                        let (lmask, rmask) = (left.mask(), right.mask());
-                        let key = u64::from(lmask.0) | u64::from(rmask.0) << 32;
-                        let p = *pair_of.entry(key).or_insert_with(|| {
-                            pairs.push(
-                                self.featurizer
-                                    .pair_cost(self.query, lmask, rmask, &self.memo),
-                            );
-                            pairs.len() - 1
-                        });
-                        let st = self
-                            .featurizer
-                            .flat_join_state(self.query, c.join, l, r, &pairs[p]);
-                        let mask = lmask.union(rmask);
-                        let g = *group_of.entry(u64::from(mask.0)).or_insert_with(|| {
-                            masks.push(mask);
-                            masks.len() - 1
-                        });
-                        Some((g, st))
-                    })
-                    .collect();
-                let mut members: Vec<Vec<usize>> = vec![Vec::new(); masks.len()];
-                for (k, &(g, _)) in composed.iter().enumerate() {
-                    members[g].push(k);
-                }
-                // Each group's head is written once; the model folds it
-                // once per group.
-                let mut preds = vec![0.0; composed.len()];
-                let mut head = Vec::new();
-                let mut tails: Vec<&[f64]> = Vec::new();
-                for (&mask, members) in masks.iter().zip(&members) {
-                    self.flat_head(mask, &mut head);
-                    tails.clear();
-                    tails.extend(members.iter().map(|&k| &composed[k].1.tail[..]));
-                    let group_preds = self.model.predict_flat_batch(&head, &tails);
-                    for (&k, pred) in members.iter().zip(group_preds) {
-                        preds[k] = pred;
-                    }
-                }
-                let mut composed = composed.into_iter().zip(preds);
+                let mut composed = self.flat_batch(cands).into_iter();
                 for c in cands {
-                    out.push(match kids(c).and_then(|_| composed.next()) {
-                        Some(((_, st), pred)) => self.scored(pred, Some(Arc::new(st))),
+                    out.push(match flat_kids(c).and_then(|_| composed.next()) {
+                        Some((st, pred)) => self.scored(pred, Some(Arc::new(st))),
                         None => self.score_full(c.join),
                     });
                 }
             }
             FeatureEncoding::Tree => {
-                fn kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a SubtreeExt, &'a SubtreeExt)> {
-                    c.lc.ext.as_ref().zip(c.rc.ext.as_ref())
-                }
-                // Group the composable candidates by join node: each
-                // distinct node is featurized once, in first-use order,
-                // and every candidate of its group reads the same row.
-                let d = self.featurizer.node_dim();
-                let mut group_of: HashMap<u128, usize, BuildHasherDefault<NodeKeyHasher>> =
-                    HashMap::default();
-                let mut nxs: Vec<f64> = Vec::new();
-                let composable: Vec<(usize, &SubtreeExt, &SubtreeExt)> = cands
-                    .iter()
-                    .filter_map(|c| {
-                        let (left, right) = kids(c)?;
-                        let g = *group_of.entry(node_key(c.join)).or_insert_with(|| {
-                            nxs.resize(nxs.len() + d, 0.0);
-                            let at = nxs.len() - d;
-                            self.featurizer.node_features_into(
-                                self.query,
-                                c.join,
-                                &self.memo,
-                                &self.sels,
-                                &mut nxs[at..],
-                            );
-                            at / d
-                        });
-                        Some((g, left, right))
-                    })
-                    .collect();
-                // The model sees each group as one run of items on one
-                // row, which computes the row's node term once.
-                let mut order: Vec<usize> = (0..composable.len()).collect();
-                order.sort_unstable_by_key(|&i| composable[i].0);
-                let items: Vec<JoinStateItem<'_>> = order
-                    .iter()
-                    .map(|&i| {
-                        let (g, left, right) = composable[i];
-                        JoinStateItem {
-                            node_x: &nxs[g * d..(g + 1) * d],
-                            left,
-                            right,
-                        }
-                    })
-                    .collect();
-                // `None` (a model without incremental states) leaves
-                // nothing composed: every candidate goes from scratch.
-                let mut states: Vec<Option<(ModelState, f64)>> = vec![None; composable.len()];
-                if let Some(composed) = self.model.join_state_batch(&items) {
+                let composed = self.tree_batch(cands, |items| {
+                    let states = self.model.join_state_batch(items)?;
                     let preds = self
                         .model
-                        .state_value_batch(&composed)
+                        .state_value_batch(&states)
                         .expect("join_state_batch implies state_value_batch");
-                    for ((&i, state), pred) in order.iter().zip(composed).zip(preds) {
-                        states[i] = Some((state, pred));
-                    }
-                }
-                let mut composed = states.into_iter();
+                    Some(states.into_iter().zip(preds).collect())
+                });
+                let mut composed = composed.into_iter();
                 for c in cands {
-                    out.push(match kids(c).and_then(|_| composed.next()) {
+                    out.push(match tree_kids(c).and_then(|_| composed.next()) {
                         Some(Some((state, pred))) => self.scored(pred, Some(state)),
                         _ => self.score_full(c.join),
                     });
                 }
             }
         }
+    }
+
+    /// The inference hot path: the composing path's scores, bit for bit,
+    /// with no state kept — the flat encoding's composed tails are
+    /// dropped instead of shared behind an `Arc`, and the tree
+    /// convolution's windows go through
+    /// [`ValueModel::join_value_batch`], which needs no state per
+    /// candidate.
+    fn score_join_values(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<f64>) {
+        match self.model.encoding() {
+            FeatureEncoding::Flat => {
+                let mut composed = self.flat_batch(cands).into_iter();
+                for c in cands {
+                    out.push(match flat_kids(c).and_then(|_| composed.next()) {
+                        Some((_, pred)) => latency(pred),
+                        None => self.score_full(c.join).score,
+                    });
+                }
+            }
+            FeatureEncoding::Tree => {
+                let values = self.tree_batch(cands, |items| self.model.join_value_batch(items));
+                let mut values = values.into_iter();
+                for c in cands {
+                    out.push(match tree_kids(c).and_then(|_| values.next()) {
+                        Some(Some(pred)) => latency(pred),
+                        _ => self.score_full(c.join).score,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The flat states of a candidate's children, when both have one.
+fn flat_kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a FlatState, &'a FlatState)> {
+    let flat = |t: &'a ScoredTree| t.ext.as_deref()?.downcast_ref::<FlatState>();
+    flat(c.lc).zip(flat(c.rc))
+}
+
+/// The incremental states of a candidate's children, when both have one.
+fn tree_kids<'a>(c: &JoinCandidate<'a>) -> Option<(&'a SubtreeExt, &'a SubtreeExt)> {
+    c.lc.ext.as_ref().zip(c.rc.ext.as_ref())
+}
+
+impl LearnedQueryScorer<'_> {
+    /// The flat encoding's batch: each candidate with both child states
+    /// ([`flat_kids`]), in input order, composed to its [`FlatState`]
+    /// and predicted (log space). One expert-cost session per `(left
+    /// mask, right mask)` and one head per output mask, both in first-use
+    /// order; the model folds each head once per group.
+    fn flat_batch(&self, cands: &[JoinCandidate<'_>]) -> Vec<(FlatState, f64)> {
+        let mut pair_of: HashMap<u64, usize, BuildHasherDefault<NodeKeyHasher>> =
+            HashMap::default();
+        let mut pairs: Vec<JoinPairCost> = Vec::new();
+        let mut group_of: HashMap<u64, usize, BuildHasherDefault<NodeKeyHasher>> =
+            HashMap::default();
+        let mut masks: Vec<TableMask> = Vec::new();
+        let composed: Vec<(usize, FlatState)> = cands
+            .iter()
+            .filter_map(|c| {
+                let (l, r) = flat_kids(c)?;
+                let Plan::Join { left, right, .. } = c.join else {
+                    panic!("join candidate is a scan");
+                };
+                let (lmask, rmask) = (left.mask(), right.mask());
+                let key = u64::from(lmask.0) | u64::from(rmask.0) << 32;
+                let p = *pair_of.entry(key).or_insert_with(|| {
+                    pairs.push(
+                        self.featurizer
+                            .pair_cost(self.query, lmask, rmask, &self.memo),
+                    );
+                    pairs.len() - 1
+                });
+                let st = self
+                    .featurizer
+                    .flat_join_state(self.query, c.join, l, r, &pairs[p]);
+                let mask = lmask.union(rmask);
+                let g = *group_of.entry(u64::from(mask.0)).or_insert_with(|| {
+                    masks.push(mask);
+                    masks.len() - 1
+                });
+                Some((g, st))
+            })
+            .collect();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); masks.len()];
+        for (k, &(g, _)) in composed.iter().enumerate() {
+            members[g].push(k);
+        }
+        let mut preds = vec![0.0; composed.len()];
+        let mut head = Vec::new();
+        let mut tails: Vec<&[f64]> = Vec::new();
+        for (&mask, members) in masks.iter().zip(&members) {
+            self.flat_head(mask, &mut head);
+            tails.clear();
+            tails.extend(members.iter().map(|&k| &composed[k].1.tail[..]));
+            let group_preds = self.model.predict_flat_batch(&head, &tails);
+            for (&k, pred) in members.iter().zip(group_preds) {
+                preds[k] = pred;
+            }
+        }
+        composed.into_iter().map(|(_, st)| st).zip(preds).collect()
+    }
+
+    /// The tree encoding's batch: the candidates with both child states
+    /// ([`tree_kids`]) grouped by join node — each distinct node
+    /// featurized once, in first-use order, every candidate of its group
+    /// reading the same row — and handed to `model` as one run per group,
+    /// which computes the row's node term once. Returns `model`'s answer
+    /// per such candidate in input order; all `None` when `model`
+    /// answers `None` (a model without incremental states).
+    fn tree_batch<R>(
+        &self,
+        cands: &[JoinCandidate<'_>],
+        model: impl FnOnce(&[JoinStateItem<'_>]) -> Option<Vec<R>>,
+    ) -> Vec<Option<R>> {
+        let d = self.featurizer.node_dim();
+        let mut group_of: HashMap<u128, usize, BuildHasherDefault<NodeKeyHasher>> =
+            HashMap::default();
+        let mut nxs: Vec<f64> = Vec::new();
+        let composable: Vec<(usize, &SubtreeExt, &SubtreeExt)> = cands
+            .iter()
+            .filter_map(|c| {
+                let (left, right) = tree_kids(c)?;
+                let g = *group_of.entry(node_key(c.join)).or_insert_with(|| {
+                    nxs.resize(nxs.len() + d, 0.0);
+                    let at = nxs.len() - d;
+                    self.featurizer.node_features_into(
+                        self.query,
+                        c.join,
+                        &self.memo,
+                        &self.sels,
+                        &mut nxs[at..],
+                    );
+                    at / d
+                });
+                Some((g, left, right))
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..composable.len()).collect();
+        order.sort_unstable_by_key(|&i| composable[i].0);
+        let items: Vec<JoinStateItem<'_>> = order
+            .iter()
+            .map(|&i| {
+                let (g, left, right) = composable[i];
+                JoinStateItem {
+                    node_x: &nxs[g * d..(g + 1) * d],
+                    left,
+                    right,
+                }
+            })
+            .collect();
+        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None)
+            .take(composable.len())
+            .collect();
+        if let Some(answers) = model(&items) {
+            for (&i, answer) in order.iter().zip(answers) {
+                out[i] = Some(answer);
+            }
+        }
+        out
     }
 }
 
@@ -654,9 +718,11 @@ mod tests {
     /// operator), and the model's `predict_flat_batch` alone, against a
     /// hand-written loop that is given each output mask's head and each
     /// candidate's tail and computes only the prefix sum per mask, the
-    /// tail sum per candidate and the `exp`. Asserts the scorer's and the
-    /// model's outputs equal the floor's bit for bit and prints
-    /// ns/candidate and the ratios. Run with
+    /// tail sum per candidate and the `exp`. Also times the scorer's
+    /// values path (`score_join_values`, no `Arc<FlatState>` per
+    /// candidate), which the beam ranks by. Asserts the scorer's (both
+    /// paths) and the model's outputs equal the floor's bit for bit and
+    /// prints ns/candidate and the ratios. Run with
     /// `cargo test --release -p balsa-learn floor -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -836,8 +902,9 @@ mod tests {
 
         // Interleave the sides per repetition and report medians, so
         // load from other processes hits all alike.
-        let mut ns: [Vec<u128>; 3] = Default::default();
-        let [scorer_ns, model_ns, floor_ns] = &mut ns;
+        let mut ns: [Vec<u128>; 4] = Default::default();
+        let [scorer_ns, model_ns, floor_ns, values_ns] = &mut ns;
+        let mut values = Vec::with_capacity(n);
         let mut part_ns: [Vec<u128>; 5] = Default::default();
         let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
         let time = |ns: &mut Vec<u128>, f: &dyn Fn()| {
@@ -860,6 +927,10 @@ mod tests {
             let t = Instant::now();
             session.score_join_batch(&cands, &mut out);
             scorer_ns.push(t.elapsed().as_nanos());
+            values.clear();
+            let t = Instant::now();
+            session.score_join_values(&cands, &mut values);
+            values_ns.push(t.elapsed().as_nanos());
             let t = Instant::now();
             model_only(&mut got);
             model_ns.push(t.elapsed().as_nanos());
@@ -869,6 +940,11 @@ mod tests {
             let want = std::hint::black_box(&want);
             for (i, (s, (m, f))) in out.iter().zip(got.iter().zip(want)).enumerate() {
                 assert_eq!(s.score.to_bits(), f.to_bits(), "scorer, candidate {i}");
+                assert_eq!(
+                    values[i].to_bits(),
+                    f.to_bits(),
+                    "values path, candidate {i}"
+                );
                 assert_eq!(m.to_bits(), f.to_bits(), "model, candidate {i}");
             }
         }
@@ -876,13 +952,15 @@ mod tests {
             ns.sort_unstable();
             ns[ns.len() / 2] as f64 / n as f64
         };
-        let [s, m, f] = ns.map(per_candidate);
+        let [s, m, f, v] = ns.map(per_candidate);
         let [summary, compose, ln, arc, exp] = part_ns.map(per_candidate);
         println!(
             "{n} candidates, {} output masks, dim {dim} (head {h}), ns/candidate:\n  \
-             scorer {s:.0}, model {m:.0}, floor {f:.0}; ratio scorer {:.2}, model {:.2}",
+             scorer {s:.0} (values path {v:.0}), model {m:.0}, floor {f:.0}; \
+             ratio scorer {:.2} (values path {:.2}), model {:.2}",
             groups.len(),
             s / f,
+            v / f,
             m / f
         );
         println!(

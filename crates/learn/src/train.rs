@@ -1080,11 +1080,15 @@ impl LoopState {
     /// `CheckpointData → LoopState`, restoring the training env's plan
     /// cache and counters too. Features are a pure function of (query,
     /// plan), so the rebuilt buffer is indistinguishable from the
-    /// original.
+    /// original. Entries are checked serially (the first bad one in
+    /// checkpoint order is the error), featurized on the pool, and
+    /// recorded serially in checkpoint order, as `Ctx::label_batch`
+    /// does.
     fn from_checkpoint(ctx: &Ctx, data: CheckpointData) -> Result<Self, TrainError> {
         let queries = &ctx.workload.queries;
         let by_key: HashMap<u64, &Query> = queries.iter().map(|q| (query_key(q), q)).collect();
-        let mut buffer = ExperienceBuffer::new();
+        let mut jobs: Vec<(&Query, SubtreeObs, LabelSource)> =
+            Vec::with_capacity(data.buffer.len());
         for e in &data.buffer {
             let Some(q) = by_key.get(&e.query_key) else {
                 return Err(TrainError::UnknownQuery(e.query_key));
@@ -1101,7 +1105,14 @@ impl LoopState {
                 latency_secs: e.label_secs,
                 censored: e.censored,
             };
-            buffer.record(ctx.experience(q, &MemoEstimator::new(&ctx.est), obs, e.source));
+            jobs.push((q, obs, e.source));
+        }
+        let featurized = ctx.pool.map(&jobs, |_, (q, obs, source)| {
+            ctx.experience(q, &MemoEstimator::new(&ctx.est), obs.clone(), *source)
+        });
+        let mut buffer = ExperienceBuffer::new();
+        for e in featurized {
+            buffer.record(e);
         }
         let st = LoopState {
             model: ctx.model_from(true, &data.model_state)?,

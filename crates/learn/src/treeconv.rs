@@ -1091,6 +1091,25 @@ impl TreeConvValueModel {
         self.conv.iter().map(|c| c.in_dim).sum()
     }
 
+    /// Length of a [`TcState`] buffer: the conv layers' input widths,
+    /// then the pooled maxima.
+    fn state_len(&self) -> usize {
+        self.pooled_ofs() + self.conv.last().expect("at least one layer").out_dim
+    }
+
+    /// The MLP head over pooled maxima, `h` its hidden scratch.
+    fn head_value(&self, pooled: &[f64], h: &mut [f64]) -> f64 {
+        self.head1.act_ov(pooled, h, None);
+        self.head2.b[0]
+            + self
+                .head2
+                .w
+                .iter()
+                .zip(&*h)
+                .map(|(w, x)| w * x)
+                .sum::<f64>()
+    }
+
     /// The child-side window terms of `s` ([`TcState::proj`]), computed
     /// on first use. Each is the same left-to-right dot product the
     /// uncached window (`ConvLayer::pre`) takes, output-vectorized, so
@@ -1364,8 +1383,7 @@ impl ValueModel for TreeConvValueModel {
 
     fn leaf_state(&self, node_x: &[f64]) -> Option<ModelState> {
         assert_eq!(node_x.len(), self.node_dim, "node encoding mismatch");
-        let c_dim = self.conv.last().expect("at least one layer").out_dim;
-        let mut buf = vec![0.0; self.pooled_ofs() + c_dim].into_boxed_slice();
+        let mut buf = vec![0.0; self.state_len()].into_boxed_slice();
         buf[..self.node_dim].copy_from_slice(node_x);
         let mut at = 0;
         for layer in &self.conv {
@@ -1383,76 +1401,16 @@ impl ValueModel for TreeConvValueModel {
         }))
     }
 
-    /// The beam forward over cached child terms. A window's
-    /// pre-activation is `b + Wn·x + Wl·h_left + Wr·h_right`; the two
-    /// child terms come from each child's `TreeConvValueModel::child_proj`,
-    /// computed once per subtree, so per candidate only `Wn·x` and the
-    /// additions remain, written straight into the new state's buffer.
-    /// The additions keep `ConvLayer::pre`'s order and each cached term
-    /// is the same left-to-right dot product, so a composed state is
-    /// bit-identical to the uncached window's and does not depend on
-    /// which batch composed it.
-    ///
-    /// The layer-0 node product `Wn₀·x` reads nothing but the node
-    /// encoding, so a run of consecutive items naming the same `node_x`
-    /// slice — the same address and length, hence the same contents —
-    /// computes it once. The learned scorer hands each join node's
-    /// candidates to the model as one such run; an item on a slice of
-    /// its own pays one pointer compare. Reusing the product is
-    /// bit-exact: every window still adds `b₀ + Wn₀·x`, then `Wl₀·h`,
-    /// then `Wr₀·h`.
+    /// The beam forward over cached child terms (`JoinWindows::compose`
+    /// per item), each state in a buffer of its own.
     fn join_state_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<ModelState>> {
-        let pooled_ofs = self.pooled_ofs();
-        let top = self.conv.len() - 1;
-        let c_dim = self.conv[top].out_dim;
-        let l0 = &self.conv[0];
-        // `Wn₀·x` of the current run of items naming one slice.
-        let mut run: Option<&[f64]> = None;
-        let mut wn0_x = vec![0.0; l0.out_dim];
+        let len = self.state_len();
+        let mut windows = JoinWindows::new(self);
         items
             .iter()
             .map(|it| {
-                let l = it.left.downcast_ref::<TcState>()?;
-                let r = it.right.downcast_ref::<TcState>()?;
-                assert_eq!(it.node_x.len(), self.node_dim, "node encoding mismatch");
-                if !run.is_some_and(|x| std::ptr::eq(x, it.node_x)) {
-                    matvec_ov(&l0.wn_t, it.node_x, &mut wn0_x);
-                    run = Some(it.node_x);
-                }
-                let (pl, pr) = (self.child_proj(l), self.child_proj(r));
-                let (l_pool, r_pool) = (&l.buf[pooled_ofs..], &r.buf[pooled_ofs..]);
-                let mut buf = vec![0.0; pooled_ofs + c_dim].into_boxed_slice();
-                buf[..self.node_dim].copy_from_slice(it.node_x);
-                let (mut at, mut p_at) = (0, 0);
-                for (li, layer) in self.conv.iter().enumerate() {
-                    let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
-                    let (x, out) = buf[at..].split_at_mut(in_dim);
-                    let wl_h = &pl[p_at..p_at + out_dim];
-                    let wr_h = &pr[p_at + out_dim..p_at + 2 * out_dim];
-                    let out = &mut out[..out_dim];
-                    // One window output from its node product `z`.
-                    let window = |o: usize, z: f64| {
-                        let h = lrelu(layer.b[o] + z + wl_h[o] + wr_h[o]);
-                        // The last layer's activation only feeds the pool.
-                        if li == top {
-                            h.max(l_pool[o].max(r_pool[o]))
-                        } else {
-                            h
-                        }
-                    };
-                    if li == 0 {
-                        for (o, (y, &z)) in out.iter_mut().zip(&wn0_x).enumerate() {
-                            *y = window(o, z);
-                        }
-                    } else {
-                        matvec_ov(&layer.wn_t, x, out);
-                        for (o, y) in out.iter_mut().enumerate() {
-                            *y = window(o, *y);
-                        }
-                    }
-                    at += in_dim;
-                    p_at += 2 * out_dim;
-                }
+                let mut buf = vec![0.0; len].into_boxed_slice();
+                windows.compose(self, it, &mut buf)?;
                 Some(Arc::new(TcState {
                     buf,
                     proj: OnceLock::new(),
@@ -1470,10 +1428,114 @@ impl ValueModel for TreeConvValueModel {
             .iter()
             .map(|s| {
                 let pooled = &s.downcast_ref::<TcState>()?.buf[pooled_ofs..];
-                self.head1.act_ov(pooled, &mut h, None);
-                Some(self.head2.b[0] + self.head2.w.iter().zip(&h).map(|(w, x)| w * x).sum::<f64>())
+                Some(self.head_value(pooled, &mut h))
             })
             .collect()
+    }
+
+    /// `join_state_batch`'s window kernel, each item's state written
+    /// into one reused buffer and read out by `state_value_batch`'s head
+    /// at once: the same bits, and no state allocated per item.
+    fn join_value_batch(&self, items: &[JoinStateItem<'_>]) -> Option<Vec<f64>> {
+        let pooled_ofs = self.pooled_ofs();
+        let mut windows = JoinWindows::new(self);
+        let mut buf = vec![0.0; self.state_len()];
+        let mut h = vec![0.0; self.head1.b.len()];
+        items
+            .iter()
+            .map(|it| {
+                windows.compose(self, it, &mut buf)?;
+                Some(self.head_value(&buf[pooled_ofs..], &mut h))
+            })
+            .collect()
+    }
+}
+
+/// The beam forward over cached child terms, one join at a time. Holds
+/// `Wn₀·x` of the current run of items naming one node row.
+struct JoinWindows<'x> {
+    run: Option<&'x [f64]>,
+    wn0_x: Vec<f64>,
+}
+
+impl<'x> JoinWindows<'x> {
+    fn new(model: &TreeConvValueModel) -> Self {
+        Self {
+            run: None,
+            wn0_x: vec![0.0; model.conv[0].out_dim],
+        }
+    }
+
+    /// Writes the state of join `it` into `buf` (a [`TcState`] buffer's
+    /// length). `None` when a child is not a tree-conv state.
+    ///
+    /// A window's pre-activation is `b + Wn·x + Wl·h_left + Wr·h_right`;
+    /// the two child terms come from each child's
+    /// `TreeConvValueModel::child_proj`, computed once per subtree, so
+    /// per join only `Wn·x` and the additions remain, written straight
+    /// into `buf`. The additions keep `ConvLayer::pre`'s order and each
+    /// cached term is the same left-to-right dot product, so a composed
+    /// state is bit-identical to the uncached window's and does not
+    /// depend on which batch composed it.
+    ///
+    /// The layer-0 node product `Wn₀·x` reads nothing but the node
+    /// encoding, so a run of consecutive items naming the same `node_x`
+    /// slice — the same address and length, hence the same contents —
+    /// computes it once. The learned scorer hands each join node's
+    /// candidates to the model as one such run; an item on a slice of
+    /// its own pays one pointer compare. Reusing the product is
+    /// bit-exact: every window still adds `b₀ + Wn₀·x`, then `Wl₀·h`,
+    /// then `Wr₀·h`.
+    fn compose(
+        &mut self,
+        model: &TreeConvValueModel,
+        it: &JoinStateItem<'x>,
+        buf: &mut [f64],
+    ) -> Option<()> {
+        let l = it.left.downcast_ref::<TcState>()?;
+        let r = it.right.downcast_ref::<TcState>()?;
+        assert_eq!(it.node_x.len(), model.node_dim, "node encoding mismatch");
+        let l0 = &model.conv[0];
+        if !self.run.is_some_and(|x| std::ptr::eq(x, it.node_x)) {
+            matvec_ov(&l0.wn_t, it.node_x, &mut self.wn0_x);
+            self.run = Some(it.node_x);
+        }
+        let pooled_ofs = model.pooled_ofs();
+        let top = model.conv.len() - 1;
+        let (pl, pr) = (model.child_proj(l), model.child_proj(r));
+        let (l_pool, r_pool) = (&l.buf[pooled_ofs..], &r.buf[pooled_ofs..]);
+        buf[..model.node_dim].copy_from_slice(it.node_x);
+        let (mut at, mut p_at) = (0, 0);
+        for (li, layer) in model.conv.iter().enumerate() {
+            let (in_dim, out_dim) = (layer.in_dim, layer.out_dim);
+            let (x, out) = buf[at..].split_at_mut(in_dim);
+            let wl_h = &pl[p_at..p_at + out_dim];
+            let wr_h = &pr[p_at + out_dim..p_at + 2 * out_dim];
+            let out = &mut out[..out_dim];
+            // One window output from its node product `z`.
+            let window = |o: usize, z: f64| {
+                let h = lrelu(layer.b[o] + z + wl_h[o] + wr_h[o]);
+                // The last layer's activation only feeds the pool.
+                if li == top {
+                    h.max(l_pool[o].max(r_pool[o]))
+                } else {
+                    h
+                }
+            };
+            if li == 0 {
+                for (o, (y, &z)) in out.iter_mut().zip(&self.wn0_x).enumerate() {
+                    *y = window(o, z);
+                }
+            } else {
+                matvec_ov(&layer.wn_t, x, out);
+                for (o, y) in out.iter_mut().enumerate() {
+                    *y = window(o, *y);
+                }
+            }
+            at += in_dim;
+            p_at += 2 * out_dim;
+        }
+        Some(())
     }
 }
 
@@ -2149,8 +2211,11 @@ mod tests {
     /// averages 9.8 candidates per join node and the learned scorer
     /// hands each node's candidates over as one run: the candidates name
     /// 42 rows, 10 each on average, row by row, and that floor computes
-    /// each row's layer-0 node term `b₀ + Wn₀·x` once. Kernel and floor
-    /// values must be bit-equal in both. Run with
+    /// each row's layer-0 node term `b₀ + Wn₀·x` once. Each layout also
+    /// times the values path (`join_value_batch`: the same kernel into
+    /// one reused buffer, no state kept, over fresh children of its own),
+    /// which the beam ranks by. Kernel,
+    /// values path and floor must be bit-equal in both. Run with
     /// `cargo test --release -p balsa-learn floor -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -2234,8 +2299,9 @@ mod tests {
 
         // Interleave the sides per repetition and report medians, so
         // load from other processes hits all alike.
-        let mut ns: [Vec<u128>; 5] = Default::default();
-        let [kernel_ns, floor_ns, uncached_ns, shared_kernel_ns, shared_floor_ns] = &mut ns;
+        let mut ns: [Vec<u128>; 7] = Default::default();
+        let [kernel_ns, floor_ns, uncached_ns, shared_kernel_ns, shared_floor_ns, values_ns, shared_values_ns] =
+            &mut ns;
         let mut out = vec![0.0; CANDS];
         let mut sink = 0.0;
         let assert_bit_equal = |values: &[f64], out: &[f64], layout: &str| {
@@ -2263,11 +2329,17 @@ mod tests {
             let values = model.state_value_batch(&states).unwrap();
             kernel_ns.push(t.elapsed().as_nanos());
             sink += values[0];
+            let kids = fresh_kids();
+            let distinct = floor_items(&pairs, &kids, &distinct_x);
+            let t = Instant::now();
+            let values_only = model.join_value_batch(&distinct).unwrap();
+            values_ns.push(t.elapsed().as_nanos());
             let t = Instant::now();
             floor(&mut out);
             floor_ns.push(t.elapsed().as_nanos());
             sink += std::hint::black_box(&out)[0];
             assert_bit_equal(&values, &out, "distinct");
+            assert_bit_equal(&values_only, &out, "distinct (values path)");
             let t = Instant::now();
             let states = model.join_state_batch_uncached(&distinct).unwrap();
             let values = model.state_value_batch(&states).unwrap();
@@ -2281,24 +2353,33 @@ mod tests {
             let values = model.state_value_batch(&states).unwrap();
             shared_kernel_ns.push(t.elapsed().as_nanos());
             sink += values[0];
+            let kids = fresh_kids();
+            let shared = floor_items(&pairs, &kids, &shared_x);
+            let t = Instant::now();
+            let values_only = model.join_value_batch(&shared).unwrap();
+            shared_values_ns.push(t.elapsed().as_nanos());
             let t = Instant::now();
             shared_floor(&mut out);
             shared_floor_ns.push(t.elapsed().as_nanos());
             sink += std::hint::black_box(&out)[0];
             assert_bit_equal(&values, &out, "shared");
+            assert_bit_equal(&values_only, &out, "shared (values path)");
         }
-        let [k, f, u, sk, sf] = ns.map(|mut ns| {
+        let [k, f, u, sk, sf, v, sv] = ns.map(|mut ns| {
             ns.sort_unstable();
             ns[ns.len() / 2] as f64 / CANDS as f64
         });
         println!(
             "node_dim {d}, conv {O0} -> {O1}, head {FLOOR_HD}, ns/candidate (sink {sink:.3}):\n  \
-             distinct rows: kernel {k:.0}, floor {f:.0}, ratio {:.2}; \
-             uncached reference {u:.0}\n  \
-             shared rows ({:.1} candidates/row): kernel {sk:.0}, floor {sf:.0}, ratio {:.2}",
+             distinct rows: kernel {k:.0}, values path {v:.0}, floor {f:.0}, ratio {:.2} \
+             (values {:.2}); uncached reference {u:.0}\n  \
+             shared rows ({:.1} candidates/row): kernel {sk:.0}, values path {sv:.0}, \
+             floor {sf:.0}, ratio {:.2} (values {:.2})",
             k / f,
+            v / f,
             CANDS as f64 / ROWS as f64,
-            sk / sf
+            sk / sf,
+            sv / sf
         );
     }
 

@@ -13,20 +13,24 @@
 //! bit-identical.
 //!
 //! Also covered here: the raw model batch hooks must equal their
-//! batch-of-one forms on random plans.
+//! batch-of-one forms on random plans, and the values-only paths
+//! (`QueryScorer::score_join_values`, `ValueModel::join_value_batch`)
+//! must equal the composing paths' scores bit for bit.
 
 use balsa_card::HistogramEstimator;
-use balsa_cost::{JoinCandidate, OpWeights, PlanScorer, QueryScorer, ScoredTree};
+use balsa_cost::{
+    CostScorer, ExpertCostModel, JoinCandidate, OpWeights, PlanScorer, QueryScorer, ScoredTree,
+};
 use balsa_learn::{
-    Featurizer, LearnedScorer, LinearValueModel, ModelKind, SgdConfig, TrainSet, TreeConvConfig,
-    TreeConvValueModel, ValueModel,
+    Featurizer, JoinStateItem, LearnedScorer, LinearValueModel, ModelKind, ResidualValueModel,
+    SgdConfig, TrainSet, TreeConvConfig, TreeConvValueModel, ValueModel,
 };
 use balsa_query::workloads::{ext_job_workload, job_workload};
 use balsa_query::{Plan, Query};
 use balsa_search::{try_random_plan, BeamPlanner, Planner, SearchMode};
 use balsa_storage::{mini_imdb, DataGenConfig, Database};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 
 fn fixture() -> (Arc<Database>, Vec<Query>) {
@@ -76,8 +80,19 @@ fn fitted_model(
     queries: &[Query],
     featurizer: &Featurizer,
 ) -> Box<dyn ValueModel> {
+    fitted_model_seeded(kind, db, queries, featurizer, 0x5EED)
+}
+
+/// [`fitted_model`] from the RNG seed `seed`.
+fn fitted_model_seeded(
+    kind: ModelKind,
+    db: &Arc<Database>,
+    queries: &[Query],
+    featurizer: &Featurizer,
+    seed: u64,
+) -> Box<dyn ValueModel> {
     let est = HistogramEstimator::new(db);
-    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut data = TrainSet::default();
     let mut model: Box<dyn ValueModel> = match kind {
         ModelKind::Linear => Box::new(LinearValueModel::new(featurizer.dim())),
@@ -284,5 +299,165 @@ fn learned_beam_matches_the_pre_sharing_pin() {
             }
         }
         assert_eq!(sum, pinned, "{kind:?}: actual {sum:#x}");
+    }
+}
+
+/// Scored leaves, every allowed two-leaf join and every extension of one
+/// by an adjacent table's sequential scan, as `(join, left, right)`;
+/// then each two-leaf join again with a child that carries no scorer
+/// state, which the learned scorer answers from scratch.
+fn values_cases(session: &dyn QueryScorer, q: &Query) -> Vec<(Arc<Plan>, ScoredTree, ScoredTree)> {
+    use balsa_query::{JoinOp, ScanOp};
+    let leaves: Vec<(Arc<Plan>, ScoredTree)> = (0..q.num_tables())
+        .map(|qt| {
+            let p = Plan::scan(qt, ScanOp::Seq);
+            let st = session.score_scan(&p);
+            (p, st)
+        })
+        .collect();
+    let mut pairs = Vec::new();
+    for e in &q.joins {
+        for op in JoinOp::ALL {
+            let (l, r) = (&leaves[e.left_qt], &leaves[e.right_qt]);
+            let p = Plan::join(op, l.0.clone(), r.0.clone());
+            let st = session.score_join(&p, &l.1, &r.1);
+            pairs.push((p, st, l.1.clone(), r.1.clone()));
+        }
+    }
+    let mut cases = Vec::new();
+    for (p, st, _, _) in &pairs {
+        for e in &q.joins {
+            for (a, b) in [(e.left_qt, e.right_qt), (e.right_qt, e.left_qt)] {
+                if p.mask().contains(a) && !p.mask().contains(b) {
+                    let (r, rst) = &leaves[b];
+                    cases.push((
+                        Plan::join(JoinOp::Hash, p.clone(), r.clone()),
+                        st.clone(),
+                        rst.clone(),
+                    ));
+                }
+            }
+        }
+    }
+    for (p, _, lst, rst) in pairs {
+        cases.push((p.clone(), lst.clone(), rst));
+        cases.push((p, ScoredTree::default(), lst));
+    }
+    cases
+}
+
+/// `score_join_values` equals the scores of `score_join_batch`, bit for
+/// bit, for the linear, tree-conv, residual-linear and
+/// residual-tree-conv scorers — candidates whose children carry no
+/// state (scored from scratch) included — and through `CostScorer`,
+/// whose values path is the trait's default body.
+#[test]
+fn score_join_values_equal_the_composed_scores() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+    let q = queries.iter().find(|q| q.num_tables() >= 5).unwrap();
+    let mut models: Vec<Box<dyn ValueModel>> = Vec::new();
+    for kind in [ModelKind::Linear, ModelKind::TreeConv] {
+        models.push(fitted_model(kind, &db, &queries, &featurizer));
+        models.push(Box::new(ResidualValueModel::new(
+            fitted_model(kind, &db, &queries, &featurizer),
+            fitted_model_seeded(kind, &db, &queries, &featurizer, 0xC0DE),
+        )));
+    }
+    let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+    let cost = CostScorer::new(&expert, &est);
+    let learned: Vec<LearnedScorer<'_>> = models
+        .iter()
+        .map(|m| LearnedScorer::new(&featurizer, &**m, &est))
+        .collect();
+    let mut scorers: Vec<&dyn PlanScorer> = learned.iter().map(|s| s as &dyn PlanScorer).collect();
+    scorers.push(&cost);
+    for scorer in scorers {
+        let session = scorer.for_query(q);
+        let cases = values_cases(&*session, q);
+        let cands: Vec<JoinCandidate<'_>> = cases
+            .iter()
+            .map(|(p, lc, rc)| JoinCandidate { join: p, lc, rc })
+            .collect();
+        assert!(cands.iter().any(|c| c.lc.ext.is_none()) && cands.len() > 20);
+        let (mut trees, mut values) = (Vec::new(), vec![-1.0]);
+        session.score_join_batch(&cands, &mut trees);
+        session.score_join_values(&cands, &mut values);
+        assert_eq!(values.len(), cands.len() + 1, "{}: appends", scorer.name());
+        for (i, (t, v)) in trees.iter().zip(&values[1..]).enumerate() {
+            let what = format!("{}: candidate {i} ({})", scorer.name(), cands[i].join);
+            assert_eq!(t.score.to_bits(), v.to_bits(), "{what}");
+        }
+    }
+}
+
+/// `ValueModel::join_value_batch` equals `state_value_batch` of
+/// `join_state_batch`, bit for bit, for the tree-conv model and its
+/// residual form (each item on a node row of its own, then runs of items
+/// sharing one row), and is `None` exactly when composing is.
+#[test]
+fn join_value_batch_equals_the_value_of_composed_states() {
+    let (db, queries) = fixture();
+    let est = HistogramEstimator::new(&db);
+    let featurizer = Featurizer::new(db.clone(), OpWeights::postgres_like(), true);
+    let q = queries.iter().find(|q| q.num_tables() >= 5).unwrap();
+    let mut rng = SmallRng::seed_from_u64(7);
+    let models: Vec<Box<dyn ValueModel>> = vec![
+        fitted_model(ModelKind::TreeConv, &db, &queries, &featurizer),
+        Box::new(ResidualValueModel::new(
+            fitted_model(ModelKind::TreeConv, &db, &queries, &featurizer),
+            fitted_model_seeded(ModelKind::TreeConv, &db, &queries, &featurizer, 0xC0DE),
+        )),
+        fitted_model(ModelKind::Linear, &db, &queries, &featurizer),
+    ];
+    for model in &models {
+        let scorer = LearnedScorer::new(&featurizer, &**model, &est);
+        let session = scorer.for_query(q);
+        let states: Vec<_> = values_cases(&*session, q)
+            .into_iter()
+            .filter_map(|(_, st, _)| st.ext)
+            .collect();
+        let d = featurizer.node_dim();
+        let rows: Vec<Vec<f64>> = (0..6)
+            .map(|_| (0..d).map(|_| rng.random_normal(0.0, 1.0)).collect())
+            .collect();
+        let pairs: Vec<(usize, usize)> = (0..60)
+            .map(|_| {
+                (
+                    rng.random_range(0..states.len()),
+                    rng.random_range(0..states.len()),
+                )
+            })
+            .collect();
+        for shared in [false, true] {
+            let items: Vec<JoinStateItem<'_>> = pairs
+                .iter()
+                .enumerate()
+                .map(|(k, &(l, r))| JoinStateItem {
+                    node_x: &rows[if shared { k / 10 } else { k % rows.len() }],
+                    left: &states[l],
+                    right: &states[r],
+                })
+                .collect();
+            let values = model.join_value_batch(&items);
+            let composed = model.join_state_batch(&items).map(|s| {
+                model
+                    .state_value_batch(&s)
+                    .expect("composed states have values")
+            });
+            assert_eq!(
+                values.is_some(),
+                model.encoding() == balsa_learn::FeatureEncoding::Tree
+            );
+            let bits =
+                |v: Option<Vec<f64>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            assert_eq!(
+                bits(values),
+                bits(composed),
+                "{} shared rows: {shared}",
+                model.name()
+            );
+        }
     }
 }

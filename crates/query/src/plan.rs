@@ -86,24 +86,36 @@ impl Plan {
         Arc::new(Plan::Scan { qt: qt as u8, op })
     }
 
-    /// Creates a join node over two disjoint subplans.
+    /// Creates a shared join node over two disjoint subplans: an `Arc`
+    /// of [`Plan::join_node`].
     ///
     /// # Panics
     /// Panics (debug) if the input masks overlap.
     pub fn join(op: JoinOp, left: Arc<Plan>, right: Arc<Plan>) -> Arc<Plan> {
+        Arc::new(Plan::join_node(op, left, right))
+    }
+
+    /// Creates a join node over two disjoint subplans by value, its mask
+    /// and fingerprint cached from the children's. The node allocates
+    /// nothing of its own — a planner can score a candidate join this
+    /// way and share it behind an `Arc` only if it keeps the join.
+    ///
+    /// # Panics
+    /// Panics (debug) if the input masks overlap.
+    pub fn join_node(op: JoinOp, left: Arc<Plan>, right: Arc<Plan>) -> Plan {
         let mask = left.mask().union(right.mask());
         debug_assert!(
             left.mask().disjoint(right.mask()),
             "joining overlapping subplans"
         );
         let fp = Plan::join_fingerprint(op, left.fingerprint(), right.fingerprint());
-        Arc::new(Plan::Join {
+        Plan::Join {
             op,
             left,
             right,
             mask,
             fp,
-        })
+        }
     }
 
     /// Set of tables covered by this plan.

@@ -37,35 +37,46 @@
 //!    they are scored. Each surviving candidate is then mapped to a
 //!    *slot* of the per-query join-score table, keyed by the join's
 //!    fingerprint (computed from the children's, before any node is
-//!    built): the first candidate of a level to name a join allocates
-//!    the plan node and queues the slot for scoring; every later one —
-//!    the beam's states differ in a tree or two, so most of them
-//!    re-derive the same `(A ⋈ B, op)` — and every one whose join was
-//!    scored at the level before shares that slot. The table is
-//!    generational: a join no candidate named for one level is dropped.
+//!    built): the first candidate of a level to name a join takes a
+//!    slot holding the join node *by value* ([`Plan::join_node`]: its
+//!    children shared, nothing allocated) and queues it for scoring;
+//!    every later one — the beam's states differ in a tree or two, so
+//!    most of them re-derive the same `(A ⋈ B, op)` — and every one
+//!    whose join was scored at the level before shares that slot. The
+//!    table is generational: a join no candidate named for one level is
+//!    dropped.
 //! 2. *Score* (batched): the queued slots — the distinct joins nobody
 //!    has scored yet, in generation order — are scored in one
-//!    [`balsa_cost::QueryScorer::score_join_batch`] call. Batch scoring
-//!    is bit-identical to per-candidate scoring by contract (batch
-//!    layout is never a math change), and a join's score is a pure
-//!    function of the join plan by the same contract, so sharing it is
-//!    never a math change either.
-//! 3. *Assemble + select* (serial): survivors are ranked on totals read
-//!    through their slots, epsilon-filled, and truncated to the beam
-//!    width; only the kept states are materialized. *Rank only what is
-//!    read*: the ranking key is `(total, survivor index)`, a total order
-//!    equal to a stable sort on totals, ties included. A greedy level
-//!    reads only its best `width`, so it partitions them to the front
-//!    (`select_nth_unstable_by`) and sorts just those; an exploring
-//!    level may fill a slot from anywhere in the ranking, so it sorts
-//!    every survivor under the same key.
+//!    [`balsa_cost::QueryScorer::score_join_values`] call, which returns
+//!    scores alone: a scorer builds no incremental state, and the beam
+//!    no shared node, for the many joins no kept state will hold. Batch
+//!    scoring is bit-identical to per-candidate scoring by contract
+//!    (batch layout is never a math change), and a join's score is a
+//!    pure function of the join plan by the same contract, so sharing
+//!    it is never a math change either.
+//! 3. *Select + compose + assemble* (serial): survivors are ranked on
+//!    totals read through their slots, epsilon-filled, and truncated to
+//!    the beam width. *Rank only what is read*: the ranking key is
+//!    `(total, survivor index)`, a total order equal to a stable sort
+//!    on totals, ties included. A level partitions its best `width` to
+//!    the front (`select_nth_unstable_by`) and sorts just those; an
+//!    exploring level's draw of a deeper rank reads that rank off the
+//!    unsorted rest. The kept joins that no earlier level composed —
+//!    at most `width` — then go to the scorer once more, in one
+//!    [`balsa_cost::QueryScorer::score_join_batch`] call, for the state
+//!    a later level composes through, and each is shared as the one
+//!    `Arc<Plan>` its slot builds. Compositions are not new costings:
+//!    [`SearchStats::cost_calls`] counts the scans and the joins scored.
+//!    Only the kept states are materialized, and closing the level
+//!    frees nothing an unkept slot allocated, because it allocated
+//!    nothing.
 
 use crate::budget::{check_table_count, verify_emitted};
 use crate::candidates::CandidateSpace;
 use crate::greedy::GreedyLeftDeepPlanner;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
-use balsa_query::{splitmix64, JoinOp, Plan, Query, TableMask};
+use balsa_query::{splitmix64, JoinOp, Plan, Query, ScanOp, TableMask};
 use balsa_storage::Database;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -133,12 +144,35 @@ impl Hasher for SigHasher {
 /// The dedup seen-table: pre-mixed `u64` signatures, identity-hashed.
 type SeenSet = HashSet<u64, BuildHasherDefault<SigHasher>>;
 
-/// One distinct join of a level: its plan node and — once the level's
-/// scoring phase has run — its score. Every candidate of the level that
-/// names this join reads both through the slot.
+/// One distinct join of a level. Every candidate of the level that
+/// names the join reads its score through the slot; the states a level
+/// keeps also read its composed tree.
 struct Slot {
-    plan: Arc<Plan>,
-    st: ScoredTree,
+    /// The join node by value ([`Plan::join_node`]): its children are
+    /// shared, and the node allocates nothing of its own.
+    join: Plan,
+    /// The join's score, set by the level's scoring phase
+    /// ([`balsa_cost::QueryScorer::score_join_values`]).
+    score: f64,
+    /// Set the first time a kept state contains the join: the node
+    /// shared behind an `Arc`, built once, and the scorer's composed
+    /// tree ([`balsa_cost::QueryScorer::score_join_batch`], whose score
+    /// is `score`). `None` — the composed flag unset — for every join no
+    /// kept state has named yet.
+    composed: Option<(Arc<Plan>, ScoredTree)>,
+}
+
+impl Slot {
+    /// What a slot whose join moved to the current level leaves behind
+    /// in the previous one: nothing points at it any more.
+    const VACANT: Slot = Slot {
+        join: Plan::Scan {
+            qt: 0,
+            op: ScanOp::Seq,
+        },
+        score: 0.0,
+        composed: None,
+    };
 }
 
 /// Where a join's slot lives: the level that last touched it and its
@@ -150,8 +184,9 @@ struct SlotRef {
 }
 
 /// The per-query join-score table: join fingerprint → the slot holding
-/// that join's plan and score, so a join is scored once however many
-/// beam states contain its two inputs.
+/// that join's node and score, so a join is scored once however many
+/// beam states contain its two inputs, and composed once however many
+/// kept states contain it.
 ///
 /// **Generational.** The table holds the slots touched at the current
 /// level and at the level before, nothing older: a state's roots only
@@ -171,9 +206,12 @@ struct JoinScoreTable {
     /// Slots touched at the current level.
     cur: Vec<Slot>,
     /// Slots touched at the level before (those touched again since
-    /// have had their score moved into `cur`).
+    /// have moved into `cur`, leaving [`Slot::VACANT`]).
     prev: Vec<Slot>,
     level: u32,
+    /// Shared join nodes built (`Arc<Plan>`), counted for the tests.
+    #[cfg(test)]
+    shared: usize,
 }
 
 impl JoinScoreTable {
@@ -183,13 +221,18 @@ impl JoinScoreTable {
         self.cur.clear();
         self.prev.clear();
         self.level = 0;
+        #[cfg(test)]
+        {
+            self.shared = 0;
+        }
     }
 
     /// The current-level slot of the join `(op, left, right)`, whose
-    /// fingerprint is `fp`, and whether the slot is *fresh* — allocated
-    /// by this call, its score still to be set ([`Self::set_score`])
+    /// fingerprint is `fp`, and whether the slot is *fresh* — taken by
+    /// this call, its score still to be set ([`Self::set_score`])
     /// before the level ends. A join touched at this level or at the
-    /// level before is never fresh.
+    /// level before is never fresh; it keeps its score, and its composed
+    /// tree if a kept state named it.
     fn slot_for(
         &mut self,
         fp: u64,
@@ -222,16 +265,13 @@ impl JoinScoreTable {
             Entry::Occupied(mut e) => {
                 let at = *e.get();
                 if at.level == self.level {
-                    if is_this_join(&self.cur[at.slot as usize].plan) {
+                    if is_this_join(&self.cur[at.slot as usize].join) {
                         return (at.slot, false);
                     }
                 } else {
                     let old = &mut self.prev[at.slot as usize];
-                    if is_this_join(&old.plan) {
-                        self.cur.push(Slot {
-                            plan: old.plan.clone(),
-                            st: std::mem::take(&mut old.st),
-                        });
+                    if is_this_join(&old.join) {
+                        self.cur.push(std::mem::replace(old, Slot::VACANT));
                         e.insert(here);
                         return (here.slot, false);
                     }
@@ -243,8 +283,9 @@ impl JoinScoreTable {
             }
         }
         self.cur.push(Slot {
-            plan: Plan::join(op, left.clone(), right.clone()),
-            st: ScoredTree::default(),
+            join: Plan::join_node(op, left.clone(), right.clone()),
+            score: 0.0,
+            composed: None,
         });
         (here.slot, true)
     }
@@ -253,12 +294,37 @@ impl JoinScoreTable {
         &self.cur[slot as usize]
     }
 
-    fn set_score(&mut self, slot: u32, st: ScoredTree) {
-        self.cur[slot as usize].st = st;
+    fn set_score(&mut self, slot: u32, score: f64) {
+        self.cur[slot as usize].score = score;
+    }
+
+    /// Records a kept join's composed tree and shares its node: the one
+    /// `Arc<Plan>` the slot ever builds.
+    fn set_composed(&mut self, slot: u32, st: ScoredTree) {
+        let s = &mut self.cur[slot as usize];
+        let Plan::Join {
+            op, left, right, ..
+        } = &s.join
+        else {
+            unreachable!("a slot holds a join");
+        };
+        debug_assert_eq!(
+            st.score.to_bits(),
+            s.score.to_bits(),
+            "score_join_batch and score_join_values disagree on {}",
+            s.join
+        );
+        s.composed = Some((Plan::join(*op, left.clone(), right.clone()), st));
+        #[cfg(test)]
+        {
+            self.shared += 1;
+        }
     }
 
     /// Closes the level: what it touched becomes the previous level,
-    /// everything older is dropped.
+    /// everything older is dropped. An unkept slot owns no allocation
+    /// (its node shares its children, its score is a number), so the
+    /// drop only releases child references.
     fn end_level(&mut self) {
         let level = self.level;
         self.index.retain(|_, at| at.level == level);
@@ -276,28 +342,32 @@ struct BeamScratch {
     seen: SeenSet,
     joins: JoinScoreTable,
     pending: Vec<Pending>,
-    queue: Vec<Queued>,
+    /// The [`Pending`] candidates that took a fresh slot, in generation
+    /// order: phase 2 scores their joins.
+    queue: Vec<u32>,
+    /// Phase 2's scores, in `queue` order.
+    values: Vec<f64>,
+    /// Phase 3's ranking, then the kept candidates in slot order.
+    order: Vec<u32>,
+    /// The kept candidates whose join phase 3 composes, one per slot.
+    compose: Vec<u32>,
 }
 
 /// One dedup-surviving candidate: where it came from (state index,
-/// joined tree positions), its precomputed signature pieces, and the
-/// slot its join's plan and score are read through.
+/// joined tree positions, and which scan variant of each joined tree —
+/// [`BeamPlanner::variants`] — its children are), its precomputed
+/// signature pieces, and the slot its join's score is read through.
+/// The variants let phase 3 hand a kept join to the scorer again with
+/// its children's scored subtrees.
 struct Pending {
     si: usize,
     i: usize,
     j: usize,
+    lv: u32,
+    rv: u32,
     sig: u64,
     mix: u64,
     slot: u32,
-}
-
-/// A fresh slot awaiting its batched score: the [`Pending`] candidate
-/// that allocated it, and which scan variant of each joined tree
-/// ([`BeamPlanner::variants`]) its children's scored subtrees are.
-struct Queued {
-    cand: usize,
-    lv: usize,
-    rv: usize,
 }
 
 /// Epsilon-greedy beam exploration parameters.
@@ -376,6 +446,81 @@ impl<'a> BeamPlanner<'a> {
             Plan::Join { .. } => std::slice::from_ref(tree),
         }
     }
+
+    /// The scorer's view of candidate `p`: its slot's join node and the
+    /// scored subtrees of the two inputs it joins.
+    fn candidate<'c>(
+        &self,
+        beam: &'c [State],
+        scan_variants: &'c [Vec<Tree>],
+        joins: &'c JoinScoreTable,
+        p: &Pending,
+    ) -> JoinCandidate<'c> {
+        let trees = &beam[p.si].trees;
+        JoinCandidate {
+            join: &joins.slot(p.slot).join,
+            lc: &self.variants(scan_variants, &trees[p.i])[p.lv as usize].st,
+            rc: &self.variants(scan_variants, &trees[p.j])[p.rv as usize].st,
+        }
+    }
+}
+
+/// Phase 3's selection: fills `order` with the survivors (indices into
+/// `totals`) that take the next beam's `width` slots, in slot order.
+///
+/// The ranking is `(total, survivor index)`, a total order equal to a
+/// stable sort on totals, ties included. The best `width` are
+/// partitioned to the front (`select_nth_unstable_by`) and sorted; the
+/// rest stay unsorted. Epsilon-greedy filling then swaps slot `s` with
+/// rank `pick`, drawn uniformly from `s..survivors`, with probability ε
+/// — the draws of a full sort, in the same order. A rank inside the front
+/// is a swap there. A rank beyond it is read off the unsorted tail with
+/// `select_nth_unstable_by` (the tail keeps its elements, so ranks hold
+/// however often it is partitioned), unless an earlier swap already
+/// moved a kept candidate to that rank: those few are listed by rank.
+fn select_kept(
+    totals: &[f64],
+    width: usize,
+    explore: Option<(&mut SmallRng, f64)>,
+    order: &mut Vec<u32>,
+) {
+    let rank = |&a: &u32, &b: &u32| {
+        totals[a as usize]
+            .partial_cmp(&totals[b as usize])
+            .expect("not NaN")
+            .then(a.cmp(&b))
+    };
+    order.clear();
+    order.extend(0..totals.len() as u32);
+    let front = width.min(order.len());
+    if order.len() > width {
+        order.select_nth_unstable_by(width - 1, rank);
+    }
+    let len = order.len();
+    let (kept, tail) = order.split_at_mut(front);
+    kept.sort_unstable_by(rank);
+    if let Some((rng, eps)) = explore {
+        // Ranks beyond the front that hold a swapped-out candidate.
+        let mut moved: Vec<(usize, u32)> = Vec::new();
+        for slot in 0..front {
+            if !rng.random_bool(eps) {
+                continue;
+            }
+            let pick = rng.random_range(slot..len);
+            if pick < front {
+                kept.swap(slot, pick);
+                continue;
+            }
+            match moved.iter_mut().find(|(at, _)| *at == pick) {
+                Some((_, there)) => std::mem::swap(&mut kept[slot], there),
+                None => {
+                    let (_, &mut drawn, _) = tail.select_nth_unstable_by(pick - front, rank);
+                    moved.push((pick, std::mem::replace(&mut kept[slot], drawn)));
+                }
+            }
+        }
+    }
+    order.truncate(front);
 }
 
 impl Planner for BeamPlanner<'_> {
@@ -435,6 +580,9 @@ impl BeamPlanner<'_> {
             joins,
             pending,
             queue,
+            values,
+            order,
+            compose,
         } = &mut *guard;
         joins.reset();
 
@@ -525,16 +673,14 @@ impl BeamPlanner<'_> {
                                     let (slot, fresh) =
                                         joins.slot_for(fp, op, &left.plan, &right.plan);
                                     if fresh {
-                                        queue.push(Queued {
-                                            cand: pending.len(),
-                                            lv,
-                                            rv,
-                                        });
+                                        queue.push(pending.len() as u32);
                                     }
                                     pending.push(Pending {
                                         si,
                                         i,
                                         j,
+                                        lv: lv as u32,
+                                        rv: rv as u32,
                                         sig,
                                         mix,
                                         slot,
@@ -557,38 +703,33 @@ impl BeamPlanner<'_> {
                     .check("beam", query, stats.candidates as u64, pending.len())?;
             }
 
-            // Phase 2: score the fresh slots in one batched call.
+            // Phase 2: score the fresh slots' joins in one batched call
+            // that returns scores alone — no scorer state is built for
+            // a join no kept state will name.
             let t_score = Instant::now();
-            let mut scored: Vec<ScoredTree> = Vec::with_capacity(queue.len());
+            values.clear();
             if !queue.is_empty() {
                 let cands: Vec<JoinCandidate<'_>> = queue
                     .iter()
-                    .map(|q| {
-                        let p = &pending[q.cand];
-                        let trees = &beam[p.si].trees;
-                        JoinCandidate {
-                            join: &joins.slot(p.slot).plan,
-                            lc: &self.variants(&scan_variants, &trees[p.i])[q.lv].st,
-                            rc: &self.variants(&scan_variants, &trees[p.j])[q.rv].st,
-                        }
-                    })
+                    .map(|&ci| self.candidate(&beam, &scan_variants, joins, &pending[ci as usize]))
                     .collect();
-                session.score_join_batch(&cands, &mut scored);
+                session.score_join_values(&cands, values);
             }
-            for (q, st) in queue.iter().zip(scored) {
-                joins.set_score(pending[q.cand].slot, st);
+            for (&ci, &score) in queue.iter().zip(values.iter()) {
+                joins.set_score(pending[ci as usize].slot, score);
             }
             stats.cost_calls += queue.len();
             stats.score_secs += t_score.elapsed().as_secs_f64();
 
-            // Phase 3: rank survivors and materialize only the kept
-            // slots. Totals are summed in the same order a full state
-            // assembly would (remaining trees in position order, then
-            // the joined tree), and ranking is by `(total, index)`, so
-            // selection — ties included — is bit-identical to stably
-            // sorting fully-built states; but a greedy level orders only
-            // the `width` survivors it keeps, and forests are cloned only
-            // for the ≤ `width` states that enter the next level.
+            // Phase 3: rank survivors, compose the kept joins and
+            // materialize only the kept states. Totals are summed in the
+            // same order a full state assembly would (remaining trees in
+            // position order, then the joined tree), and ranking is by
+            // `(total, index)`, so selection — ties included — is
+            // bit-identical to stably sorting fully-built states; but
+            // only the ranks a level reads are ordered, and forests are
+            // cloned only for the ≤ `width` states that enter the next
+            // level.
             let t_asm = Instant::now();
             if pending.is_empty() {
                 // No connected pair of trees remains to join: the join
@@ -607,7 +748,7 @@ impl BeamPlanner<'_> {
                             total += t.st.score;
                         }
                     }
-                    total + joins.slot(p.slot).st.score
+                    total + joins.slot(p.slot).score
                 })
                 .collect();
             if totals.iter().any(|t| t.is_nan()) {
@@ -615,39 +756,45 @@ impl BeamPlanner<'_> {
                     query: query.name.clone(),
                 });
             }
-            let rank = |&a: &u32, &b: &u32| {
-                totals[a as usize]
-                    .partial_cmp(&totals[b as usize])
-                    .expect("not NaN")
-                    .then(a.cmp(&b))
-            };
-            let mut order: Vec<u32> = (0..pending.len() as u32).collect();
-            stats.states += order.len();
-            if rng.is_none() && order.len() > self.width {
-                // Greedy reads only the best `width`: partition them to
-                // the front, and sort just those.
-                order.select_nth_unstable_by(self.width - 1, rank);
-                order.truncate(self.width);
-            }
-            order.sort_unstable_by(rank);
-            // Epsilon-greedy slot filling: slot s takes the next-best
-            // candidate, or — with probability ε — a random survivor
-            // from anywhere in the ranking, which is why exploration
-            // sorts all of it.
-            if let Some(rng) = rng.as_mut() {
-                let eps = self.exploration.expect("rng implies exploration").epsilon;
-                for slot in 0..self.width.min(order.len()) {
-                    if rng.random_bool(eps) {
-                        let pick = rng.random_range(slot..order.len());
-                        order.swap(slot, pick);
-                    }
+            stats.states += totals.len();
+            let eps = self.exploration.map_or(0.0, |e| e.epsilon);
+            select_kept(&totals, self.width, rng.as_mut().map(|r| (r, eps)), order);
+
+            // Compose each kept join no earlier level composed, once,
+            // in one batched call: the ≤ `width` joins whose scorer
+            // state a later level reads.
+            let t_compose = Instant::now();
+            compose.clear();
+            for &ci in order.iter() {
+                let slot = pending[ci as usize].slot;
+                if joins.slot(slot).composed.is_none()
+                    && !compose.iter().any(|&c| pending[c as usize].slot == slot)
+                {
+                    compose.push(ci);
                 }
             }
-            order.truncate(self.width);
+            if !compose.is_empty() {
+                let cands: Vec<JoinCandidate<'_>> = compose
+                    .iter()
+                    .map(|&ci| self.candidate(&beam, &scan_variants, joins, &pending[ci as usize]))
+                    .collect();
+                let mut composed = Vec::with_capacity(cands.len());
+                session.score_join_batch(&cands, &mut composed);
+                for (&ci, st) in compose.iter().zip(composed) {
+                    joins.set_composed(pending[ci as usize].slot, st);
+                }
+            }
+            let compose_secs = t_compose.elapsed().as_secs_f64();
+            stats.score_secs += compose_secs;
+
             let mut next: Vec<State> = Vec::with_capacity(order.len());
-            for &ci in &order {
+            for &ci in order.iter() {
                 let p = &pending[ci as usize];
-                let joined = joins.slot(p.slot);
+                let (plan, st) = joins
+                    .slot(p.slot)
+                    .composed
+                    .as_ref()
+                    .expect("kept joins are composed");
                 let state = &beam[p.si];
                 let mut trees: Vec<Tree> = Vec::with_capacity(state.trees.len() - 1);
                 trees.extend(
@@ -659,14 +806,14 @@ impl BeamPlanner<'_> {
                         .map(|(_, t)| t.clone()),
                 );
                 trees.push(Tree {
-                    plan: joined.plan.clone(),
-                    st: joined.st.clone(),
+                    plan: plan.clone(),
+                    st: st.clone(),
                     mix: p.mix,
                 });
                 next.push(State { trees, sig: p.sig });
             }
             joins.end_level();
-            stats.dedup_secs += t_asm.elapsed().as_secs_f64();
+            stats.dedup_secs += t_asm.elapsed().as_secs_f64() - compose_secs;
             beam = next;
         }
 
@@ -786,6 +933,110 @@ mod tests {
         }
     }
 
+    /// The expert cost scorer, recording per query the fingerprints of
+    /// each `score_join_values` batch (the scoring calls) and each
+    /// `score_join_batch` batch (the compositions).
+    struct Recording<'a> {
+        inner: CostScorer<'a>,
+        values: Mutex<Vec<Vec<u64>>>,
+        composed: Mutex<Vec<Vec<u64>>>,
+    }
+
+    struct RecordingSession<'q> {
+        inner: Box<dyn QueryScorer + 'q>,
+        values: &'q Mutex<Vec<Vec<u64>>>,
+        composed: &'q Mutex<Vec<Vec<u64>>>,
+    }
+
+    fn fingerprints(cands: &[JoinCandidate<'_>]) -> Vec<u64> {
+        cands.iter().map(|c| c.join.fingerprint()).collect()
+    }
+
+    impl PlanScorer for Recording<'_> {
+        fn name(&self) -> String {
+            "recording".into()
+        }
+
+        fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
+            Box::new(RecordingSession {
+                inner: self.inner.for_query(query),
+                values: &self.values,
+                composed: &self.composed,
+            })
+        }
+    }
+
+    impl QueryScorer for RecordingSession<'_> {
+        fn score_scan(&self, scan: &Plan) -> ScoredTree {
+            self.inner.score_scan(scan)
+        }
+
+        fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
+            self.composed.lock().push(fingerprints(cands));
+            self.inner.score_join_batch(cands, out);
+        }
+
+        fn score_join_values(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<f64>) {
+            self.values.lock().push(fingerprints(cands));
+            self.inner.score_join_values(cands, out);
+        }
+    }
+
+    /// Only kept joins are composed and shared: per beam call,
+    /// `score_join_batch` receives at most `width × (n − 1)` joins (at
+    /// most `width` a call), each one `score_join_values` scored earlier
+    /// in the call and none twice; the table builds exactly one
+    /// `Arc<Plan>` join node per composed join; the answer's root is one
+    /// of them; and `cost_calls` counts the scans and the joins scored,
+    /// not the compositions.
+    #[test]
+    fn only_kept_joins_are_composed_and_shared() {
+        let (db, w) = fixture();
+        let est = HistogramEstimator::new(&db);
+        let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        let scorer = Recording {
+            inner: CostScorer::new(&model, &est),
+            values: Mutex::default(),
+            composed: Mutex::default(),
+        };
+        let queries = w
+            .queries
+            .iter()
+            .filter(|q| q.num_tables() >= 4)
+            .step_by(4)
+            .take(8);
+        let mut composed_total = 0;
+        for q in queries {
+            let n = q.num_tables();
+            for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                for (width, eps) in [(1, 0.0), (5, 0.0), (5, 0.5), (20, 0.0)] {
+                    let planner =
+                        BeamPlanner::new(&db, &scorer, mode, width).with_exploration(eps, 3);
+                    let out = planner.plan(q);
+                    let cell = format!("{} {mode:?} width {width} eps {eps}", q.name);
+                    let values = std::mem::take(&mut *scorer.values.lock());
+                    let composed = std::mem::take(&mut *scorer.composed.lock());
+                    let scored: HashSet<u64> = values.iter().flatten().copied().collect();
+                    let joins: Vec<u64> = composed.iter().flatten().copied().collect();
+                    assert!(joins.len() <= width * (n - 1), "{cell}: {}", joins.len());
+                    assert!(composed.iter().all(|b| b.len() <= width), "{cell}");
+                    let distinct: HashSet<u64> = joins.iter().copied().collect();
+                    assert_eq!(distinct.len(), joins.len(), "{cell}: a join composed twice");
+                    assert!(
+                        distinct.is_subset(&scored),
+                        "{cell}: composed an unscored join"
+                    );
+                    assert!(distinct.contains(&out.plan.fingerprint()), "{cell}");
+                    assert_eq!(planner.scratch.lock().joins.shared, joins.len(), "{cell}");
+                    let scans = out.stats.cost_calls - values.iter().map(Vec::len).sum::<usize>();
+                    assert!((n..=2 * n).contains(&scans), "{cell}: {scans} scans");
+                    composed_total += joins.len();
+                }
+            }
+        }
+        assert!(composed_total > 0);
+    }
+
     /// Pins greedy selection where it is most fragile: under a scorer
     /// whose totals tie all the time, which tied survivor a level keeps
     /// decides the plan. Plan fingerprints, cost bits and search counters
@@ -806,7 +1057,8 @@ mod tests {
             .filter(|q| q.num_tables() >= 5 && templates.insert(q.template))
             .step_by(3)
             .take(6);
-        for q in queries {
+        let queries: Vec<&Query> = queries.collect();
+        for q in &queries {
             for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
                 let out = BeamPlanner::new(&db, &scorer, mode, 5).plan(q);
                 let s = out.stats;
@@ -924,6 +1176,196 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!((g.0.as_str(), g.1, g.2, g.3, g.4, g.5), *w);
         }
+        let mut explored = Vec::new();
+        for q in &queries {
+            for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                let out = BeamPlanner::new(&db, &scorer, mode, 5)
+                    .with_exploration(0.5, 3)
+                    .plan(q);
+                let s = out.stats;
+                explored.push((
+                    q.name.clone(),
+                    out.plan.fingerprint(),
+                    out.cost.to_bits(),
+                    s.states,
+                    s.candidates,
+                    s.cost_calls,
+                ));
+            }
+        }
+        // (query, plan fingerprint, cost bits, states, candidates,
+        // cost_calls) of the same cells exploring at ε = 0.5, seed 3,
+        // recorded when an exploring level still sorted every survivor.
+        // A level keeps 5 of hundreds of mostly tied survivors, so its
+        // draws land beyond the kept front, and on ties.
+        let want: [(&str, u64, u64, usize, usize, usize); 12] = [
+            (
+                "job_07a",
+                16455330917598248365,
+                4621256167635550208,
+                493,
+                502,
+                346,
+            ),
+            (
+                "job_07a",
+                13328638559187875089,
+                4621256167635550208,
+                247,
+                256,
+                256,
+            ),
+            (
+                "job_10a",
+                9537648549257343648,
+                4620693217682128896,
+                897,
+                912,
+                528,
+            ),
+            (
+                "job_10a",
+                16290930273603218565,
+                4621256167635550208,
+                325,
+                336,
+                336,
+            ),
+            (
+                "job_13a",
+                1884570851457095824,
+                4621256167635550208,
+                859,
+                870,
+                570,
+            ),
+            (
+                "job_13a",
+                11180214493261091396,
+                4621256167635550208,
+                337,
+                348,
+                348,
+            ),
+            (
+                "job_16a",
+                14187762730087246008,
+                4621256167635550208,
+                545,
+                562,
+                311,
+            ),
+            (
+                "job_16a",
+                15208800219924898880,
+                4621256167635550208,
+                211,
+                220,
+                220,
+            ),
+            (
+                "job_19a",
+                608498283203276070,
+                4621256167635550208,
+                1739,
+                1756,
+                844,
+            ),
+            (
+                "job_19a",
+                1686741362235021845,
+                4621256167635550208,
+                607,
+                622,
+                622,
+            ),
+            (
+                "job_22a",
+                12534781857417098710,
+                4621256167635550208,
+                1129,
+                1142,
+                902,
+            ),
+            (
+                "job_22a",
+                12341318373806125931,
+                4621256167635550208,
+                517,
+                530,
+                530,
+            ),
+        ];
+        assert_eq!(explored.len(), want.len());
+        for (g, w) in explored.iter().zip(&want) {
+            assert_eq!((g.0.as_str(), g.1, g.2, g.3, g.4, g.5), *w);
+        }
+    }
+
+    /// The selection a full stable sort makes: every survivor sorted on
+    /// `(total, index)`, then slot `s` swapped with a uniform draw from
+    /// `s..survivors` with probability ε. Also counts the draws that land
+    /// beyond the first `width` ranks, those of them that land on a rank
+    /// drawn before, and the draws whose drawn candidate's total ties
+    /// another survivor's.
+    fn select_by_full_sort(
+        totals: &[f64],
+        width: usize,
+        explore: Option<(&mut SmallRng, f64)>,
+    ) -> (Vec<u32>, [usize; 3]) {
+        let mut order: Vec<u32> = (0..totals.len() as u32).collect();
+        order.sort_by(|&a, &b| totals[a as usize].partial_cmp(&totals[b as usize]).unwrap());
+        let mut counts = [0; 3];
+        let mut drawn = HashSet::new();
+        if let Some((rng, eps)) = explore {
+            for slot in 0..width.min(order.len()) {
+                if rng.random_bool(eps) {
+                    let pick = rng.random_range(slot..order.len());
+                    if pick >= width {
+                        counts[0] += 1;
+                        counts[1] += usize::from(!drawn.insert(pick));
+                    }
+                    let t = totals[order[pick] as usize];
+                    counts[2] += usize::from(totals.iter().filter(|&&u| u == t).count() > 1);
+                    order.swap(slot, pick);
+                }
+            }
+        }
+        order.truncate(width);
+        (order, counts)
+    }
+
+    /// Ranking only the front and reading deeper ranks off the unsorted
+    /// tail keeps exactly what a full stable sort keeps, in slot order,
+    /// and consumes the same RNG draws: on heavily tied totals, over
+    /// widths below, at and above the survivor count, greedy and
+    /// exploring, including draws beyond the front, repeated draws of one
+    /// rank and draws of tied candidates.
+    #[test]
+    fn partial_ranking_selects_like_a_full_sort() {
+        let mut counts = [0; 3];
+        for case in 0..400u64 {
+            let mut gen = SmallRng::seed_from_u64(case);
+            let n = gen.random_range(1..120usize);
+            let totals: Vec<f64> = (0..n).map(|_| gen.random_range(0..12u32) as f64).collect();
+            let width = [1, 3, 5, 20, 200][case as usize % 5];
+            for eps in [None, Some(0.3), Some(1.0)] {
+                let mut order = Vec::new();
+                let (mut a, mut b) = (SmallRng::seed_from_u64(case), SmallRng::seed_from_u64(case));
+                select_kept(&totals, width, eps.map(|e| (&mut a, e)), &mut order);
+                let (want, seen) = select_by_full_sort(&totals, width, eps.map(|e| (&mut b, e)));
+                assert_eq!(order, want, "case {case}, width {width}, eps {eps:?}");
+                assert_eq!(a.random::<u64>(), b.random::<u64>(), "RNG streams diverged");
+                for (c, s) in counts.iter_mut().zip(seen) {
+                    *c += s;
+                }
+            }
+        }
+        // Draws beyond the front, repeats among them, draws on ties.
+        assert!(
+            counts[0] > 1000 && counts[1] > 50 && counts[2] > 1000,
+            "{counts:?}"
+        );
     }
 
     /// NaN scores are a typed error, not a comparator panic, whether
@@ -958,7 +1400,6 @@ mod tests {
     /// score.
     #[test]
     fn colliding_joins_are_misses_and_scored_separately() {
-        use balsa_query::ScanOp;
         let [a, b, c] = [0, 1, 2].map(|qt| Plan::scan(qt, ScanOp::Seq));
         let mut table = JoinScoreTable::default();
         let key = 42;
@@ -967,14 +1408,14 @@ mod tests {
         let (ac_merge, fresh_ac_merge) = table.slot_for(key, JoinOp::Merge, &a, &c);
         assert!(fresh_ab && fresh_ac && fresh_ac_merge);
         assert!(ab != ac && ac != ac_merge && ab != ac_merge);
-        // Every slot holds the join it was allocated for.
+        // Every slot holds the join it was taken for.
         assert_eq!(
-            table.slot(ab).plan,
-            Plan::join(JoinOp::Hash, a.clone(), b.clone())
+            table.slot(ab).join,
+            Plan::join_node(JoinOp::Hash, a.clone(), b.clone())
         );
         assert_eq!(
-            table.slot(ac).plan,
-            Plan::join(JoinOp::Hash, a.clone(), c.clone())
+            table.slot(ac).join,
+            Plan::join_node(JoinOp::Hash, a.clone(), c.clone())
         );
         // The key's last taker hits; the join it displaced misses.
         assert_eq!(
@@ -985,11 +1426,11 @@ mod tests {
         assert!(fresh && ab_again != ab);
         // Across the level boundary the key's holder carries its score;
         // a different join on the key does not inherit it.
-        table.set_score(ab_again, scored(7.0));
+        table.set_score(ab_again, 7.0);
         table.end_level();
         let (ac_next, fresh) = table.slot_for(key, JoinOp::Hash, &a, &c);
         assert!(fresh);
-        assert_eq!(table.slot(ac_next).st.score, 0.0);
+        assert_eq!(table.slot(ac_next).score, 0.0);
     }
 
     /// The generational bound: a join touched at a level is a hit at
@@ -997,7 +1438,6 @@ mod tests {
     /// the table never holds more than two levels' joins.
     #[test]
     fn a_join_untouched_for_one_level_is_dropped() {
-        use balsa_query::ScanOp;
         let [a, b, c] = [0, 1, 2].map(|qt| Plan::scan(qt, ScanOp::Seq));
         let fp = |l: &Plan, r: &Plan| {
             Plan::join_fingerprint(JoinOp::Hash, l.fingerprint(), r.fingerprint())
@@ -1012,20 +1452,31 @@ mod tests {
             table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b),
             (ab, false)
         );
-        table.set_score(ab, scored(1.0));
-        table.set_score(ac, scored(2.0));
+        table.set_score(ab, 1.0);
+        table.set_score(ac, 2.0);
+        // A kept state names a⋈b: its node is shared once.
+        table.set_composed(ab, scored(1.0));
         table.end_level();
-        // Level 1 touches only a⋈b: a hit carrying level 0's score.
+        // Level 1 touches only a⋈b: a hit carrying level 0's score and
+        // composed tree, so it is neither scored nor shared again.
         let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
         assert!(!fresh);
-        assert_eq!(table.slot(ab).st.score, 1.0);
+        assert_eq!(table.slot(ab).score, 1.0);
+        let (plan, st) = table
+            .slot(ab)
+            .composed
+            .as_ref()
+            .expect("composed at level 0");
+        assert_eq!(**plan, Plan::join_node(JoinOp::Hash, a.clone(), b.clone()));
+        assert_eq!(st.score, 1.0);
+        assert_eq!(table.shared, 1);
         table.end_level();
         assert_eq!(table.index.len(), 1, "only level 1's join is indexed");
         assert_eq!((table.prev.len(), table.cur.len()), (1, 0));
         // Level 2: a⋈b is still there, a⋈c has to be scored again.
         let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
         assert!(!fresh);
-        assert_eq!(table.slot(ab).st.score, 1.0);
+        assert_eq!(table.slot(ab).score, 1.0);
         let (_, fresh) = table.slot_for(fp(&a, &c), JoinOp::Hash, &a, &c);
         assert!(fresh);
         // A new query starts from nothing.

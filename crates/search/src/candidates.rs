@@ -10,8 +10,9 @@
 //! learned agent's beam search.
 //!
 //! The **scored** candidate path ([`CandidateSpace::scored_scan_plans`];
-//! joins go to [`QueryScorer::score_join_batch`] a level or a step at a
-//! time) pairs every generated move with its [`ScoredTree`] under an
+//! joins go to [`QueryScorer::score_join_values`] a level or a step at
+//! a time, and the kept ones to [`QueryScorer::score_join_batch`]) pairs
+//! every generated move with its [`ScoredTree`] under an
 //! arbitrary [`QueryScorer`] session, so search procedures never touch a
 //! cost model directly — the expert model, `C_out`, and the learned
 //! value model are interchangeable.

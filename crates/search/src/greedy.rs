@@ -4,8 +4,9 @@
 //! locally-best extension: start from the cheapest base-table scan,
 //! then at each of the `n-1` steps try every (adjacent table × scan
 //! variant × join operator) extension and keep the best-scored one —
-//! one `score_join_batch` call per step, the scoring path the beam
-//! takes. Work is O(n²) scored candidates with no memo, no Pareto sets,
+//! one `score_join_values` call per step ranks the extensions and one
+//! `score_join_batch` call composes the winner, the protocol the beam
+//! follows. Work is O(n²) scored candidates with no memo, no Pareto sets,
 //! and no search frontier — it cannot exceed any [`crate::PlanBudget`]
 //! worth arming, which is what makes it the guaranteed-terminating
 //! last stage after DPccp and beam search have both exhausted their
@@ -85,16 +86,22 @@ impl<'a> GreedyLeftDeepPlanner<'a> {
         let (mut cur_plan, mut cur_tree) = best_scans[start].clone();
         stats.states = 1;
 
-        // n-1 locally-best extensions, each step's (adjacent table ×
-        // operator) candidates scored as one batch in enumeration order.
+        // n-1 locally-best extensions: each step's (adjacent table ×
+        // operator) candidates, held as join nodes by value, are scored
+        // as one batch in enumeration order, and only the winner is
+        // composed and shared.
+        let mut values = Vec::new();
         while cur_plan.mask() != query.all_mask() {
-            let mut joins: Vec<(Arc<Plan>, &ScoredTree)> = Vec::new();
+            let mut joins: Vec<(Plan, &ScoredTree)> = Vec::new();
             for (t, (scan, scan_tree)) in best_scans.iter().enumerate() {
                 if cur_plan.mask().contains(t) || !space.allows_join(&cur_plan, scan) {
                     continue;
                 }
                 for &op in space.join_ops() {
-                    joins.push((Plan::join(op, cur_plan.clone(), scan.clone()), scan_tree));
+                    joins.push((
+                        Plan::join_node(op, cur_plan.clone(), scan.clone()),
+                        scan_tree,
+                    ));
                 }
             }
             let cands: Vec<JoinCandidate<'_>> = joins
@@ -105,31 +112,27 @@ impl<'a> GreedyLeftDeepPlanner<'a> {
                     rc,
                 })
                 .collect();
-            let mut scored = Vec::with_capacity(cands.len());
-            session.score_join_batch(&cands, &mut scored);
-            stats.candidates += scored.len();
-            stats.cost_calls += scored.len();
-            let best = joins.into_iter().zip(scored).reduce(|best, cand| {
-                if cand.1.score < best.1.score {
-                    cand
-                } else {
-                    best
-                }
-            });
-            match best {
-                Some(((p, _), t)) => {
-                    cur_plan = p;
-                    cur_tree = t;
-                    stats.states += 1;
-                }
+            values.clear();
+            session.score_join_values(&cands, &mut values);
+            stats.candidates += values.len();
+            stats.cost_calls += values.len();
+            // Strict `<` keeps the first minimum: enumeration order
+            // breaks ties.
+            let best =
+                (0..values.len()).reduce(|best, k| if values[k] < values[best] { k } else { best });
+            let Some(best) = best else {
                 // Unreachable after the up-front connectivity check,
                 // but stay honest rather than panicking.
-                None => {
-                    return Err(PlanError::DisconnectedGraph {
-                        query: query.name.clone(),
-                    })
-                }
-            }
+                return Err(PlanError::DisconnectedGraph {
+                    query: query.name.clone(),
+                });
+            };
+            let mut composed = Vec::with_capacity(1);
+            session.score_join_batch(&cands[best..=best], &mut composed);
+            drop(cands);
+            cur_tree = composed.pop().expect("one tree per candidate");
+            cur_plan = Arc::new(joins.swap_remove(best).0);
+            stats.states += 1;
         }
 
         Ok(PlannedQuery {

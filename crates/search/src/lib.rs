@@ -94,7 +94,12 @@ pub struct SearchStats {
     /// duplicate states and candidates that shared the score of a join
     /// another state — or the level before — had already paid for. So
     /// `candidates - cost_calls` is the costing saved (and, for the
-    /// beam, joins scored vs. `states - 1` is the sharing alone).
+    /// beam, joins scored vs. `states - 1` is the sharing alone). The
+    /// beam and the greedy floor count each join scored
+    /// (`score_join_values`) once; handing a kept join back to the
+    /// scorer to compose its state (`score_join_batch`, at most the beam
+    /// width a level, one a greedy step) re-derives a score already
+    /// paid for and is not counted.
     pub cost_calls: usize,
     /// Seconds spent enumerating pairs (adjacency build + DPccp walk);
     /// 0 where enumeration and costing interleave unmeasurably.

@@ -3,21 +3,24 @@
 //! is reused at the next.
 //!
 //! * **No repeated scoring** — a counting [`PlanScorer`] decorator
-//!   records the fingerprint of every join it is handed, batch by
-//!   batch. One batch is one beam level, so the
-//!   record shows directly that no join is scored twice within a level
-//!   or in two consecutive levels, `SearchStats::cost_calls` counts
-//!   exactly the calls the decorator saw, and bushy beam-20 sends under
-//!   four tenths of its candidates to the scorer.
+//!   records the fingerprint of every join it is handed, call by call.
+//!   A beam level scores its fresh joins in one `score_join_values`
+//!   batch, so the record shows directly that no join is scored twice
+//!   within a level or in two consecutive levels,
+//!   `SearchStats::cost_calls` counts exactly the scores the decorator
+//!   saw, and bushy beam-20 sends under four tenths of its candidates to
+//!   the scorer. A level then composes the joins it keeps in one
+//!   `score_join_batch` batch: at most `width` joins, each scored at
+//!   that level or earlier, none composed twice on one score.
 //! * **Identity pin** — a checksum over `(Plan::canonical_hash, cost
 //!   bits, states, candidates)` of every query × mode × width × ε cell,
 //!   recorded at the commit *before* sharing landed. Sharing must not
 //!   move plans, costs or enumeration counters by one bit.
 //! * **One scoring path** — the same decorator counts single-join
 //!   `score_join` calls: the beam, the greedy floor and every stage of
-//!   the DP → beam-8 → greedy chain score joins through
-//!   `score_join_batch` only, and greedy's answers equal a checksum
-//!   recorded when it still scored one candidate at a time.
+//!   the DP → beam-8 → greedy chain score joins through the batch calls
+//!   only, and greedy's answers equal a checksum recorded when it still
+//!   scored one candidate at a time.
 
 use balsa_card::HistogramEstimator;
 use balsa_cost::{
@@ -30,7 +33,7 @@ use balsa_search::{
     FALLBACK_BEAM_WIDTH,
 };
 use balsa_storage::{mini_imdb, DataGenConfig, Database};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -72,11 +75,20 @@ fn for_each_cell(
     }
 }
 
-/// Records, per query session, one fingerprint list per
-/// `score_join_batch` call, and counts single-join `score_join` calls.
+/// Which batch call a recorded fingerprint list came from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Call {
+    /// `score_join_values`: joins scored.
+    Score,
+    /// `score_join_batch`: kept joins composed.
+    Compose,
+}
+
+/// Records, per query session, one fingerprint list per batch call, in
+/// call order, and counts single-join `score_join` calls.
 struct Counting<'a> {
     inner: &'a dyn PlanScorer,
-    batches: Mutex<Vec<Vec<u64>>>,
+    calls: Mutex<Vec<(Call, Vec<u64>)>>,
     singles: AtomicUsize,
 }
 
@@ -84,16 +96,41 @@ impl<'a> Counting<'a> {
     fn new(inner: &'a dyn PlanScorer) -> Self {
         Self {
             inner,
-            batches: Mutex::new(Vec::new()),
+            calls: Mutex::new(Vec::new()),
             singles: AtomicUsize::new(0),
         }
+    }
+
+    /// Takes the calls recorded since the last take: the scoring
+    /// batches, and each composing batch with the number of scoring
+    /// batches recorded before it.
+    #[allow(clippy::type_complexity)]
+    fn take(&self) -> (Vec<Vec<u64>>, Vec<(usize, Vec<u64>)>) {
+        let calls = std::mem::take(&mut *self.calls.lock().expect("no panics under the lock"));
+        let (mut scored, mut composed) = (Vec::new(), Vec::new());
+        for (call, fps) in calls {
+            match call {
+                Call::Score => scored.push(fps),
+                Call::Compose => composed.push((scored.len(), fps)),
+            }
+        }
+        (scored, composed)
     }
 }
 
 struct CountingSession<'q> {
     inner: Box<dyn QueryScorer + 'q>,
-    batches: &'q Mutex<Vec<Vec<u64>>>,
+    calls: &'q Mutex<Vec<(Call, Vec<u64>)>>,
     singles: &'q AtomicUsize,
+}
+
+impl CountingSession<'_> {
+    fn record(&self, call: Call, cands: &[JoinCandidate<'_>]) {
+        self.calls
+            .lock()
+            .expect("no panics under the lock")
+            .push((call, cands.iter().map(|c| c.join.fingerprint()).collect()));
+    }
 }
 
 impl PlanScorer for Counting<'_> {
@@ -104,7 +141,7 @@ impl PlanScorer for Counting<'_> {
     fn for_query<'q>(&'q self, query: &'q Query) -> Box<dyn QueryScorer + 'q> {
         Box::new(CountingSession {
             inner: self.inner.for_query(query),
-            batches: &self.batches,
+            calls: &self.calls,
             singles: &self.singles,
         })
     }
@@ -121,19 +158,22 @@ impl QueryScorer for CountingSession<'_> {
     }
 
     fn score_join_batch(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<ScoredTree>) {
-        self.batches
-            .lock()
-            .expect("no panics under the lock")
-            .push(cands.iter().map(|c| c.join.fingerprint()).collect());
+        self.record(Call::Compose, cands);
         self.inner.score_join_batch(cands, out);
+    }
+
+    fn score_join_values(&self, cands: &[JoinCandidate<'_>], out: &mut Vec<f64>) {
+        self.record(Call::Score, cands);
+        self.inner.score_join_values(cands, out);
     }
 }
 
 /// On all 137 queries × {bushy, left-deep} × width {1, 8, 20} × ε
-/// {0, 0.5}: no join fingerprint reaches the scorer twice within one
-/// level or in two consecutive levels, the beam reports exactly the
-/// scorer calls that ran, and on every ≥ 6-table query a beam of width
-/// ≥ 8 shares some.
+/// {0, 0.5}: no join fingerprint is scored twice within one level or in
+/// two consecutive levels, the beam reports exactly the scores that ran,
+/// and on every ≥ 6-table query a beam of width ≥ 8 shares some. A level
+/// composes at most `width` joins in at most one call, each scored at
+/// that level or before, and none twice on one score.
 #[test]
 fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
     let (db, queries) = fixture();
@@ -151,7 +191,7 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
             beam20_calls += out.stats.cost_calls;
             beam20_candidates += out.stats.candidates;
         }
-        let batches = std::mem::take(&mut *counting.batches.lock().unwrap());
+        let (batches, compositions) = counting.take();
         // One batch per level that scored anything. A
         // level whose joins were all scored before sends none, so only
         // a full count of `n - 1` batches places each batch at a level;
@@ -174,6 +214,37 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
             }
             scored += batch.len();
             prev = this;
+        }
+        // A level scores, then composes. A composed join was scored at
+        // its level or earlier: a slot keeps its score while some
+        // candidate names its join at every level, so a join scored at
+        // level 0 may be kept at level 4. A slot keeps its composed
+        // tree as long, so a join is composed again only after its slot
+        // lapsed and it was scored again (the few re-scorings the
+        // adjacent-level check above allows).
+        let mut composed: HashMap<u64, usize> = HashMap::new();
+        for (before, batch) in &compositions {
+            assert!(batch.len() <= width, "{cell}: {} composed", batch.len());
+            for fp in batch {
+                let scored_at = batches[..*before]
+                    .iter()
+                    .rposition(|b| b.contains(fp))
+                    .unwrap_or_else(|| panic!("{cell}: composed {fp:#x} before scoring it"));
+                if let Some(was) = composed.insert(*fp, scored_at) {
+                    assert!(
+                        was < scored_at,
+                        "{cell}: {fp:#x} composed twice on one score"
+                    );
+                }
+            }
+        }
+        assert!(compositions.len() < q.num_tables(), "{cell}");
+        if levels_known {
+            let levels: Vec<usize> = compositions.iter().map(|(before, _)| *before).collect();
+            assert!(
+                levels.windows(2).all(|w| w[0] < w[1]),
+                "{cell}: two compositions in one level"
+            );
         }
         // `cost_calls` = the scan scores + the join scores that ran;
         // `states` = the initial state + every dedup survivor, each of
@@ -285,13 +356,19 @@ fn greedy_batches_each_step_and_matches_the_per_candidate_pin() {
             ] {
                 sum = fold(sum, v);
             }
-            let batches = std::mem::take(&mut *counting.batches.lock().unwrap());
+            let (batches, compositions) = counting.take();
             assert_eq!(
                 batches.len(),
                 q.num_tables() - 1,
                 "{}: one batch a step",
                 q.name
             );
+            // Each step composes its winner alone, after scoring it.
+            assert_eq!(compositions.len(), batches.len(), "{}", q.name);
+            for (step, (before, batch)) in compositions.iter().enumerate() {
+                assert_eq!((*before, batch.len()), (step + 1, 1), "{}", q.name);
+                assert!(batches[step].contains(&batch[0]), "{}", q.name);
+            }
         }
     }
     assert_eq!(sum, GREEDY_PIN, "actual {sum:#x}");
