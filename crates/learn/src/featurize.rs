@@ -337,9 +337,9 @@ impl Featurizer {
     }
 
     /// Encodes `plan` in the flat binary-tree tensor layout consumed by
-    /// [`crate::TreeConvValueModel`]: per-node feature rows in post-order
-    /// plus child indices, laid out as [`crate::treeconv::encode_tree`]
-    /// does, each row written in place. Pure, like
+    /// [`crate::TreeConvValueModel`]: `[n, d, (left+1, right+1, d
+    /// features) * n]`, per-node feature rows in post-order with `0`
+    /// marking a missing child, each row written in place. Pure, like
     /// [`Featurizer::featurize`].
     pub fn featurize_tree(&self, query: &Query, plan: &Plan, est: &dyn CardEstimator) -> Vec<f64> {
         let d = self.node_dim();

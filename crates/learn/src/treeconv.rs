@@ -77,42 +77,17 @@ impl Default for TreeConvConfig {
     }
 }
 
-/// Serializes per-node feature rows plus the child table into the flat
-/// self-describing tree encoding consumed by [`TreeConvValueModel`]:
-/// `[n, d, (left+1, right+1, d features) * n]`, nodes in post-order with
-/// `0` marking a missing child. This is the contract between the
-/// featurizer's tree encoding and the model.
-pub fn encode_tree(feats: &[Vec<f64>], children: &[Option<(usize, usize)>]) -> Vec<f64> {
-    assert_eq!(feats.len(), children.len(), "ragged tree encoding");
-    assert!(!feats.is_empty(), "empty tree");
-    let d = feats[0].len();
-    let mut x = Vec::with_capacity(2 + feats.len() * (2 + d));
-    x.push(feats.len() as f64);
-    x.push(d as f64);
-    for (f, kids) in feats.iter().zip(children) {
-        assert_eq!(f.len(), d, "ragged node features");
-        match kids {
-            None => {
-                x.push(0.0);
-                x.push(0.0);
-            }
-            Some((l, r)) => {
-                x.push((l + 1) as f64);
-                x.push((r + 1) as f64);
-            }
-        }
-        x.extend_from_slice(f);
-    }
-    x
-}
-
 /// A decoded tree: per-node feature rows (post-order) and child slots.
 struct DecodedTree {
     feats: Vec<Vec<f64>>,
     children: Vec<Option<(usize, usize)>>,
 }
 
-/// Parses the flat encoding produced by [`encode_tree`].
+/// Parses the flat self-describing tree encoding consumed by
+/// [`TreeConvValueModel`]: `[n, d, (left+1, right+1, d features) * n]`,
+/// nodes in post-order with `0` marking a missing child. This is the
+/// contract between the featurizer's tree encoding
+/// ([`crate::Featurizer::featurize_tree`]) and the model.
 fn decode_tree(x: &[f64]) -> DecodedTree {
     assert!(x.len() >= 2, "tree encoding too short");
     let n = x[0] as usize;
@@ -1635,6 +1610,32 @@ impl TreeConvValueModel {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Serializes per-node feature rows plus the child table into the
+    /// flat tree encoding `decode_tree` parses.
+    fn encode_tree(feats: &[Vec<f64>], children: &[Option<(usize, usize)>]) -> Vec<f64> {
+        assert_eq!(feats.len(), children.len(), "ragged tree encoding");
+        assert!(!feats.is_empty(), "empty tree");
+        let d = feats[0].len();
+        let mut x = Vec::with_capacity(2 + feats.len() * (2 + d));
+        x.push(feats.len() as f64);
+        x.push(d as f64);
+        for (f, kids) in feats.iter().zip(children) {
+            assert_eq!(f.len(), d, "ragged node features");
+            match kids {
+                None => {
+                    x.push(0.0);
+                    x.push(0.0);
+                }
+                Some((l, r)) => {
+                    x.push((l + 1) as f64);
+                    x.push((r + 1) as f64);
+                }
+            }
+            x.extend_from_slice(f);
+        }
+        x
+    }
 
     /// Random per-node features plus a random valid topology (post-order
     /// with children preceding parents), encoded in the flat layout.

@@ -35,16 +35,14 @@
 //!    seen-table reused across levels and queries. No sorted
 //!    fingerprint vectors, and duplicate states are dropped *before*
 //!    they are scored. Each surviving candidate is then mapped to a
-//!    *slot* of the per-query join-score table, keyed by the join's
-//!    fingerprint (computed from the children's, before any node is
-//!    built): the first candidate of a level to name a join takes a
-//!    slot holding the join node *by value* ([`Plan::join_node`]: its
-//!    children shared, nothing allocated) and queues it for scoring;
-//!    every later one — the beam's states differ in a tree or two, so
-//!    most of them re-derive the same `(A ⋈ B, op)` — and every one
-//!    whose join was scored at the level before shares that slot. The
-//!    table is generational: a join no candidate named for one level is
-//!    dropped.
+//!    *slot* of the join-score table, which lives for one beam call and
+//!    is keyed by the join's fingerprint (computed from the children's,
+//!    before any node is built): the first candidate of the call to
+//!    name a join takes a slot holding the join node *by value*
+//!    ([`Plan::join_node`]: its children shared, nothing allocated) and
+//!    queues it for scoring; every later one — the beam's states differ
+//!    in a tree or two, so most of them re-derive the same
+//!    `(A ⋈ B, op)` — shares that slot, at this level or any later one.
 //! 2. *Score* (batched): the queued slots — the distinct joins nobody
 //!    has scored yet, in generation order — are scored in one
 //!    [`balsa_cost::QueryScorer::score_join_values`] call, which returns
@@ -67,16 +65,15 @@
 //!    a later level composes through, and each is shared as the one
 //!    `Arc<Plan>` its slot builds. Compositions are not new costings:
 //!    [`SearchStats::cost_calls`] counts the scans and the joins scored.
-//!    Only the kept states are materialized, and closing the level
-//!    frees nothing an unkept slot allocated, because it allocated
-//!    nothing.
+//!    Only the kept states are materialized; an unkept slot allocated
+//!    nothing, and the table keeps it only until the call returns.
 
 use crate::budget::{check_table_count, verify_emitted};
 use crate::candidates::CandidateSpace;
 use crate::greedy::GreedyLeftDeepPlanner;
 use crate::{PlanBudget, PlanError, PlannedQuery, Planner, SearchMode, SearchStats};
 use balsa_cost::{JoinCandidate, PlanScorer, ScoredTree};
-use balsa_query::{splitmix64, JoinOp, Plan, Query, ScanOp, TableMask};
+use balsa_query::{splitmix64, JoinOp, Plan, Query, TableMask};
 use balsa_storage::Database;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -144,57 +141,30 @@ impl Hasher for SigHasher {
 /// The dedup seen-table: pre-mixed `u64` signatures, identity-hashed.
 type SeenSet = HashSet<u64, BuildHasherDefault<SigHasher>>;
 
-/// One distinct join of a level. Every candidate of the level that
-/// names the join reads its score through the slot; the states a level
-/// keeps also read its composed tree.
+/// One distinct join of a beam call. Every candidate that names the
+/// join reads its score through the slot; the states the call keeps
+/// also read its composed tree.
 struct Slot {
     /// The join node by value ([`Plan::join_node`]): its children are
     /// shared, and the node allocates nothing of its own.
     join: Plan,
-    /// The join's score, set by the level's scoring phase
-    /// ([`balsa_cost::QueryScorer::score_join_values`]).
+    /// The join's score, set by the scoring phase of the level that
+    /// took the slot ([`balsa_cost::QueryScorer::score_join_values`]).
     score: f64,
     /// Set the first time a kept state contains the join: the node
     /// shared behind an `Arc`, built once, and the scorer's composed
     /// tree ([`balsa_cost::QueryScorer::score_join_batch`], whose score
-    /// is `score`). `None` — the composed flag unset — for every join no
-    /// kept state has named yet.
-    composed: Option<(Arc<Plan>, ScoredTree)>,
+    /// is `score`). Boxed, so the many slots no kept state names stay
+    /// small. `None` for every join no kept state has named yet.
+    composed: Option<Box<(Arc<Plan>, ScoredTree)>>,
 }
 
-impl Slot {
-    /// What a slot whose join moved to the current level leaves behind
-    /// in the previous one: nothing points at it any more.
-    const VACANT: Slot = Slot {
-        join: Plan::Scan {
-            qt: 0,
-            op: ScanOp::Seq,
-        },
-        score: 0.0,
-        composed: None,
-    };
-}
-
-/// Where a join's slot lives: the level that last touched it and its
-/// index in that level's slot vector.
-#[derive(Clone, Copy)]
-struct SlotRef {
-    level: u32,
-    slot: u32,
-}
-
-/// The per-query join-score table: join fingerprint → the slot holding
-/// that join's node and score, so a join is scored once however many
-/// beam states contain its two inputs, and composed once however many
-/// kept states contain it.
-///
-/// **Generational.** The table holds the slots touched at the current
-/// level and at the level before, nothing older: a state's roots only
-/// ever merge, so a pair of roots some state holds at level `L + 1` was
-/// held by its parent at level `L`, and a join that no candidate named
-/// for a whole level is (but for a state dropped as a duplicate before
-/// it reached the table) never named again. That bounds the table by
-/// two levels' distinct joins instead of the whole search's.
+/// The per-call join-score table: join fingerprint → the slot holding
+/// that join's node and score, so a join is scored at most once per
+/// beam call however many states contain its two inputs, and composed
+/// at most once however many kept states contain it. It lives for one
+/// call, so it holds at most the call's scored joins — bounded by
+/// [`SearchStats::cost_calls`], which an armed [`PlanBudget`] caps.
 ///
 /// **Collisions cost a miss, never a wrong score.** A hit is confirmed
 /// on `(operator, left fingerprint, right fingerprint)` against the
@@ -202,13 +172,8 @@ struct SlotRef {
 /// takes a fresh slot and is scored on its own.
 #[derive(Default)]
 struct JoinScoreTable {
-    index: HashMap<u64, SlotRef, BuildHasherDefault<SigHasher>>,
-    /// Slots touched at the current level.
-    cur: Vec<Slot>,
-    /// Slots touched at the level before (those touched again since
-    /// have moved into `cur`, leaving [`Slot::VACANT`]).
-    prev: Vec<Slot>,
-    level: u32,
+    index: HashMap<u64, u32, BuildHasherDefault<SigHasher>>,
+    slots: Vec<Slot>,
     /// Shared join nodes built (`Arc<Plan>`), counted for the tests.
     #[cfg(test)]
     shared: usize,
@@ -218,21 +183,18 @@ impl JoinScoreTable {
     /// Empties the table for a new query, keeping capacity.
     fn reset(&mut self) {
         self.index.clear();
-        self.cur.clear();
-        self.prev.clear();
-        self.level = 0;
+        self.slots.clear();
         #[cfg(test)]
         {
             self.shared = 0;
         }
     }
 
-    /// The current-level slot of the join `(op, left, right)`, whose
-    /// fingerprint is `fp`, and whether the slot is *fresh* — taken by
-    /// this call, its score still to be set ([`Self::set_score`])
-    /// before the level ends. A join touched at this level or at the
-    /// level before is never fresh; it keeps its score, and its composed
-    /// tree if a kept state named it.
+    /// The slot of the join `(op, left, right)`, whose fingerprint is
+    /// `fp`, and whether the slot is *fresh* — taken by this call, its
+    /// score still to be set ([`Self::set_score`]) before the level
+    /// ranks. A join named earlier in the beam call is never fresh; it
+    /// keeps its score, and its composed tree if a kept state named it.
     fn slot_for(
         &mut self,
         fp: u64,
@@ -240,40 +202,24 @@ impl JoinScoreTable {
         left: &Arc<Plan>,
         right: &Arc<Plan>,
     ) -> (u32, bool) {
-        let is_this_join = |plan: &Plan| match plan {
-            Plan::Join {
-                op: o,
-                left: l,
-                right: r,
-                ..
-            } => {
-                *o == op
-                    && l.fingerprint() == left.fingerprint()
-                    && r.fingerprint() == right.fingerprint()
-            }
-            Plan::Scan { .. } => false,
-        };
-        let here = SlotRef {
-            level: self.level,
-            slot: self.cur.len() as u32,
-        };
-        // `end_level` keeps only the previous level's entries, so an
-        // entry not of this level points into `prev`. On a key held by
-        // a different join the newcomer takes the key; candidates
-        // already mapped to the old slot keep their slot index.
+        let here = self.slots.len() as u32;
+        // On a key held by a different join the newcomer takes the key;
+        // candidates already mapped to the old slot keep their index.
         match self.index.entry(fp) {
             Entry::Occupied(mut e) => {
                 let at = *e.get();
-                if at.level == self.level {
-                    if is_this_join(&self.cur[at.slot as usize].join) {
-                        return (at.slot, false);
-                    }
-                } else {
-                    let old = &mut self.prev[at.slot as usize];
-                    if is_this_join(&old.join) {
-                        self.cur.push(std::mem::replace(old, Slot::VACANT));
-                        e.insert(here);
-                        return (here.slot, false);
+                if let Plan::Join {
+                    op: o,
+                    left: l,
+                    right: r,
+                    ..
+                } = &self.slots[at as usize].join
+                {
+                    if *o == op
+                        && l.fingerprint() == left.fingerprint()
+                        && r.fingerprint() == right.fingerprint()
+                    {
+                        return (at, false);
                     }
                 }
                 e.insert(here);
@@ -282,26 +228,26 @@ impl JoinScoreTable {
                 e.insert(here);
             }
         }
-        self.cur.push(Slot {
+        self.slots.push(Slot {
             join: Plan::join_node(op, left.clone(), right.clone()),
             score: 0.0,
             composed: None,
         });
-        (here.slot, true)
+        (here, true)
     }
 
     fn slot(&self, slot: u32) -> &Slot {
-        &self.cur[slot as usize]
+        &self.slots[slot as usize]
     }
 
     fn set_score(&mut self, slot: u32, score: f64) {
-        self.cur[slot as usize].score = score;
+        self.slots[slot as usize].score = score;
     }
 
     /// Records a kept join's composed tree and shares its node: the one
     /// `Arc<Plan>` the slot ever builds.
     fn set_composed(&mut self, slot: u32, st: ScoredTree) {
-        let s = &mut self.cur[slot as usize];
+        let s = &mut self.slots[slot as usize];
         let Plan::Join {
             op, left, right, ..
         } = &s.join
@@ -314,23 +260,11 @@ impl JoinScoreTable {
             "score_join_batch and score_join_values disagree on {}",
             s.join
         );
-        s.composed = Some((Plan::join(*op, left.clone(), right.clone()), st));
+        s.composed = Some(Box::new((Plan::join(*op, left.clone(), right.clone()), st)));
         #[cfg(test)]
         {
             self.shared += 1;
         }
-    }
-
-    /// Closes the level: what it touched becomes the previous level,
-    /// everything older is dropped. An unkept slot owns no allocation
-    /// (its node shares its children, its score is a number), so the
-    /// drop only releases child references.
-    fn end_level(&mut self) {
-        let level = self.level;
-        self.index.retain(|_, at| at.level == level);
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        self.cur.clear();
-        self.level += 1;
     }
 }
 
@@ -625,7 +559,7 @@ impl BeamPlanner<'_> {
             // Phase 1: generate candidates in a fixed serial order, drop
             // duplicate states, and map each survivor to the slot of
             // its join — fresh slots are queued for scoring, the rest
-            // share a score another state (or the level before) paid
+            // share a score another state (or an earlier level) paid
             // for.
             let t_gen = Instant::now();
             seen.clear();
@@ -793,7 +727,7 @@ impl BeamPlanner<'_> {
                 let (plan, st) = joins
                     .slot(p.slot)
                     .composed
-                    .as_ref()
+                    .as_deref()
                     .expect("kept joins are composed");
                 let state = &beam[p.si];
                 let mut trees: Vec<Tree> = Vec::with_capacity(state.trees.len() - 1);
@@ -812,7 +746,6 @@ impl BeamPlanner<'_> {
                 });
                 next.push(State { trees, sig: p.sig });
             }
-            joins.end_level();
             stats.dedup_secs += t_asm.elapsed().as_secs_f64() - compose_secs;
             beam = next;
         }
@@ -840,6 +773,7 @@ mod tests {
     use balsa_card::HistogramEstimator;
     use balsa_cost::{CostModel, CostScorer, ExpertCostModel, OpWeights, QueryScorer};
     use balsa_query::workloads::job_workload;
+    use balsa_query::ScanOp;
     use balsa_storage::{mini_imdb, DataGenConfig};
 
     fn fixture() -> (Arc<Database>, balsa_query::Workload) {
@@ -1247,13 +1181,15 @@ mod tests {
                 348,
                 348,
             ),
+            // 311 cost calls while the join-score table kept only two
+            // levels: one join lapsed for a level and was scored again.
             (
                 "job_16a",
                 14187762730087246008,
                 4621256167635550208,
                 545,
                 562,
-                311,
+                310,
             ),
             (
                 "job_16a",
@@ -1395,9 +1331,8 @@ mod tests {
     }
 
     /// The hit confirmation: different joins forced onto one key never
-    /// share a slot — within a level or across levels — so a 64-bit
-    /// fingerprint collision costs a second scoring call, not a wrong
-    /// score.
+    /// share a slot, so a 64-bit fingerprint collision costs a second
+    /// scoring call, not a wrong score.
     #[test]
     fn colliding_joins_are_misses_and_scored_separately() {
         let [a, b, c] = [0, 1, 2].map(|qt| Plan::scan(qt, ScanOp::Seq));
@@ -1424,20 +1359,20 @@ mod tests {
         );
         let (ab_again, fresh) = table.slot_for(key, JoinOp::Hash, &a, &b);
         assert!(fresh && ab_again != ab);
-        // Across the level boundary the key's holder carries its score;
-        // a different join on the key does not inherit it.
+        // The key's holder carries its score; a different join on the
+        // key does not inherit it.
         table.set_score(ab_again, 7.0);
-        table.end_level();
-        let (ac_next, fresh) = table.slot_for(key, JoinOp::Hash, &a, &c);
+        let (ac_again, fresh) = table.slot_for(key, JoinOp::Hash, &a, &c);
         assert!(fresh);
-        assert_eq!(table.slot(ac_next).score, 0.0);
+        assert_eq!(table.slot(ac_again).score, 0.0);
     }
 
-    /// The generational bound: a join touched at a level is a hit at
-    /// the next, with its score; one not touched for a level is gone —
-    /// the table never holds more than two levels' joins.
+    /// One table per beam call: a join named again several levels
+    /// after it was scored and composed is a hit on its own slot, with
+    /// its score and composed tree, so it is neither scored nor shared
+    /// again; only a new query starts from nothing.
     #[test]
-    fn a_join_untouched_for_one_level_is_dropped() {
+    fn a_join_named_levels_later_keeps_its_slot() {
         let [a, b, c] = [0, 1, 2].map(|qt| Plan::scan(qt, ScanOp::Seq));
         let fp = |l: &Plan, r: &Plan| {
             Plan::join_fingerprint(JoinOp::Hash, l.fingerprint(), r.fingerprint())
@@ -1456,29 +1391,34 @@ mod tests {
         table.set_score(ac, 2.0);
         // A kept state names a⋈b: its node is shared once.
         table.set_composed(ab, scored(1.0));
-        table.end_level();
-        // Level 1 touches only a⋈b: a hit carrying level 0's score and
-        // composed tree, so it is neither scored nor shared again.
-        let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
-        assert!(!fresh);
+        // Levels 1 and 2 name neither join, only b⋈c.
+        let (bc, fresh) = table.slot_for(fp(&b, &c), JoinOp::Hash, &b, &c);
+        assert!(fresh);
+        table.set_score(bc, 3.0);
+        assert_eq!(
+            table.slot_for(fp(&b, &c), JoinOp::Hash, &b, &c),
+            (bc, false)
+        );
+        // Level 3 names both again: hits on their level-0 slots.
+        assert_eq!(
+            table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b),
+            (ab, false)
+        );
+        assert_eq!(
+            table.slot_for(fp(&a, &c), JoinOp::Hash, &a, &c),
+            (ac, false)
+        );
         assert_eq!(table.slot(ab).score, 1.0);
+        assert_eq!(table.slot(ac).score, 2.0);
         let (plan, st) = table
             .slot(ab)
             .composed
-            .as_ref()
+            .as_deref()
             .expect("composed at level 0");
         assert_eq!(**plan, Plan::join_node(JoinOp::Hash, a.clone(), b.clone()));
         assert_eq!(st.score, 1.0);
         assert_eq!(table.shared, 1);
-        table.end_level();
-        assert_eq!(table.index.len(), 1, "only level 1's join is indexed");
-        assert_eq!((table.prev.len(), table.cur.len()), (1, 0));
-        // Level 2: a⋈b is still there, a⋈c has to be scored again.
-        let (ab, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);
-        assert!(!fresh);
-        assert_eq!(table.slot(ab).score, 1.0);
-        let (_, fresh) = table.slot_for(fp(&a, &c), JoinOp::Hash, &a, &c);
-        assert!(fresh);
+        assert_eq!((table.index.len(), table.slots.len()), (3, 3));
         // A new query starts from nothing.
         table.reset();
         let (_, fresh) = table.slot_for(fp(&a, &b), JoinOp::Hash, &a, &b);

@@ -34,12 +34,6 @@ impl JoinGraph {
         }
     }
 
-    /// Builds a graph directly from adjacency masks (tests / synthetic
-    /// topologies). `adj[i]` must be symmetric and irreflexive.
-    pub fn from_adjacency(adj: Vec<TableMask>) -> Self {
-        Self { n: adj.len(), adj }
-    }
-
     /// Number of tables.
     pub fn num_tables(&self) -> usize {
         self.n
@@ -109,14 +103,6 @@ impl JoinGraph {
             self.csg_rec(v, TableMask(x.0 | (below(i).0 & nb.0)), f);
         }
     }
-
-    /// Total number of unordered csg–cmp pairs — the enumeration-size
-    /// metric DPccp's complexity analysis is stated in.
-    pub fn count_csg_cmp_pairs(&self) -> usize {
-        let mut count = 0usize;
-        self.for_each_csg_cmp(&mut |_, _| count += 1);
-        count
-    }
 }
 
 /// `B_i`: the mask of tables numbered `<= i`.
@@ -140,7 +126,18 @@ mod tests {
             adj[a] = adj[a].union(TableMask::single(b));
             adj[b] = adj[b].union(TableMask::single(a));
         }
-        JoinGraph::from_adjacency(adj)
+        JoinGraph { n, adj }
+    }
+
+    impl JoinGraph {
+        /// Total number of unordered csg–cmp pairs — the
+        /// enumeration-size metric DPccp's complexity analysis is
+        /// stated in.
+        fn count_csg_cmp_pairs(&self) -> usize {
+            let mut count = 0usize;
+            self.for_each_csg_cmp(&mut |_, _| count += 1);
+            count
+        }
     }
 
     fn chain(n: usize) -> JoinGraph {

@@ -92,7 +92,8 @@ pub struct SearchStats {
     /// done: in the DP, candidates the child-monotone early reject
     /// pruned before costing; in the beam, candidates dropped as
     /// duplicate states and candidates that shared the score of a join
-    /// another state — or the level before — had already paid for. So
+    /// another state — at this level or earlier in the same call — had
+    /// already paid for. So
     /// `candidates - cost_calls` is the costing saved (and, for the
     /// beam, joins scored vs. `states - 1` is the sharing alone). The
     /// beam and the greedy floor count each join scored

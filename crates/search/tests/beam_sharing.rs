@@ -1,17 +1,16 @@
 //! Cross-state score sharing in [`BeamPlanner`]: each distinct join
-//! subtree is scored once per beam level, and a score made at one level
-//! is reused at the next.
+//! subtree is scored at most once per beam call, whatever level names
+//! it, and composed at most once.
 //!
 //! * **No repeated scoring** — a counting [`PlanScorer`] decorator
 //!   records the fingerprint of every join it is handed, call by call.
 //!   A beam level scores its fresh joins in one `score_join_values`
-//!   batch, so the record shows directly that no join is scored twice
-//!   within a level or in two consecutive levels,
-//!   `SearchStats::cost_calls` counts exactly the scores the decorator
-//!   saw, and bushy beam-20 sends under four tenths of its candidates to
-//!   the scorer. A level then composes the joins it keeps in one
-//!   `score_join_batch` batch: at most `width` joins, each scored at
-//!   that level or earlier, none composed twice on one score.
+//!   batch, so the record shows directly that no join is scored in two
+//!   batches of one beam call, `SearchStats::cost_calls` counts exactly
+//!   the scores the decorator saw, and bushy beam-20 sends under four
+//!   tenths of its candidates to the scorer. A level then composes the
+//!   joins it keeps in one `score_join_batch` batch: at most `width`
+//!   joins, each scored earlier in the call, none in two batches.
 //! * **Identity pin** — a checksum over `(Plan::canonical_hash, cost
 //!   bits, states, candidates)` of every query × mode × width × ε cell,
 //!   recorded at the commit *before* sharing landed. Sharing must not
@@ -169,13 +168,13 @@ impl QueryScorer for CountingSession<'_> {
 }
 
 /// On all 137 queries × {bushy, left-deep} × width {1, 8, 20} × ε
-/// {0, 0.5}: no join fingerprint is scored twice within one level or in
-/// two consecutive levels, the beam reports exactly the scores that ran,
-/// and on every ≥ 6-table query a beam of width ≥ 8 shares some. A level
-/// composes at most `width` joins in at most one call, each scored at
-/// that level or before, and none twice on one score.
+/// {0, 0.5}: no join fingerprint is scored twice in one beam call, the
+/// beam reports exactly the scores that ran, and on every ≥ 6-table
+/// query a beam of width ≥ 8 shares some. A level composes at most
+/// `width` joins in at most one call, each scored earlier in the beam
+/// call, and no join is composed twice in one beam call.
 #[test]
-fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
+fn no_join_is_scored_or_composed_twice_in_one_beam_call() {
     let (db, queries) = fixture();
     let est = HistogramEstimator::new(&db);
     let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
@@ -192,50 +191,33 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
             beam20_candidates += out.stats.candidates;
         }
         let (batches, compositions) = counting.take();
-        // One batch per level that scored anything. A
-        // level whose joins were all scored before sends none, so only
-        // a full count of `n - 1` batches places each batch at a level;
-        // the few cells short of it are checked within batches only.
+        // One batch per level that scored anything. A level whose joins
+        // were all scored earlier in the call sends none, so only a
+        // full count of `n - 1` batches places each batch at a level.
         let levels_known = batches.len() == q.num_tables() - 1;
         placed += levels_known as usize;
-        let mut prev: HashSet<u64> = HashSet::new();
-        let mut scored = 0;
-        for (level, batch) in batches.iter().enumerate() {
-            let mut this: HashSet<u64> = HashSet::with_capacity(batch.len());
+        // The batch that scored each join.
+        let mut scored_in: HashMap<u64, usize> = HashMap::new();
+        for (b, batch) in batches.iter().enumerate() {
             for &fp in batch {
-                assert!(
-                    this.insert(fp),
-                    "{cell}: batch {level} scored {fp:#x} twice"
-                );
-                assert!(
-                    !(levels_known && prev.contains(&fp)),
-                    "{cell}: level {level} re-scored {fp:#x} from the level before"
-                );
+                if let Some(was) = scored_in.insert(fp, b) {
+                    panic!("{cell}: {fp:#x} scored in batch {was} and again in batch {b}");
+                }
             }
-            scored += batch.len();
-            prev = this;
         }
-        // A level scores, then composes. A composed join was scored at
-        // its level or earlier: a slot keeps its score while some
-        // candidate names its join at every level, so a join scored at
-        // level 0 may be kept at level 4. A slot keeps its composed
-        // tree as long, so a join is composed again only after its slot
-        // lapsed and it was scored again (the few re-scorings the
-        // adjacent-level check above allows).
-        let mut composed: HashMap<u64, usize> = HashMap::new();
+        let scored = scored_in.len();
+        // A level scores, then composes: a composed join was scored in
+        // an earlier batch of the call — a join scored at level 0 may be
+        // kept at level 4 — and is composed once.
+        let mut composed: HashSet<u64> = HashSet::new();
         for (before, batch) in &compositions {
             assert!(batch.len() <= width, "{cell}: {} composed", batch.len());
-            for fp in batch {
-                let scored_at = batches[..*before]
-                    .iter()
-                    .rposition(|b| b.contains(fp))
-                    .unwrap_or_else(|| panic!("{cell}: composed {fp:#x} before scoring it"));
-                if let Some(was) = composed.insert(*fp, scored_at) {
-                    assert!(
-                        was < scored_at,
-                        "{cell}: {fp:#x} composed twice on one score"
-                    );
-                }
+            for &fp in batch {
+                assert!(
+                    scored_in.get(&fp).is_some_and(|b| b < before),
+                    "{cell}: composed {fp:#x} before scoring it"
+                );
+                assert!(composed.insert(fp), "{cell}: {fp:#x} composed twice");
             }
         }
         assert!(compositions.len() < q.num_tables(), "{cell}");
@@ -273,7 +255,7 @@ fn no_join_is_scored_twice_within_or_across_adjacent_levels() {
     );
     assert_eq!(counting.singles.load(Relaxed), 0, "beam called score_join");
     // Under four tenths of beam-20's candidates reach the scorer:
-    // 210 741 of 598 778 = 0.352 on this fixture, plus 10 %. Scoring per
+    // 210 554 of 598 778 = 0.352 on this fixture, plus 10 %. Scoring per
     // state again drives the ratio back to ~0.99.
     assert!(
         (beam20_calls as f64) <= 0.39 * beam20_candidates as f64,

@@ -51,25 +51,8 @@ impl Table {
         self.columns.len()
     }
 
-    /// Column index by name, if present.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.column_names.iter().position(|n| n == name)
-    }
-
     /// Column by positional index.
     pub fn column(&self, idx: usize) -> &Column {
-        &self.columns[idx]
-    }
-
-    /// Column by name.
-    ///
-    /// # Panics
-    /// Panics if the column does not exist (schema errors are programmer
-    /// errors in this system; queries are constructed against the catalog).
-    pub fn column_by_name(&self, name: &str) -> &Column {
-        let idx = self
-            .column_index(name)
-            .unwrap_or_else(|| panic!("table {} has no column {name}", self.name));
         &self.columns[idx]
     }
 
@@ -87,6 +70,24 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table {
+        /// Column index by name, if present.
+        fn column_index(&self, name: &str) -> Option<usize> {
+            self.column_names.iter().position(|n| n == name)
+        }
+
+        /// Column by name.
+        ///
+        /// # Panics
+        /// Panics if the column does not exist.
+        pub(crate) fn column_by_name(&self, name: &str) -> &Column {
+            let idx = self
+                .column_index(name)
+                .unwrap_or_else(|| panic!("table {} has no column {name}", self.name));
+            &self.columns[idx]
+        }
+    }
 
     fn sample() -> Table {
         Table::new(
