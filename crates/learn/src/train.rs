@@ -755,17 +755,19 @@ impl<'a> Ctx<'a> {
         // the pool and the experiences are recorded serially in the same
         // (query, plan, subplan) order as the historical serial loop.
         let mut sim_jobs = Vec::with_capacity(self.split.train.len());
+        // One planner for every training query, so its scratch is
+        // reused; it and the fallback chain memoize cardinalities per
+        // query themselves.
+        let planner =
+            DpPlanner::new(self.db, &CoutModel, &self.est, cfg.mode).with_budget(cfg.plan_budget);
         for &qi in &self.split.train {
             let q = &self.workload.queries[qi];
-            let memo = MemoEstimator::new(&self.est);
             // A finite budget degrades through the fallback chain; an
             // Err means the query has no plan at all (disconnected
             // graph) — skip it honestly rather than crash the run. The
             // skip happens before this query's random-plan draws, so it
             // cannot perturb other queries' RNG consumption.
-            let dp = DpPlanner::new(self.db, &CoutModel, &memo, cfg.mode)
-                .with_budget(cfg.plan_budget)
-                .try_plan(q);
+            let dp = planner.try_plan(q);
             let Some(dp) = fold_planned(&mut st.stats, dp, "pretraining") else {
                 continue;
             };

@@ -52,14 +52,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where a Pareto entry's plan node comes from. Scans are built up
-/// front. A join only records its operator and its children's memo
-/// positions `(slot, index)` while its DP level is open; its node is
-/// built when the level closes ([`close_level`]), and only if the entry
-/// is still in its Pareto set — most inserted joins are evicted by a
-/// cheaper one before then.
+/// Where a Pareto entry's plan comes from. A scan holds its node, built
+/// up front. A join holds only its operator and its children's memo
+/// positions `(slot, index)` for the whole DP call: a closed level's
+/// sets are final and never reordered, so the positions stay valid, and
+/// only the winning plan's join nodes are ever built
+/// ([`DpScratch::build`]).
 enum Node {
-    Plan(Arc<Plan>),
+    Scan(Arc<Plan>),
     Join {
         op: JoinOp,
         left: (u32, u32),
@@ -83,20 +83,9 @@ impl Entry {
     fn scan(plan: Arc<Plan>, sc: SubtreeCost) -> Self {
         let index_scan = plan.is_index_scan();
         Self {
-            node: Node::Plan(plan),
+            node: Node::Scan(plan),
             sc,
             index_scan,
-        }
-    }
-
-    /// The entry's plan node.
-    ///
-    /// # Panics
-    /// Panics while the entry's level is still open.
-    fn plan(&self) -> &Arc<Plan> {
-        match &self.node {
-            Node::Plan(plan) => plan,
-            Node::Join { .. } => unreachable!("join nodes are built when their level closes"),
         }
     }
 }
@@ -217,22 +206,6 @@ impl ClassThreshold {
     fn admit(&mut self, work: f64, orders: OrderMask) {
         if orders.contains_all(self.mask) {
             self.work = self.work.min(work);
-        }
-    }
-}
-
-/// Builds the plan node of every join entry in `open` (the sets a DP
-/// level just finished) from its children in `closed` (every earlier
-/// level, whose nodes are already built). Only Pareto survivors are
-/// still there to build.
-fn close_level(closed: &[ParetoSet], open: &mut [ParetoSet]) {
-    let child =
-        |(slot, idx): (u32, u32)| closed[slot as usize].entries[idx as usize].plan().clone();
-    for set in open {
-        for e in &mut set.entries {
-            if let Node::Join { op, left, right } = e.node {
-                e.node = Node::Plan(Plan::join(op, child(left), child(right)));
-            }
         }
     }
 }
@@ -385,6 +358,9 @@ struct DpScratch {
     pair_buckets: Vec<Vec<(u32, u32)>>,
     /// Left-deep mode: connected masks bucketed by size.
     csg_buckets: Vec<Vec<u32>>,
+    /// Join nodes built by [`Self::build`], counted for the tests.
+    #[cfg(test)]
+    joins_built: std::cell::Cell<usize>,
 }
 
 impl DpScratch {
@@ -407,6 +383,24 @@ impl DpScratch {
         }
         if self.csg_buckets.len() < n + 1 {
             self.csg_buckets.resize_with(n + 1, Vec::new);
+        }
+        #[cfg(test)]
+        self.joins_built.set(0);
+    }
+
+    /// Builds `entry`'s plan: a join's node over its children's plans,
+    /// which it names by memo position.
+    fn build(&self, entry: &Entry) -> Arc<Plan> {
+        match entry.node {
+            Node::Scan(ref plan) => plan.clone(),
+            Node::Join { op, left, right } => {
+                #[cfg(test)]
+                self.joins_built.set(self.joins_built.get() + 1);
+                let child = |(slot, idx): (u32, u32)| {
+                    self.build(&self.entries[slot as usize].entries[idx as usize])
+                };
+                Plan::join(op, child(left), child(right))
+            }
         }
     }
 
@@ -574,14 +568,12 @@ impl<'a> DpPlanner<'a> {
         }
 
         // Bottom-up by subset size: every pair's sides are strictly
-        // smaller than its union, so their Pareto sets are final.
-        //
-        // A level allocates exactly the slots of its own subset size, so
-        // they are `level_start..s.used` and every child slot lies below;
-        // closing the level builds the surviving joins' plan nodes.
+        // smaller than its union, so their Pareto sets are final — a join
+        // entry's child positions stay valid for the rest of the call,
+        // and no plan node is built until the winner's, after the last
+        // level.
         check_budget(s, &stats)?;
         for size in 2..=n {
-            let level_start = s.used;
             match self.mode {
                 SearchMode::Bushy => {
                     let bucket = std::mem::take(&mut s.pair_buckets[size]);
@@ -655,8 +647,6 @@ impl<'a> DpPlanner<'a> {
                     s.csg_buckets[size] = bucket;
                 }
             }
-            let (closed, open) = s.entries[..s.used].split_at_mut(level_start);
-            close_level(closed, open);
             check_budget(s, &stats)?;
         }
         stats.cost_secs = t_cost.elapsed().as_secs_f64();
@@ -670,7 +660,7 @@ impl<'a> DpPlanner<'a> {
         let full_entries = &s.entries[full_slot as usize];
         let best = best_of(full_entries).ok_or_else(disconnected)?;
         let mut planned = PlannedQuery {
-            plan: best.plan().clone(),
+            plan: s.build(best),
             cost: best.sc.work,
             stats,
             planning_secs: start.elapsed().as_secs_f64(),
@@ -700,7 +690,7 @@ impl<'a> DpPlanner<'a> {
 /// Orientation is fixed by the caller; connectivity and disjointness
 /// hold by construction of the enumeration, and the left-deep right
 /// side is always a single-table slot, so the [`CandidateSpace`] mode
-/// filter is already satisfied.
+/// filter is already satisfied (debug builds check all three).
 ///
 /// Costing runs through the cost model's [`balsa_cost::PairCoster`]
 /// session; `combine` returns `false`, having touched nothing, when the
@@ -712,8 +702,8 @@ impl<'a> DpPlanner<'a> {
 /// ([`ClassThreshold::admit`]). A candidate costs one compare against
 /// its class threshold, then — unless that rejects it — a virtual work
 /// call and a second compare, which *is* the dominance test. Only a
-/// survivor allocates: its order list and an entry recording its
-/// operator and children; its plan node waits for [`close_level`].
+/// survivor allocates: its order list; its entry records its operator
+/// and children, and no plan node is built here.
 ///
 /// The interner is **read-only**: the whole order universe is interned
 /// before costing starts.
@@ -737,6 +727,7 @@ fn combine(
     let Some(coster) = cost.pair_coster(query, lmask, rmask, memo) else {
         return false;
     };
+    debug_assert!(lmask.disjoint(rmask) && query.connected(lmask, rmask));
     let (left, right) = (&sets[l], &sets[r]);
     let ops = space.join_ops();
     let join = |op, li: usize, ri: usize| Node::Join {
@@ -791,7 +782,10 @@ fn combine(
             }
         }
         for (ri, re) in right.entries.iter().enumerate() {
-            debug_assert!(space.allows_join(le.plan(), re.plan()));
+            debug_assert!(
+                space.mode() == SearchMode::Bushy || matches!(re.node, Node::Scan(_)),
+                "a left-deep right input is a base table"
+            );
             let base = le.sc.work + re.sc.work;
             for (&op, &class) in ops.iter().zip(class_of) {
                 let ClassThreshold {
@@ -1127,6 +1121,44 @@ mod tests {
         assert_eq!(sums, [1_006_502, 197_692, 7_975_204]);
     }
 
+    /// The plans themselves, per cost model, over the same grid as
+    /// [`serial_cost_calls_are_pinned`]: a wrapping checksum of every
+    /// plan's `canonical_hash` and cost bits. The submask oracle compares
+    /// costs only, so this is what pins plan structure — including which
+    /// of equal-cost plans wins.
+    #[test]
+    fn plans_are_pinned() {
+        let (db, job) = fixture();
+        let ext = ext_job_workload(db.catalog(), 7);
+        let est = HistogramEstimator::new(&db);
+        let expert = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        let non_monotone = NonMonotoneExpert(expert.clone());
+        let models: [&dyn CostModel; 3] = [&expert, &CoutModel, &non_monotone];
+        let sums: Vec<u64> = models
+            .into_iter()
+            .map(|model| {
+                let mut sum = 0u64;
+                for q in job.queries.iter().chain(&ext.queries) {
+                    for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+                        let planned = DpPlanner::new(&db, model, &est, mode).plan(q);
+                        for word in [planned.plan.canonical_hash(), planned.cost.to_bits()] {
+                            sum = sum.wrapping_mul(0x100_0000_01B3).wrapping_add(word);
+                        }
+                    }
+                }
+                sum
+            })
+            .collect();
+        assert_eq!(
+            sums,
+            [
+                16_630_472_898_568_640_826,
+                2_340_374_661_477_050_794,
+                7_233_837_460_417_526_461
+            ]
+        );
+    }
+
     #[test]
     fn dp_produces_valid_complete_plans() {
         let (db, w) = fixture();
@@ -1202,6 +1234,24 @@ mod tests {
             );
             assert_eq!(reused.stats.states, fresh.stats.states);
             assert_eq!(reused.stats.candidates, fresh.stats.candidates);
+        }
+    }
+
+    /// A plan call builds its winner's join nodes and no others: `n − 1`
+    /// per query in both modes, on planners reused across the fixture.
+    #[test]
+    fn only_the_winners_join_nodes_are_built() {
+        let (db, job) = fixture();
+        let ext = ext_job_workload(db.catalog(), 7);
+        let est = HistogramEstimator::new(&db);
+        let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
+        for mode in [SearchMode::Bushy, SearchMode::LeftDeep] {
+            let planner = DpPlanner::new(&db, &model, &est, mode);
+            for q in job.queries.iter().chain(&ext.queries) {
+                planner.plan(q);
+                let built = planner.scratch.lock().joins_built.get();
+                assert_eq!(built, q.num_tables() - 1, "{} {mode:?}", q.name);
+            }
         }
     }
 
@@ -1326,7 +1376,11 @@ mod tests {
     /// afresh), beside a hand-written floor that sweeps the same columns
     /// with the same rejects against the *final* class thresholds —
     /// the best any insert order could reach — and calls `work_out`
-    /// for what is left, with no inserts at all. Run with
+    /// for what is left, with no inserts at all. A whole
+    /// `DpPlanner::plan` of the query is timed beside them (asserted to
+    /// return the first call's plan), so `combine`'s share of a plan call
+    /// shows what the rest costs: enumeration, scans, the scratch reset
+    /// and the winner's build. Run with
     /// `cargo test --release -p balsa-search --lib dp_kernel_floor -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -1344,6 +1398,7 @@ mod tests {
         let model = ExpertCostModel::new(db.clone(), OpWeights::postgres_like());
         let planner = DpPlanner::new(&db, &model, &est, SearchMode::Bushy);
         let planned = planner.plan(q);
+        let whole = DpPlanner::new(&db, &model, &est, SearchMode::Bushy);
         let s = planner.scratch.lock();
         let space = CandidateSpace::new(&db, q, SearchMode::Bushy);
         let memo = MemoEstimator::new(&est);
@@ -1439,7 +1494,7 @@ mod tests {
 
         // Interleave the two sides per repetition and report medians, so
         // load from other processes hits both alike.
-        let (mut kernel_ns, mut floor_ns) = (Vec::new(), Vec::new());
+        let (mut kernel_ns, mut floor_ns, mut plan_ns) = (Vec::new(), Vec::new(), Vec::new());
         let mut sink = 0.0;
         let mut floor_calls = 0;
         for _ in 0..REPS {
@@ -1451,23 +1506,32 @@ mod tests {
             let t = Instant::now();
             floor_calls = floor(&mut sink);
             floor_ns.push(t.elapsed().as_nanos());
+            let t = Instant::now();
+            let again = whole.plan(q);
+            plan_ns.push(t.elapsed().as_nanos());
+            assert_eq!(again.plan, planned.plan);
+            assert_eq!(again.cost.to_bits(), planned.cost.to_bits());
         }
-        let cands = stats.candidates as f64;
-        let per_candidate = |mut ns: Vec<u128>| {
+        let median = |mut ns: Vec<u128>| {
             ns.sort_unstable();
-            ns[ns.len() / 2] as f64 / cands
+            ns[ns.len() / 2] as f64
         };
-        let (k, f) = (per_candidate(kernel_ns), per_candidate(floor_ns));
+        let cands = stats.candidates as f64;
+        let (k, f, p) = (median(kernel_ns), median(floor_ns), median(plan_ns));
         println!(
-            "{} ({} tables, {} pair orientations, {} candidates): combine {k:.2} ns/candidate \
-             ({} work_out calls), floor {f:.2} ns/candidate ({floor_calls} work_out calls), \
-             ratio {:.2} (sink {sink:.3e})",
+            "{} ({} tables, {} pair orientations, {} candidates): combine {:.2} ns/candidate \
+             ({} work_out calls), floor {:.2} ns/candidate ({floor_calls} work_out calls), \
+             ratio {:.2} (sink {sink:.3e}); whole plan {:.3} ms, combine {:.0} % of it",
             q.name,
             q.num_tables(),
             items.len(),
             stats.candidates,
+            k / cands,
             stats.cost_calls,
-            k / f
+            f / cands,
+            k / f,
+            p / 1e6,
+            100.0 * k / p
         );
     }
 }
